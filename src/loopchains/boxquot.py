@@ -34,9 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-from .exactalg import FreeComplex, HomologySummary, IntMatrix, homology, \
-    smith_normal_form
-from .simpcx import ParseError, parse_complex
+from .exactalg import FreeComplex, IntMatrix, homology, smith_normal_form
+from .simpcx import ParseError, _positive_grading, parse_complex
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -783,9 +782,16 @@ def _probe_axes(dim, *cubes):
 
 
 def _certify(checks, failures, name, axes, lhs, rhs):
+    """Probe one identity.  The first point where its sides differ, or
+    where either side cannot be evaluated (a probe pushed outside the
+    unit cube), is its failure witness."""
     checks.append(name)
     for pt in product(*axes):
-        if lhs(pt) != rhs(pt):
+        try:
+            holds = lhs(pt) == rhs(pt)
+        except GeometryError:
+            holds = False
+        if not holds:
             failures.append((name, pt))
             return
 
@@ -908,11 +914,6 @@ def transpose_cancellation(cube: PLCube, k: int) -> bool:
     return True
 
 
-def _positive(summaries):
-    return {-n: HomologySummary(degree=-n, rank=s.rank, torsion=s.torsion)
-            for n, s in summaries.items()}
-
-
 def _int_solve(a: IntMatrix, b):
     """One integer solution x of a x = b, or None.  Via the Smith form:
     in diagonal coordinates each equation divides or dies."""
@@ -1027,7 +1028,7 @@ def quotient_homology_compare(family, *, level=HALF) -> QuotientComparison:
     plain_mats = _family_matrices(by_dim, index_by_dim)  # raises if not closed
     plain_cx = FreeComplex.from_homological(
         {n: len(g) for n, g in by_dim.items()}, plain_mats)
-    plain_h = _positive(homology(plain_cx))
+    plain_h = _positive_grading(homology(plain_cx))
 
     qgens = {n: list(gens) for n, gens in by_dim.items()}
     qindex = {n: dict(index) for n, index in index_by_dim.items()}
@@ -1153,7 +1154,7 @@ def quotient_homology_compare(family, *, level=HALF) -> QuotientComparison:
                 m[row_off + r, col_off + cvt] = -v
         cone_mats[n] = m
     cone = FreeComplex.from_homological(cone_dims, cone_mats)
-    quot_h = _positive(homology(cone))
+    quot_h = _positive_grading(homology(cone))
 
     return QuotientComparison(plain=plain_h, quotient=quot_h,
                               concat_relations=concat_count,

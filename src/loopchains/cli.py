@@ -21,8 +21,8 @@ from .boxquot import (PLCube, box_dot, box_slash, concat_f, face, fits,
                       load_cube_family, pl_equal, quotient_homology_compare,
                       random_cube, random_level, serialize_cube_family, split,
                       transpose, transpose_cancellation)
-from .cobarloop import (LoopAlgebra, TruncationError, adams_T,
-                        based_loop_complex, dga_differential,
+from .cobarloop import (BoundaryUndefinedError, LoopAlgebra, TruncationError,
+                        adams_T, based_loop_complex, dga_differential,
                         format_cyclic_word, format_word, letter_boundary,
                         letter_degree, loop_words, pi2_boundary, t_residual,
                         tau_boundary, verify_T_chain_map, word_boundary)
@@ -239,8 +239,8 @@ def _sweep_stage(label, axes, fixed, ws, certify):
         conv = Conventions(**{**fixed, **assignment})
         try:
             reason = certify(ws, conv)
-        except Exception as exc:  # any breakage disqualifies the assignment
-            reason = f"error: {exc}"
+        except (BoundaryUndefinedError, TruncationError) as exc:
+            reason = f"error: {exc}"  # outside the loop model's domain
         if reason is None:
             survivors.append(assignment)
         else:

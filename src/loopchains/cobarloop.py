@@ -24,11 +24,11 @@ in, so the resolution harness can flip entries one at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 from .conventions import Conventions, DEFAULT
 from .exactalg import FreeComplex
-from .hochschild import hochschild_b
+from .hochschild import _add, bounded_words, hochschild_b
 from .simpcx import CollapsedComplex
 
 UNIT_LETTER = ("unit",)
@@ -115,13 +115,6 @@ def mu2(x2, x1, conv: Conventions = DEFAULT):
     if conv.mu2_order == "path":
         return sign, normalize_word(x1 + x2)
     return sign, normalize_word(x2 + x1)
-
-
-def _add(dst, key, c):
-    if c:
-        dst[key] = dst.get(key, 0) + c
-        if dst[key] == 0:
-            del dst[key]
 
 
 # -- boundaries ---------------------------------------------------------------
@@ -270,19 +263,8 @@ class LoopAlgebra:
 
     def basis(self, max_weight: int):
         """All nonempty tau words of weight <= max_weight, sorted."""
-        letters = self.letters()
-        words = []
-
-        def grow(word, remaining):
-            if word:
-                words.append(word)
-            for letter in letters:
-                w = letter_weight(letter)
-                if w <= remaining:
-                    grow(word + (letter,), remaining - w)
-
-        grow((), max_weight)
-        return sorted(words)
+        words = bounded_words(self.letters(), letter_weight, max_weight)
+        return sorted(islice(words, 1, None))  # past the empty word
 
 
 # -- the loop complex, materialized -------------------------------------------

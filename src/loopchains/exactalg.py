@@ -321,6 +321,11 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
             i = max(0, i - 1)  # the new d_i may violate the chain upstream
         else:
             i += 1
+    # a re-reduction can leave a later diagonal entry negative, and the
+    # chain test above reads divisibility only, not sign
+    for i in range(n):
+        if a[i, i] < 0:
+            row_negate(i)
 
     diagonal = tuple(a[i, i] for i in range(n))
     return SmithForm(diagonal=diagonal, left=u, right=v)

@@ -27,14 +27,7 @@ split signs.  Both packages verify; mixing them does not.
 from dataclasses import dataclass
 
 from .conventions import DEFAULT, Conventions
-from .hochschild import hochschild_b, hochschild_b_vector
-
-
-def _add(dst, key, c):
-    if c:
-        dst[key] = dst.get(key, 0) + c
-        if dst[key] == 0:
-            del dst[key]
+from .hochschild import _add, bounded_words, hochschild_b, hochschild_b_vector
 
 
 def _sign(axis):
@@ -175,27 +168,23 @@ def verify_G_chain_map(alg, conv: Conventions = DEFAULT, *, max_len=3,
                        max_weight=3) -> GVerification:
     """Residual check over every word of bounded length and weight.
 
-    The special slot may also hold the unit; the other slots may not,
-    those words are degenerate and already zero upstream.
+    The slots hold basis elements.  The unit is checked only as the
+    one-letter word ``(unit,)``: it may sit in the special slot alone,
+    and longer words that start with the unit are not checked (words
+    with the unit in any other slot are degenerate and already zero
+    upstream).
     """
-    slots = list(alg.basis(max_weight))
+    slots = alg.basis(max_weight)
+    unit_word = (alg.unit(),)
     failures = {}
     checked = 0
-    words = [()]
-    for _ in range(max_len):
-        grown = []
-        for word in words:
-            head = slots if word else slots + [alg.unit()]
-            for s in head:
-                w = (s,) + word if word else (s,)
-                if sum(alg.weight(x) for x in w) <= max_weight:
-                    grown.append(w)
-        for w in grown:
-            checked += 1
-            res = g_residual(alg, w, conv)
-            if res:
-                failures[w] = res
-        words = [w for w in grown if alg.unit() not in w]
+    # the empty word stands for the one-letter unit word
+    for word in bounded_words(slots, alg.weight, max_weight, max_len):
+        w = word or unit_word
+        checked += 1
+        res = g_residual(alg, w, conv)
+        if res:
+            failures[w] = res
     return GVerification(ok=not failures, words_checked=checked,
                          failures=failures)
 
@@ -274,20 +263,10 @@ class CircleWordAlgebra:
         return {self._reduce(x1 + x2): (-1) ** (self.degree(x1) % 2)}
 
     def basis(self, max_weight: int):
-        words = []
-
-        def grow(word, remaining):
-            if word:
-                words.append(word)
-            if remaining == 0:
-                return
-            for letter in self.letters():
-                w = self._reduce(word + (letter,))
-                if len(w) > len(word):
-                    grow(w, remaining - 1)
-
-        grow((), max_weight)
-        return sorted(set(words))
+        """All nonempty words of length <= max_weight, sorted; in the
+        strict picture only the reduced ones."""
+        words = bounded_words(self.letters(), lambda letter: 1, max_weight)
+        return sorted(w for w in words if w and self._reduce(w) == w)
 
 
 def _letter_winding(alg, letter) -> int:

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import itemgetter
 from random import Random
 
 from .exactalg import FreeComplex, HomologySummary, IntMatrix, homology as _homology
@@ -389,6 +390,36 @@ class TruncatedHomology:
     stabilized: bool
 
 
+def bounded_words(letters, weight, max_weight: int,
+                  max_len: int | None = None):
+    """Every tuple of ``letters`` whose weights sum to at most
+    ``max_weight``, of length at most ``max_len`` (uncapped when None).
+
+    Words are yielded lazily, the empty tuple first; the rest come in no
+    promised order, so callers that need one sort.  Each letter's weight
+    is looked up once and the letters are tried lightest first, so a
+    branch stops at the first letter that does not fit.  Every weight
+    must be >= 1, which keeps the set finite; a negative cap yields
+    nothing.
+    """
+    weighted = sorted(((weight(x), x) for x in letters), key=itemgetter(0))
+    if weighted and weighted[0][0] < 1:
+        raise ValueError("non-unit basis elements must have weight >= 1")
+    if max_weight < 0:
+        return
+    if max_len is None:
+        max_len = max_weight  # no word of weight <= max_weight is longer
+    stack = [((), max_weight)]
+    while stack:
+        word, room = stack.pop()
+        yield word
+        if len(word) < max_len:
+            for w, x in weighted:
+                if w > room:
+                    break
+                stack.append((word + (x,), room - w))
+
+
 def cyclic_words(algebra, max_weight: int, degree: int | None = None):
     """All normalized words of weight <= max_weight (and given degree).
 
@@ -397,36 +428,24 @@ def cyclic_words(algebra, max_weight: int, degree: int | None = None):
     all have weight >= 1, so words are finite in number.
     """
     basis = list(algebra.basis(max_weight))
-    if any(algebra.weight(x) < 1 for x in basis):
-        raise ValueError("non-unit basis elements must have weight >= 1")
     unit = algebra.unit()
     specials = basis + ([unit] if unit is not None else [])
-    words = []
-
-    def grow(word, remaining):
-        words.append(word)
-        for x in basis:
-            w = algebra.weight(x)
-            if w <= remaining:
-                grow(word + (x,), remaining - w)
-
-    for first in specials:
-        grow((first,), max_weight - algebra.weight(first))
-    if degree is None:
-        return sorted(words, key=_word_sort_key)
-    return sorted((w for w in words if word_degree(algebra, w) == degree),
-                  key=_word_sort_key)
+    words = [(first,) + tail
+             for first in specials
+             for tail in bounded_words(basis, algebra.weight,
+                                       max_weight - algebra.weight(first))]
+    if degree is not None:
+        words = [w for w in words if word_degree(algebra, w) == degree]
+    return sorted(words, key=_word_sort_key)
 
 
 def _word_sort_key(word):
     return (len(word), tuple(repr(x) for x in word))
 
 
-def _graded_complex(algebra, degree: int, max_weight: int, arity):
-    """Three-term complex around the requested degree, weight-capped."""
-    layers = {}
-    for n in (degree - 1, degree, degree + 1):
-        layers[n] = cyclic_words(algebra, max_weight, degree=n)
+def _graded_complex(algebra, degree: int, layers, max_weight: int, arity):
+    """Three-term complex around the requested degree, weight-capped:
+    ``layers`` maps degree - 1, degree and degree + 1 to their words."""
     index = {n: {w: i for i, w in enumerate(ws)} for n, ws in layers.items()}
     dims = {n: len(ws) for n, ws in layers.items()}
     diffs = {}
@@ -454,11 +473,20 @@ def hh_truncated(algebra, degree: int, max_weight: int, *,
     The weight cap is a subcomplex, so this is the honest homology of a
     finite complex, not an approximation with leakage.  ``stabilized``
     records whether dropping the cap by one leaves the answer unchanged,
-    a cheap signal that the cap has stopped biting.
+    a cheap signal that the cap has stopped biting.  The words are
+    enumerated once, at the cap; the lower cap's words are those of
+    smaller weight.
     """
-    summary = _hh_at(algebra, degree, max_weight, arity)
+    layers = {n: [] for n in (degree - 1, degree, degree + 1)}
+    for word in cyclic_words(algebra, max_weight):
+        layer = layers.get(word_degree(algebra, word))
+        if layer is not None:
+            layer.append(word)
+    summary = _hh_at(algebra, degree, layers, max_weight, arity)
     if max_weight >= 1:
-        previous = _hh_at(algebra, degree, max_weight - 1, arity)
+        lower = {n: [w for w in ws if word_weight(algebra, w) < max_weight]
+                 for n, ws in layers.items()}
+        previous = _hh_at(algebra, degree, lower, max_weight - 1, arity)
         stabilized = (previous.rank, previous.torsion) == \
             (summary.rank, summary.torsion)
     else:
@@ -467,7 +495,8 @@ def hh_truncated(algebra, degree: int, max_weight: int, *,
                              summary=summary, stabilized=stabilized)
 
 
-def _hh_at(algebra, degree: int, max_weight: int, arity) -> HomologySummary:
-    complex_ = _graded_complex(algebra, degree, max_weight, arity)
+def _hh_at(algebra, degree: int, layers, max_weight: int,
+           arity) -> HomologySummary:
+    complex_ = _graded_complex(algebra, degree, layers, max_weight, arity)
     summaries = _homology(complex_)
     return summaries.get(degree, HomologySummary(degree, 0, ()))

@@ -371,6 +371,15 @@ def test_box_slash_threshold_control_fails_with_a_live_witness():
     byname = dict(cert.failures)
     pt = byname["zero face restores the cube"]
     assert cube.eval(clampsum(insert(pt, 2, F(0)), thr)) != cube.eval(pt)
+    # a threshold above one pushes the one face out of the unit cube: a
+    # failing certificate whose witness leaves the cube, not an exception
+    thr = F(7, 5)
+    arc = load_cube_family(FIXTURES / "circle_cubes.json").cube("arc-b")
+    for cube in (cube, arc):
+        cert = box_slash(cube, F(1, 2), clamp_threshold=thr)
+        assert not cert.ok
+        pt = dict(cert.failures)["one face is degenerate (cube side)"]
+        assert clampsum(insert(pt, cube.dim, F(1)), thr)[-1] > 1
 
 
 def test_box_dot_identities_hold():

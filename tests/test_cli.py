@@ -7,8 +7,12 @@ import json
 import shutil
 from pathlib import Path
 
-from loopchains.cli import (MANIFEST, SUITES, certify_assignment, main,
-                            resolve_conventions)
+import pytest
+
+from loopchains.cli import (MANIFEST, STAGE_ONE, STAGE_TWO, SUITES,
+                            ResolutionError, _sweep_stage, certify_assignment,
+                            main, resolve_conventions)
+from loopchains.cobarloop import BoundaryUndefinedError, TruncationError
 from loopchains.conventions import CHOICES, DEFAULT, parse_ledger, serialize_ledger
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -163,6 +167,33 @@ def test_every_single_entry_flip_fails_certification():
     for name in CHOICES:
         reason = certify_assignment(FIXTURES, DEFAULT.flip(name))
         assert reason is not None, name
+
+
+def test_sweep_rejects_domain_errors_and_lets_other_errors_through():
+    fixed = {name: getattr(DEFAULT, name) for name in STAGE_ONE}
+    wanted = {name: getattr(DEFAULT, name) for name in STAGE_TWO}
+
+    def domain_errors(ws, conv):
+        if conv == DEFAULT:
+            return None
+        if conv.iota_twist == DEFAULT.iota_twist:
+            raise TruncationError(2, [(0, 1, 2)])
+        raise BoundaryUndefinedError("no corner boundary")
+
+    assert _sweep_stage("probe", STAGE_TWO, fixed, None,
+                        domain_errors) == wanted
+
+    def truncated(ws, conv):
+        raise TruncationError(2, [(0, 1, 2)])
+
+    with pytest.raises(ResolutionError, match="error: weight cap 2"):
+        _sweep_stage("probe", STAGE_TWO, fixed, None, truncated)
+
+    def broken(ws, conv):
+        raise TypeError("a programming error")
+
+    with pytest.raises(TypeError, match="a programming error"):
+        _sweep_stage("probe", STAGE_TWO, fixed, None, broken)
 
 
 # -- ledger tampering --------------------------------------------------------------

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loopchains.hochschild import (
-    Morphism, TableDGA, cc_degree, cc_of_morphism, cc_of_morphism_vector,
-    cyclic_words, hh_truncated, hochschild_b, hochschild_b_vector,
-    identity_morphism, is_degenerate, random_dga, strict_morphism,
-    word_degree, word_weight,
+    Morphism, TableDGA, bounded_words, cc_degree, cc_of_morphism,
+    cc_of_morphism_vector, cyclic_words, hh_truncated, hochschild_b,
+    hochschild_b_vector, identity_morphism, is_degenerate, random_dga,
+    strict_morphism, word_degree, word_weight,
 )
 
 from oracle_classical import classical_b_squared, classical_cyclic_b, rev
@@ -287,6 +287,53 @@ def test_missing_components_are_zero():
     F = Morphism(dga, dga, {})
     assert F.apply(1, ("u",)) == {}
     assert cc_of_morphism(F, ("u", "v")) == {}
+
+
+# -- bounded words ------------------------------------------------------------
+
+def brute_force_words(weights, max_weight, max_len):
+    """Every tuple over the alphabet of length up to max_len (or the cap,
+    enough since weights are >= 1) and weight <= max_weight."""
+    longest = max_weight if max_len is None else max_len
+    return {w for n in range(longest + 1)
+            for w in iproduct(sorted(weights), repeat=n)
+            if sum(weights[x] for x in w) <= max_weight}
+
+
+@pytest.mark.parametrize("weights", [
+    {"a": 1},
+    {"a": 1, "b": 2},
+    {"a": 3, "b": 1, "c": 2, "d": 1},
+    {"x": 2, "y": 5},
+    {},
+])
+def test_bounded_words_match_brute_force(weights):
+    for max_weight in range(-1, 6):
+        for max_len in (None, 0, 1, 2, 3):
+            got = list(bounded_words(weights, weights.get, max_weight,
+                                     max_len))
+            assert len(got) == len(set(got))
+            assert set(got) == brute_force_words(weights, max_weight,
+                                                 max_len)
+            if got:
+                assert got[0] == ()
+
+
+def test_bounded_words_is_lazy():
+    words = bounded_words(["a", "b"], lambda x: 1, 40)
+    assert next(words) == ()
+    assert len(next(words)) == 1
+
+
+def test_weight_zero_letter_is_rejected():
+    with pytest.raises(ValueError, match="weight >= 1"):
+        list(bounded_words(["a", "b"], {"a": 1, "b": 0}.get, 2))
+    dga = TableDGA({"u": 0, "v": 1}, {}, {"u": {"v": 1}},
+                   weights={"u": 0, "v": 1})
+    with pytest.raises(ValueError, match="weight >= 1"):
+        cyclic_words(dga, 2)
+    with pytest.raises(ValueError, match="weight >= 1"):
+        hh_truncated(dga, 0, 2)
 
 
 # -- truncated homology -------------------------------------------------------
