@@ -68,16 +68,11 @@ def _frac(x) -> Fraction:
     raise GeometryError(f"not a rational value: {x!r}")
 
 
-def _solve_linear(rows, rhs):
-    """Unique exact solution of a (possibly overdetermined) linear system.
-
-    Returns the solution tuple, or None when the system is inconsistent or
-    the solution is not unique.
+def _row_reduce(m, ncols):
+    """Gauss-Jordan elimination of the Fraction rows ``m`` in place, on
+    their first ``ncols`` columns.  Returns the pivot columns: row r of
+    the result leads with a 1 in the r-th of them, zero above and below.
     """
-    m = [[Fraction(c) for c in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    if not m:
-        return None
-    ncols = len(m[0]) - 1
     pivots = []
     top = 0
     for col in range(ncols):
@@ -95,9 +90,23 @@ def _solve_linear(rows, rhs):
         top += 1
         if top == len(m):
             break
+    return pivots
+
+
+def _solve_linear(rows, rhs):
+    """Unique exact solution of a (possibly overdetermined) linear system.
+
+    Returns the solution tuple, or None when the system is inconsistent or
+    the solution is not unique.
+    """
+    m = [[Fraction(c) for c in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    if not m:
+        return None
+    ncols = len(m[0]) - 1
+    pivots = _row_reduce(m, ncols)
     if len(pivots) < ncols:
         return None
-    for r in range(top, len(m)):
+    for r in range(len(pivots), len(m)):
         if m[r][ncols] != 0:
             return None
     sol = [ZERO] * ncols
@@ -110,23 +119,7 @@ def _affinely_independent(pts) -> bool:
     if len(pts) <= 1:
         return True
     rows = [[b - a for a, b in zip(pts[0], p)] for p in pts[1:]]
-    cols = len(pts[0])
-    top = 0
-    for col in range(cols):
-        pr = next((r for r in range(top, len(rows)) if rows[r][col] != 0), None)
-        if pr is None:
-            continue
-        rows[top], rows[pr] = rows[pr], rows[top]
-        pv = rows[top][col]
-        rows[top] = [x / pv for x in rows[top]]
-        for r in range(len(rows)):
-            if r != top and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[top])]
-        top += 1
-        if top == len(rows):
-            break
-    return top == len(rows)
+    return len(_row_reduce(rows, len(pts[0]))) == len(rows)
 
 
 class Realization:

@@ -1,8 +1,14 @@
 """Exact integer linear algebra over Z.
 
-Smith normal form with unimodular transforms, free (co)chain complexes,
-integral homology with torsion, and chain map verification.  Everything
-is exact: entries are Python ints, there is no floating point anywhere.
+Smith normal form, free (co)chain complexes, integral homology with
+torsion, and chain map verification.  Everything is exact: entries are
+Python ints, there is no floating point anywhere.
+
+The Smith normal form is one sparse elimination kernel.  Its pivots are
+the +-1 entries first, cheapest by Markowitz cost, then the entries of
+the small non-unit core that is left, smallest |value| first.  The
+unimodular transforms U and V are built on request only: homology and
+rank read the elementary divisors and never build them.
 
 Matrices are sparse: only nonzero entries are stored, keyed by
 (row, column) and iterated row-major.  This matters because the chain
@@ -12,6 +18,8 @@ complexes produced elsewhere in this package are large and very sparse.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
+from math import gcd
 
 
 class ShapeError(ValueError):
@@ -185,10 +193,12 @@ class SmithForm:
 
     ``diagonal`` lists the nonnegative diagonal entries d_1 | d_2 | ...
     (the divisibility chain), padded with zeros up to min(rows, cols).
+    ``left`` (U) and ``right`` (V) are built on request only: they are
+    None when the form was computed with ``transforms=False``.
     """
     diagonal: tuple
-    left: IntMatrix
-    right: IntMatrix
+    left: IntMatrix | None
+    right: IntMatrix | None
 
     @property
     def rank(self) -> int:
@@ -201,138 +211,189 @@ class SmithForm:
         return m
 
 
-def smith_normal_form(m: IntMatrix) -> SmithForm:
-    """Smith normal form over Z.
-
-    Pivot rule: the nonzero entry of smallest absolute value, ties broken
-    row-major.  That rule eats +-1 entries first, which keeps fill-in and
-    coefficient growth tame on the sparse complexes this package builds.
-    """
-    a = m.copy()
-    u = IntMatrix.identity(m.rows)
-    v = IntMatrix.identity(m.cols)
-
-    # row/col elementary operations, mirrored into the transforms
-    def row_add(i, k, c):  # row_i += c * row_k
-        for j in range(a.cols):
-            if a[k, j]:
-                a[i, j] = a[i, j] + c * a[k, j]
-        for j in range(u.cols):
-            if u[k, j]:
-                u[i, j] = u[i, j] + c * u[k, j]
-
-    def col_add(j, k, c):  # col_j += c * col_k
-        for i in range(a.rows):
-            if a[i, k]:
-                a[i, j] = a[i, j] + c * a[i, k]
-        for i in range(v.rows):
-            if v[i, k]:
-                v[i, j] = v[i, j] + c * v[i, k]
-
-    def row_swap(i, k):
-        for j in range(a.cols):
-            a[i, j], a[k, j] = a[k, j], a[i, j]
-        for j in range(u.cols):
-            u[i, j], u[k, j] = u[k, j], u[i, j]
-
-    def col_swap(j, k):
-        for i in range(a.rows):
-            a[i, j], a[i, k] = a[i, k], a[i, j]
-        for i in range(v.rows):
-            v[i, j], v[i, k] = v[i, k], v[i, j]
-
-    def row_negate(i):
-        for j in range(a.cols):
-            a[i, j] = -a[i, j]
-        for j in range(u.cols):
-            u[i, j] = -u[i, j]
-
-    n = min(a.rows, a.cols)
-
-    def reduce_block(t: int) -> bool:
-        """Diagonalize position t against the block [t:, t:].
-
-        Returns False when the block is already all zero.  On return the
-        pivot a[t, t] is positive and alone in its row and column.
-        """
-        pivot = None
-        best = None
-        for (i, j), val in a.entries.items():
-            if i < t or j < t:
-                continue
-            key = (abs(val), i, j)
-            if best is None or key < best:
-                best = key
-                pivot = (i, j)
-        if pivot is None:
-            return False
-        pi, pj = pivot
-        if pi != t:
-            row_swap(t, pi)
-        if pj != t:
-            col_swap(t, pj)
-        if a[t, t] < 0:
-            row_negate(t)
-        # remainder loop: whenever a reduction leaves a residue smaller
-        # than the pivot, the residue becomes the new pivot
-        while True:
-            p = a[t, t]
-            residue = False
-            for i in range(t + 1, a.rows):
-                if a[i, t]:
-                    q = a[i, t] // p
-                    if q:
-                        row_add(i, t, -q)
-                    if a[i, t]:
-                        row_swap(t, i)
-                        if a[t, t] < 0:
-                            row_negate(t)
-                        residue = True
-                        break
-            if residue:
-                continue
-            for j in range(t + 1, a.cols):
-                if a[t, j]:
-                    q = a[t, j] // p
-                    if q:
-                        col_add(j, t, -q)
-                    if a[t, j]:
-                        col_swap(t, j)
-                        if a[t, t] < 0:
-                            row_negate(t)
-                        residue = True
-                        break
-            if not residue:
-                return True
-
-    t = 0
-    while t < n and reduce_block(t):
-        t += 1
-
-    # enforce the divisibility chain: fold d_{i+1} into column i and
-    # re-reduce, which replaces (d_i, d_{i+1}) by (gcd, lcm)
-    i = 0
-    while i + 1 < n:
-        di, dj = a[i, i], a[i + 1, i + 1]
-        if dj and (not di or dj % di):
-            col_add(i, i + 1, 1)
-            reduce_block(i)
-            reduce_block(i + 1)
-            i = max(0, i - 1)  # the new d_i may violate the chain upstream
+def _axpy(dst: dict, src: dict, c: int) -> None:
+    """dst += c * src, for sparse vectors stored as {index: value}."""
+    if not c:
+        return
+    for k, x in src.items():
+        w = dst.get(k, 0) + c * x
+        if w:
+            dst[k] = w
         else:
-            i += 1
-    # a re-reduction can leave a later diagonal entry negative, and the
-    # chain test above reads divisibility only, not sign
-    for i in range(n):
-        if a[i, i] < 0:
-            row_negate(i)
+            del dst[k]
 
-    diagonal = tuple(a[i, i] for i in range(n))
-    return SmithForm(diagonal=diagonal, left=u, right=v)
+
+def _combine(a: int, x: dict, b: int, y: dict) -> dict:
+    """a * x + b * y as a new sparse vector."""
+    out = {}
+    _axpy(out, x, a)
+    _axpy(out, y, b)
+    return out
+
+
+def _xgcd(a: int, b: int):
+    """(g, s, t) with s * a + t * b == g == gcd(a, b), for a, b > 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0
+
+
+def _divisor_chain(d: list, exchange=None) -> None:
+    """Fold positive entries into the divisibility chain, in place.
+
+    Each pair d_i, d_j (i < j) where d_i does not divide d_j becomes
+    (gcd, lcm), which leaves Z/d_i + Z/d_j unchanged; after pass i, d_i
+    divides every later entry.  Units divide everything and are skipped.
+    ``exchange(i, j, d_i, d_j)`` mirrors each step into the transforms.
+    """
+    for i in range(len(d)):
+        if d[i] == 1:
+            continue
+        for j in range(i + 1, len(d)):
+            a, b = d[i], d[j]
+            if b % a:
+                g = gcd(a, b)
+                d[i], d[j] = g, a // g * b
+                if exchange:
+                    exchange(i, j, a, b)
+
+
+def smith_normal_form(m: IntMatrix, *, transforms: bool = True) -> SmithForm:
+    """Smith normal form over Z by sparse elimination.
+
+    The working matrix is kept as rows of nonzeros plus a column -> rows
+    index, so every operation touches nonzeros only.  Pivots come off a
+    heap keyed by (|value|, Markowitz cost (row nnz - 1) * (col nnz - 1)).
+    The +-1 entries therefore go first, cheapest first; each clears its
+    column by row operations and its row by column operations with no
+    remainder, which is the discrete-Morse reduction of a boundary
+    matrix.  What is left is a core without units, reduced by smallest
+    |value|: a pivot whose row or column keeps a nonzero remainder goes
+    back on the heap, and the remainder, smaller than it, comes off
+    first.  Every entry an operation changes is pushed again, and a
+    popped key is checked against the current entry and cost, so no step
+    rescans the matrix.
+
+    The pivots, units first, are folded into the divisibility chain by
+    gcd/lcm exchanges.  With ``transforms=False`` that is all: U and V
+    are never built and the result has ``left = right = None``.  With
+    transforms every operation is mirrored into U's rows and V's
+    columns, and each exchange is a column fold (col_i += col_j) followed
+    by one Bezout row step and one column clear on the folded 2x2 block.
+    Either way the signs are fixed so the diagonal is nonnegative.
+    """
+    rows = [{} for _ in range(m.rows)]
+    cols = [set() for _ in range(m.cols)]
+    for (i, j), x in m.entries.items():
+        rows[i][j] = x
+        cols[j].add(i)
+    left = [{i: 1} for i in range(m.rows)] if transforms else None
+    right = [{j: 1} for j in range(m.cols)] if transforms else None
+
+    def cost(i, j):
+        return (len(rows[i]) - 1) * (len(cols[j]) - 1)
+
+    heap = [(abs(x), cost(i, j), i, j) for (i, j), x in m.entries.items()]
+    heapify(heap)
+    pivots = []
+    while heap:
+        size, key, r, c = heappop(heap)
+        row = rows[r]
+        p = row.get(c)
+        if p is None or abs(p) != size:
+            continue  # eliminated or changed since it was pushed
+        now = cost(r, c)
+        if now > key:  # fill-in made it dearer: queue it at its real cost
+            heappush(heap, (size, now, r, c))
+            continue
+        # clear column c: row_i -= (a_ic // p) * row_r
+        for i in [i for i in cols[c] if i != r]:
+            target = rows[i]
+            q = target[c] // p
+            if not q:
+                continue
+            touched = []
+            for j, x in row.items():
+                old = target.get(j)
+                if old is None:
+                    target[j] = -q * x
+                    cols[j].add(i)
+                    touched.append(j)
+                elif old == q * x:
+                    del target[j]
+                    cols[j].discard(i)
+                else:
+                    target[j] = old - q * x
+                    touched.append(j)
+            for j in touched:
+                heappush(heap, (abs(target[j]), cost(i, j), i, j))
+            if transforms:
+                _axpy(left[i], left[r], -q)
+        if len(cols[c]) > 1:  # remainders smaller than |p| are queued
+            heappush(heap, (size, now, r, c))
+            continue
+        # clear row r: column c holds p alone, so col_j -= q * col_c
+        # changes a_rj only
+        for j in [j for j in row if j != c]:
+            q = row[j] // p
+            if not q:
+                continue
+            if transforms:
+                _axpy(right[j], right[c], -q)
+            w = row[j] - q * p
+            if w:
+                row[j] = w
+                heappush(heap, (abs(w), cost(r, j), r, j))
+            else:
+                del row[j]
+                cols[j].discard(r)
+        if len(row) > 1:
+            heappush(heap, (size, cost(r, c), r, c))
+            continue
+        pivots.append((r, c, p))
+        row.clear()
+        cols[c].clear()
+
+    pivots.sort(key=lambda pivot: abs(pivot[2]) != 1)  # units lead the chain
+    diagonal = [abs(p) for _, _, p in pivots]
+    zeros = (0,) * (min(m.rows, m.cols) - len(pivots))
+    if not transforms:
+        _divisor_chain(diagonal)
+        return SmithForm(tuple(diagonal) + zeros, left=None, right=None)
+
+    # U's row t and V's column t are those of pivot t, then the rest in
+    # order; negating U's row of a negative pivot is the sign fix
+    u = [left[r] if p > 0 else {k: -x for k, x in left[r].items()}
+         for r, _, p in pivots]
+    v = [right[c] for _, c, _ in pivots]
+    used_rows = {r for r, _, _ in pivots}
+    used_cols = {c for _, c, _ in pivots}
+    u += [left[i] for i in range(m.rows) if i not in used_rows]
+    v += [right[j] for j in range(m.cols) if j not in used_cols]
+
+    def exchange(i, j, a, b):
+        # diag(a, b) -> diag(g, l): fold column j into column i, then
+        # [[s, t], [-b/g, a/g]] on rows i, j leaves t*b in row i, column j
+        g, s, t = _xgcd(a, b)
+        u[i], u[j] = (_combine(s, u[i], t, u[j]),
+                      _combine(-(b // g), u[i], a // g, u[j]))
+        v[i] = _combine(1, v[i], 1, v[j])
+        v[j] = _combine(-t * (b // g), v[i], 1, v[j])
+
+    _divisor_chain(diagonal, exchange)
+    um = IntMatrix(m.rows, m.rows)
+    um.entries = {(t, k): x for t, vec in enumerate(u) for k, x in vec.items()}
+    vm = IntMatrix(m.cols, m.cols)
+    vm.entries = {(k, t): x for t, vec in enumerate(v) for k, x in vec.items()}
+    return SmithForm(tuple(diagonal) + zeros, left=um, right=vm)
 
 
 def rank(m: IntMatrix) -> int:
-    return smith_normal_form(m).rank
+    return smith_normal_form(m, transforms=False).rank
 
 
 @dataclass(frozen=True)
@@ -441,7 +502,7 @@ def homology(c: FreeComplex) -> dict:
     ranks = {}
     snfs = {}
     for n in list(c.diffs):
-        snfs[n] = smith_normal_form(c.diffs[n])
+        snfs[n] = smith_normal_form(c.diffs[n], transforms=False)
         ranks[n] = snfs[n].rank
     out = {}
     for n in sorted(c.dims):

@@ -16,7 +16,6 @@ patterns already occur by weight 4, inside the enumerated range.
 """
 
 import random
-from fractions import Fraction
 from pathlib import Path
 
 from loopchains.boxquot import (box_dot, box_slash, load_cube_family,
@@ -36,6 +35,7 @@ from loopchains.simpcx import (chain_complex, collapse,
                                collapsed_chain_complex, homology,
                                load_complex)
 
+from oracle_ranks import rank_p, rank_q
 from oracle_rewriting import normal_forms
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -205,39 +205,6 @@ def test_criterion_6_cubical_certificates():
 
 # -- 7: first homology by two independent routes ------------------------------------
 
-def _rank_q(m):
-    mat = [[Fraction(m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
-    rank = 0
-    for c in range(m.cols):
-        pivot = next((i for i in range(rank, m.rows) if mat[i][c]), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        for i in range(rank + 1, m.rows):
-            if mat[i][c]:
-                f = mat[i][c] / mat[rank][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-    return rank
-
-
-def _rank_p(m, p):
-    mat = [[m[i, j] % p for j in range(m.cols)] for i in range(m.rows)]
-    rank = 0
-    for c in range(m.cols):
-        pivot = next((i for i in range(rank, m.rows) if mat[i][c]), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = pow(mat[rank][c], p - 2, p)
-        for i in range(rank + 1, m.rows):
-            if mat[i][c]:
-                f = mat[i][c] * inv % p
-                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-    return rank
-
-
 def test_criterion_7_first_homology_two_routes():
     expected = {"s1_3": (1, ()), "torus_7": (2, ()), "rp2": (0, (2,))}
     for name, (betti, torsion) in expected.items():
@@ -247,10 +214,10 @@ def test_criterion_7_first_homology_two_routes():
 
         fc = chain_complex(sc)
         c1, d1, d2 = fc.dim(-1), fc.diff(-1), fc.diff(-2)
-        assert c1 - _rank_q(d1) - _rank_q(d2) == betti, name
+        assert c1 - rank_q(d1) - rank_q(d2) == betti, name
         for p in (2, 3):
             t_p = sum(1 for t in torsion if t % p == 0)
-            assert c1 - _rank_p(d1, p) - _rank_p(d2, p) == betti + t_p, \
+            assert c1 - rank_p(d1, p) - rank_p(d2, p) == betti + t_p, \
                 (name, p)
     _pass(7, "H_1 = Z (circle), Z^2 (torus), Z/2 (projective plane) by "
              "the normal-form route and again by independent rational "

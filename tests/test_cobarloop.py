@@ -13,7 +13,7 @@ from loopchains.cobarloop import (
     word_weight,
 )
 from loopchains.conventions import DEFAULT
-from loopchains.exactalg import validate_complex
+from loopchains.exactalg import homology, validate_complex
 from loopchains.hochschild import hochschild_b
 from loopchains.simpcx import SimplicialComplex, collapse, load_complex
 
@@ -205,6 +205,19 @@ def test_sphere_complex_is_a_complex(sphere2):
     assert {n: model.complex.dim(n) for n in sorted(model.complex.dims)} == {
         -2: 16, -1: 136, 0: 121}
     assert validate_complex(model.complex).ok
+
+
+# the largest loop complexes the package builds: rp2 has a 1111x210
+# differential and torus_7 a 3616x434 one
+@pytest.mark.parametrize("name, words, table", [
+    ("rp2.json", 1321, {-1: (25, ()), 0: (926, ())}),
+    ("torus_7.json", 4050, {-1: (37, ()), 0: (3219, ())}),
+])
+def test_loop_homology_at_weight_three(name, words, table):
+    model = based_loop_complex(_load(name), 3)
+    assert model.word_count() == words
+    assert {n: (h.rank, h.torsion)
+            for n, h in homology(model.complex).items()} == table
 
 
 @settings(deadline=None, max_examples=60)

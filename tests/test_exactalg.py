@@ -15,6 +15,8 @@ from loopchains.exactalg import (
     validate_complex,
 )
 
+from oracle_ranks import rank_p, rank_q
+
 
 # frozen Smith normal form examples, worked by hand
 def test_snf_diag_2_3():
@@ -82,6 +84,31 @@ def test_snf_transforms_and_chain(rows):
     # transforms are unimodular
     assert det(s.left) in (1, -1)
     assert det(s.right) in (1, -1)
+
+
+# sparse matrices mostly of 0 and +-1, like the boundary matrices the
+# package builds, with enough 2, 3 and 6 to leave a non-unit core
+sparse_matrices = st.integers(min_value=1, max_value=30).flatmap(
+    lambda r: st.integers(min_value=1, max_value=40).flatmap(
+        lambda c: st.lists(
+            st.lists(st.sampled_from([0] * 12 + [1, -1] * 3
+                                     + [2, -2, 3, -3, 6, -6]),
+                     min_size=c, max_size=c),
+            min_size=r, max_size=r)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_matrices)
+def test_snf_divisors_against_rank_oracles(rows):
+    m = IntMatrix.from_rows(rows)
+    s = smith_normal_form(m)
+    fast = smith_normal_form(m, transforms=False)
+    assert fast.left is None and fast.right is None
+    assert fast.diagonal == s.diagonal
+    assert s.left @ m @ s.right == s.diagonal_matrix(m.rows, m.cols)
+    assert fast.rank == rank_q(m)
+    for p in (2, 3):
+        assert rank_p(m, p) == sum(1 for d in fast.diagonal if d % p), p
 
 
 @settings(max_examples=40, deadline=None)
