@@ -3,8 +3,10 @@
 A PLCube is a map from a subdivided unit cube into a rational simplicial
 realization, stored as exact rational values on the subdivision lattice and
 interpolated affinely on the lexicographic Kuhn triangulation of every cell.
-Everything stays in Fraction arithmetic, so equality of maps, degeneracy,
-fit conditions, and the homotopy identities below are decided, not sampled.
+Everything stays in Fraction arithmetic, so equality of maps, degeneracy
+and fit conditions are decided, not sampled.  The homotopy certificates
+below are exact too, but checked on probe grids: a certificate that
+passes has held at every probe point, not been proved between them.
 
 On top of the representation:
 
@@ -765,8 +767,6 @@ def _probe_axes(dim, *cubes):
     for a in range(dim):
         vals = set(_STOCK)
         for cube in cubes:
-            if cube is None:
-                continue
             for b in (a, a + 1):
                 if b < cube.dim:
                     vals.update(cube.breakpoints[b])
@@ -774,19 +774,30 @@ def _probe_axes(dim, *cubes):
     return axes
 
 
-def _certify(checks, failures, name, axes, lhs, rhs):
-    """Probe one identity.  The first point where its sides differ, or
-    where either side cannot be evaluated (a probe pushed outside the
-    unit cube), is its failure witness."""
-    checks.append(name)
-    for pt in product(*axes):
-        try:
-            holds = lhs(pt) == rhs(pt)
-        except GeometryError:
-            holds = False
-        if not holds:
-            failures.append((name, pt))
-            return
+def _certify(identities, axes) -> HomotopyCertificate:
+    """Probe identities (name, component, phi, psi): the component must
+    take the same value at phi(t) and psi(t) for every t of the probe grid
+    ``axes`` cut to its dimension.  The first t where the values differ,
+    or where either point leaves the unit cube, is that identity's failure
+    witness.  Where phi and psi give one point inside the cube the
+    identity holds there, so the component is evaluated only elsewhere."""
+    checks = []
+    failures = []
+    for name, component, phi, psi in identities:
+        checks.append(name)
+        for t in product(*axes[:component.dim]):
+            p, q = phi(t), psi(t)
+            if p == q and all(ZERO <= x <= ONE for x in p):
+                continue
+            try:
+                holds = component.eval(p) == component.eval(q)
+            except GeometryError:
+                holds = False
+            if not holds:
+                failures.append((name, t))
+                break
+    return HomotopyCertificate(ok=not failures, checks=tuple(checks),
+                               failures=tuple(failures))
 
 
 def box_slash(cube: PLCube, level, *, clamp_threshold=1) -> HomotopyCertificate:
@@ -814,40 +825,24 @@ def box_slash(cube: PLCube, level, *, clamp_threshold=1) -> HomotopyCertificate:
     level = _as_level(i - 1, level)
     _require_unit_range(level)
     thr = _frac(clamp_threshold)
-    checks = []
-    failures = []
-    cube_axes = _probe_axes(i, cube, level)
-    level_axes = cube_axes[:i - 1]
-
-    _certify(checks, failures, "zero face restores the cube", cube_axes,
-             lambda t: cube.eval(_clampsum(_insert(t, i, ZERO), thr)),
-             lambda t: cube.eval(t))
-    _certify(checks, failures, "one face is degenerate (cube side)", cube_axes,
-             lambda t: cube.eval(_clampsum(_insert(t, i, ONE), thr)),
-             lambda t: cube.eval(t[:i - 1] + (ONE,)))
+    # one family of domain-map pairs, stated for either component
+    family = [
+        ("zero face restores the {}",
+         lambda t: _clampsum(_insert(t, i, ZERO), thr), lambda t: t),
+        ("one face is degenerate ({} side)",
+         lambda t: _clampsum(_insert(t, i, ONE), thr),
+         lambda t: t[:-1] + (ONE,)),
+    ]
     for k in range(1, i):
         for eps in (ZERO, ONE):
-            _certify(checks, failures,
-                     f"face {k}({eps}) commutes (cube side)", cube_axes,
-                     lambda t, k=k, e=eps: cube.eval(_clampsum(_insert(t, k, e), thr)),
-                     lambda t, k=k, e=eps: cube.eval(_insert(_clampsum(t, thr), k, e)))
-    if i >= 2:
-        _certify(checks, failures, "zero face restores the level", level_axes,
-                 lambda t: level.eval(_clampsum(_insert(t, i, ZERO), thr)),
-                 lambda t: level.eval(t))
-        _certify(checks, failures, "one face is degenerate (level side)", level_axes,
-                 lambda t: level.eval(_clampsum(_insert(t, i, ONE), thr)),
-                 lambda t: level.eval(t[:i - 2] + (ONE,)))
-        for k in range(1, i):
-            for eps in (ZERO, ONE):
-                _certify(checks, failures,
-                         f"face {k}({eps}) commutes (level side)", level_axes,
-                         lambda t, k=k, e=eps: level.eval(
-                             _clampsum(_insert(t, k, e), thr)),
-                         lambda t, k=k, e=eps: level.eval(
-                             _insert(_clampsum(t, thr), k, e)))
-    return HomotopyCertificate(ok=not failures, checks=tuple(checks),
-                               failures=tuple(failures))
+            family.append((f"face {k}({eps}) commutes ({{}} side)",
+                           lambda t, k=k, e=eps: _clampsum(_insert(t, k, e), thr),
+                           lambda t, k=k, e=eps: _insert(_clampsum(t, thr), k, e)))
+    components = ((cube, "cube"), (level, "level")) if i >= 2 else ((cube, "cube"),)
+    return _certify([(name.format(side), component, phi, psi)
+                     for component, side in components
+                     for name, phi, psi in family],
+                    _probe_axes(i, cube, level))
 
 
 def box_dot(cube: PLCube, k: int, *, center=HALF) -> HomotopyCertificate:
@@ -871,27 +866,23 @@ def box_dot(cube: PLCube, k: int, *, center=HALF) -> HomotopyCertificate:
         raise GeometryError(
             f"axis {k} out of range for transposition in a {i}-cube")
     c = _frac(center)
-    checks = []
-    failures = []
-    axes = _probe_axes(i, cube)
-
-    _certify(checks, failures, "zero face restores the cube", axes,
-             lambda t: cube.eval(_shrink(t + (ZERO,), k, c)),
-             lambda t: cube.eval(t))
-    _certify(checks, failures, "one face lands on the center-degenerate cube", axes,
-             lambda t: cube.eval(_shrink(t + (ONE,), k, c)),
-             lambda t: cube.eval(t[:k - 1] + (HALF, HALF) + t[k + 1:]))
+    identities = [
+        ("zero face restores the cube", cube,
+         lambda t: _shrink(t + (ZERO,), k, c), lambda t: t),
+        ("one face lands on the center-degenerate cube", cube,
+         lambda t: _shrink(t + (ONE,), k, c),
+         lambda t: t[:k - 1] + (HALF, HALF) + t[k + 1:]),
+    ]
     for j in range(1, i + 1):
         if j in (k, k + 1):
             continue
         shifted = k - 1 if j < k else k
         for eps in (ZERO, ONE):
-            _certify(checks, failures, f"face {j}({eps}) commutes", axes,
-                     lambda t, j=j, e=eps: cube.eval(_shrink(_insert(t, j, e), k, c)),
-                     lambda t, j=j, e=eps, kk=shifted: cube.eval(
-                         _insert(_shrink(t, kk, c), j, e)))
-    return HomotopyCertificate(ok=not failures, checks=tuple(checks),
-                               failures=tuple(failures))
+            identities.append((f"face {j}({eps}) commutes", cube,
+                               lambda t, j=j, e=eps: _shrink(_insert(t, j, e), k, c),
+                               lambda t, j=j, e=eps, kk=shifted:
+                               _insert(_shrink(t, kk, c), j, e)))
+    return _certify(identities, _probe_axes(i, cube))
 
 
 def transpose_cancellation(cube: PLCube, k: int) -> bool:

@@ -9,6 +9,7 @@ samples time, paths, or hash order.
 from __future__ import annotations
 
 import argparse
+import importlib
 import itertools
 import json
 import random
@@ -161,6 +162,13 @@ class Workspace:
         key = ("algebra", name, conv)
         if key not in self._cache:
             self._cache[key] = LoopAlgebra(self.collapsed(name), conv)
+        return self._cache[key]
+
+    def sweep(self):
+        """The sign-identity sweep the signs suite and the report share."""
+        key = ("sweep",)
+        if key not in self._cache:
+            self._cache[key] = sweep_identity(4, (-2, 2))
         return self._cache[key]
 
 
@@ -360,7 +368,7 @@ def _suite_signs(ws, conv, seed):
              koszul_permutation_sign((5, 3, 2), (0, 1, 2)), 0)
     ck.check("interior homotopy case",
              homotopy_identity_check((1, 2, 0), 1, 1).equal)
-    sweep = sweep_identity(4, (-2, 2))
+    sweep = ws.sweep()
     ck.equal("sweep size", sweep.total, 10790)
     ck.equal("interior cases pass",
              (sweep.interior_total, sweep.interior_failures), (7080, 0))
@@ -565,6 +573,16 @@ def _suite_s1(ws, conv, seed):
     return ck.result("s1")
 
 
+def _varying_level_control():
+    """The collapse certificate of the identity square under the level
+    rising from 1/8 to 3/8: a negative control that must fail on the
+    level side."""
+    square = PLCube.from_function(((0, 1), (0, 1)), lambda p: (p[0], p[1]))
+    level = PLCube(((0, 1),), {(0,): (Fraction(1, 8),),
+                               (1,): (Fraction(3, 8),)})
+    return box_slash(square, level)
+
+
 def _suite_boxquot(ws, conv, seed):
     ck = Checker()
     for name in CUBE_FIXTURES:
@@ -612,11 +630,8 @@ def _suite_boxquot(ws, conv, seed):
     ck.check("transposing twice restores the square",
              pl_equal(transpose(transpose(square, 1), 1), square))
     ck.equal("face of a square is an interval", face(square, 1, 0).dim, 1)
-    sq = PLCube.from_function(((0, 1), (0, 1)), lambda p: (p[0], p[1]))
-    lvl = PLCube(((0, 1),), {(0,): (Fraction(1, 8),),
-                             (1,): (Fraction(3, 8),)})
     ck.equal("varying level reports the level-side obstruction",
-             box_slash(sq, lvl).failures,
+             _varying_level_control().failures,
              (("face 1(0) commutes (level side)", (Fraction(1, 3),)),))
     return ck.result("boxquot")
 
@@ -658,71 +673,47 @@ SUITES = {s.name: s for s in (
         "boxquot.quotient_homology_compare"})),
 )}
 
-# Operation inventory.  Every public operation the package commits to is
-# claimed by exactly one suite; `verify all` cross-checks this table against
-# the suites' own covers declarations so neither list can rot alone.
-MANIFEST = {
-    "exactalg.smith_normal_form": "cobar",
-    "exactalg.validate_complex": "cobar",
-    "exactalg.homology": "cobar",
-    "exactalg.chain_map_check": "cobar",
-    "signkoszul.sign_value": "signs",
-    "signkoszul.koszul_permutation_sign": "signs",
-    "signkoszul.homotopy_identity_check": "signs",
-    "simpcx.parse_complex": "cobar",
-    "simpcx.spanning_tree": "cobar",
-    "simpcx.collapse": "cobar",
-    "simpcx.homology": "cobar",
-    "cobarloop.LoopAlgebra.letters": "cobar",
-    "cobarloop.tau_boundary": "cobar",
-    "cobarloop.word_boundary": "cobar",
-    "cobarloop.dga_differential": "cobar",
-    "cobarloop.based_loop_complex": "cobar",
-    "cobarloop.pi2_boundary": "t_chain_map",
-    "cobarloop.adams_T": "t_chain_map",
-    "cobarloop.t_residual": "t_chain_map",
-    "cobarloop.verify_T_chain_map": "t_chain_map",
-    "hochschild.cc_degree": "hochschild",
-    "hochschild.hochschild_b": "hochschild",
-    "hochschild.cc_of_morphism": "hochschild",
-    "hochschild.hh_truncated": "hochschild",
-    "freeloop.goodwillie_G": "freeloop",
-    "freeloop.loop_boundary": "freeloop",
-    "freeloop.normalize": "freeloop",
-    "freeloop.verify_G_chain_map": "freeloop",
-    "freeloop.s1_example": "s1",
-    "freeloop.basepoint_degree": "s1",
-    "boxquot.face": "boxquot",
-    "boxquot.transpose": "boxquot",
-    "boxquot.concat_f": "boxquot",
-    "boxquot.box_slash": "boxquot",
-    "boxquot.box_dot": "boxquot",
-    "boxquot.quotient_homology_compare": "boxquot",
-    "cli.resolve_conventions": "ledger",
-}
-
 
 def _coverage_problems():
+    """Audit the suites' covers declarations.  Every entry must resolve to
+    a public callable defined in the module it names, no operation may be
+    claimed by two suites, and every module of the package must contribute.
+    The conventions module is exempt: it is the ledger format, which the
+    ledger suite exercises through cli.resolve_conventions."""
     claimed = {}
-    for suite in SUITES.values():
-        for op in suite.covers:
-            claimed.setdefault(op, suite.name)
     problems = []
-    for op, suite_name in sorted(MANIFEST.items()):
-        if claimed.get(op) != suite_name:
-            problems.append(f"{op}: expected {suite_name}, "
-                            f"claimed by {claimed.get(op, 'no suite')}")
-    for op in sorted(set(claimed) - set(MANIFEST)):
-        problems.append(f"{op}: covered but absent from the manifest")
-    return problems
+    for suite in SUITES.values():
+        for op in sorted(suite.covers):
+            if op in claimed:
+                problems.append(f"{op}: claimed by {claimed[op]} and {suite.name}")
+                continue
+            claimed[op] = suite.name
+            module, _, path = op.partition(".")
+            try:
+                obj = importlib.import_module(f"loopchains.{module}")
+                for part in path.split("."):
+                    obj = getattr(obj, part)
+            except (ImportError, AttributeError):
+                problems.append(f"{op}: no such operation")
+                continue
+            if (any(part.startswith("_") for part in op.split("."))
+                    or not callable(obj)
+                    or getattr(obj, "__module__", None) != f"loopchains.{module}"):
+                problems.append(f"{op}: not a public callable of {module}")
+    modules = {p.stem for p in Path(__file__).parent.glob("[!_]*.py")}
+    modules.discard("conventions")
+    for module in sorted(modules - {op.partition(".")[0] for op in claimed}):
+        problems.append(f"{module}: no operation covered")
+    return problems, len(claimed)
 
 
 # -- report helpers ----------------------------------------------------------------
 
-def _suspected_typos(ws, conv, sweep):
+def _suspected_typos(ws, conv):
     """Identities whose stated form fails while every certified identity
     passes, each with the minimal counterexample that pins the mismatch."""
     out = []
+    sweep = ws.sweep()
     if sweep.failures:
         case = min(sweep.failures,
                    key=lambda f: (len(f[0]), sum(abs(d) for d in f[0]), f))
@@ -747,10 +738,7 @@ def _suspected_typos(ws, conv, sweep):
         else:
             out.append(f"{head} shows no failing term under the active "
                        "ledger")
-    sq = PLCube.from_function(((0, 1), (0, 1)), lambda p: (p[0], p[1]))
-    lvl = PLCube(((0, 1),), {(0,): (Fraction(1, 8),),
-                             (1,): (Fraction(3, 8),)})
-    cert = box_slash(sq, lvl)
+    cert = _varying_level_control()
     if cert.failures:
         check, witness = cert.failures[0]
         point = ",".join(str(x) for x in witness)
@@ -857,8 +845,7 @@ def _cmd_hh(args):
 
 
 TARGETS = {
-    "all": ("ledger", "signs", "cobar", "t_chain_map", "hochschild",
-            "freeloop", "s1", "boxquot"),
+    "all": tuple(SUITES),
     "signs": ("signs",),
     "cobar": ("cobar", "t_chain_map"),
     "hochschild": ("hochschild",),
@@ -881,10 +868,10 @@ def _cmd_verify(args):
         out.append(f"{name}: {'pass' if res.ok else 'FAIL'}")
         out.extend("  " + line for line in res.lines)
     if args.target == "all":
-        problems = _coverage_problems()
+        problems, count = _coverage_problems()
         ok &= not problems
         out.append("coverage: " + ("pass" if not problems else "FAIL")
-                   + f" ({len(MANIFEST)} operations)")
+                   + f" ({count} operations)")
         out.extend("  " + p for p in problems)
     sys.stdout.write("\n".join(out) + "\n")
     return 0 if ok else 1
@@ -918,11 +905,11 @@ def _cmd_report(args):
     # Failing checks count as artifact bugs only when the active ledger is
     # the certified one; under a mismatched ledger they indict the ledger.
     certified = results["ledger"].ok
-    sweep = sweep_identity(4, (-2, 2))
+    sweep = ws.sweep()
     boundary_failures = len(sweep.failures) - sweep.interior_failures
     classified = (len(sweep.failures) if sweep.all_failures_on_boundary
                   else boundary_failures)
-    typos = _suspected_typos(ws, active, sweep)
+    typos = _suspected_typos(ws, active)
 
     lines = ["conventions"]
     if note:
@@ -1050,8 +1037,7 @@ def build_parser():
     q.add_argument("--out")
 
     q = sub.add_parser("verify", help="run a verification suite")
-    q.add_argument("target", choices=("all", "signs", "cobar", "hochschild",
-                                      "freeloop", "s1", "boxquot"))
+    q.add_argument("target", choices=tuple(TARGETS))
     q.add_argument("--seed", type=int, default=7)
 
     q = sub.add_parser("resolve",

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction as F
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -53,6 +54,13 @@ def clampsum(pt, thr=F(1)):
 
 def insert(pt, k, v):
     return pt[:k - 1] + (v,) + pt[k - 1:]
+
+
+def shrink(pt, k, center):
+    body, lam = list(pt[:-1]), pt[-1]
+    body[k - 1] = center + (1 - lam) * (body[k - 1] - center)
+    body[k] = center + (1 - lam) * (body[k] - center)
+    return tuple(body)
 
 
 # -- construction and evaluation --------------------------------------------
@@ -401,6 +409,109 @@ def test_box_dot_center_control_fails_exactly_the_one_face():
         {"one face lands on the center-degenerate cube"}
     with pytest.raises(GeometryError, match="out of range for transposition"):
         box_dot(cube, 2)
+
+
+def probe_grid(dim, *cubes):
+    # the certificates' probe grid: a stock of rationals plus the
+    # breakpoints of each axis and of the next
+    axes = []
+    for a in range(dim):
+        vals = {F(0), F(1, 3), F(1, 2), F(3, 4), F(1)}
+        for cube in cubes:
+            for b in (a, a + 1):
+                if b < cube.dim:
+                    vals.update(cube.breakpoints[b])
+        axes.append(sorted(vals))
+    return axes
+
+
+def slash_identities(cube, level, thr):
+    i = cube.dim
+    out = []
+    for comp, side in ((cube, "cube"), (level, "level"))[:min(i, 2)]:
+        out.append((f"zero face restores the {side}", comp,
+                    lambda t: clampsum(insert(t, i, F(0)), thr), lambda t: t))
+        out.append((f"one face is degenerate ({side} side)", comp,
+                    lambda t: clampsum(insert(t, i, F(1)), thr),
+                    lambda t: t[:-1] + (F(1),)))
+        for k in range(1, i):
+            for e in (0, 1):
+                out.append((f"face {k}({e}) commutes ({side} side)", comp,
+                            lambda t, k=k, e=F(e): clampsum(insert(t, k, e), thr),
+                            lambda t, k=k, e=F(e): insert(clampsum(t, thr), k, e)))
+    return out
+
+
+def dot_identities(cube, k, c):
+    i = cube.dim
+    out = [("zero face restores the cube", cube,
+            lambda t: shrink(t + (F(0),), k, c), lambda t: t),
+           ("one face lands on the center-degenerate cube", cube,
+            lambda t: shrink(t + (F(1),), k, c),
+            lambda t: t[:k - 1] + (F(1, 2), F(1, 2)) + t[k + 1:])]
+    for j in range(1, i + 1):
+        if j not in (k, k + 1):
+            kk = k - 1 if j < k else k
+            for e in (0, 1):
+                out.append((f"face {j}({e}) commutes", cube,
+                            lambda t, j=j, e=F(e): shrink(insert(t, j, e), k, c),
+                            lambda t, j=j, e=F(e), kk=kk:
+                            insert(shrink(t, kk, c), j, e)))
+    return out
+
+
+def first_failures(identities, axes):
+    """Evaluate both sides of every identity at every probe point through
+    the public eval; a point outside the unit cube fails the identity."""
+    out = []
+    for name, comp, lhs, rhs in identities:
+        for t in product(*axes[:comp.dim]):
+            try:
+                holds = comp.eval(lhs(t)) == comp.eval(rhs(t))
+            except GeometryError:
+                holds = False
+            if not holds:
+                out.append((name, t))
+                break
+    return out
+
+
+def assert_matches_oracle(cert, identities, axes):
+    assert cert.checks == tuple(name for name, _, _, _ in identities)
+    oracle = first_failures(identities, axes)
+    assert cert.failures == tuple(oracle)
+    assert cert.ok == (not oracle)
+
+
+def test_certificates_match_the_full_evaluation_oracle():
+    # every identity is evaluated on both sides at every probe point, so a
+    # certificate that skips evaluating a point it may not skip shows here
+    rng = random.Random(59)
+    sq = PLCube.from_function(((0, 1), (0, 1)), lambda p: (p[0], p[1]))
+    cases = [(sq, PLCube(((0, 1),), {(0,): (F(1, 8),), (1,): (F(3, 8),)}))]
+    for dim in (1, 2, 2, 3):
+        cube = random_cube(rng, dim)
+        cases.append((cube, random_level(rng, dim - 1, constant=True)))
+        if dim >= 2:
+            cases.append((cube, random_level(rng, dim - 1)))
+    failing = set()
+    for cube, level in cases:
+        for thr in (F(1), F(3, 4), F(7, 5)):
+            cert = box_slash(cube, level, clamp_threshold=thr)
+            assert_matches_oracle(cert, slash_identities(cube, level, thr),
+                                  probe_grid(cube.dim, cube, level))
+            failing |= {(thr, name) for name, _ in cert.failures}
+        for k in range(1, cube.dim):
+            for c in (F(1, 2), F(1, 3)):
+                cert = box_dot(cube, k, center=c)
+                assert_matches_oracle(cert, dot_identities(cube, k, c),
+                                      probe_grid(cube.dim, cube))
+                failing |= {(c, name) for name, _ in cert.failures}
+    # the negative controls all fired: threshold, center, varying level
+    assert (F(3, 4), "zero face restores the cube") in failing
+    assert (F(7, 5), "one face is degenerate (cube side)") in failing
+    assert (F(1, 3), "one face lands on the center-degenerate cube") in failing
+    assert (F(1), "face 1(0) commutes (level side)") in failing
 
 
 # -- quotient homology comparison ---------------------------------------------

@@ -5,13 +5,14 @@ import contextlib
 import io
 import json
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from loopchains.cli import (MANIFEST, STAGE_ONE, STAGE_TWO, SUITES,
-                            ResolutionError, _sweep_stage, certify_assignment,
-                            main, resolve_conventions)
+from loopchains.cli import (STAGE_ONE, STAGE_TWO, SUITES, ResolutionError,
+                            _coverage_problems, _sweep_stage,
+                            certify_assignment, main, resolve_conventions)
 from loopchains.cobarloop import BoundaryUndefinedError, TruncationError
 from loopchains.conventions import CHOICES, DEFAULT, parse_ledger, serialize_ledger
 
@@ -43,7 +44,7 @@ def test_verify_all_passes_at_seed_7():
     for name in ("ledger", "signs", "cobar", "t_chain_map", "hochschild",
                  "freeloop", "s1", "boxquot"):
         assert f"{name}: pass" in out
-    assert f"coverage: pass ({len(MANIFEST)} operations)" in out
+    assert "coverage: pass (37 operations)" in out
 
 
 def test_unknown_subcommand_exits_2():
@@ -280,18 +281,49 @@ def test_report_marks_the_certifying_suite_on_tamper(tmp_path):
     assert "artifact bugs:" not in out
 
 
-# -- coverage manifest -------------------------------------------------------------
+# -- coverage audit ----------------------------------------------------------------
 
-def test_manifest_and_suite_covers_agree():
+def test_suite_covers_are_public_callables_claimed_once():
     claimed = {}
     for suite in SUITES.values():
         for op in suite.covers:
             assert op not in claimed, f"{op} claimed twice"
             claimed[op] = suite.name
-    assert claimed == MANIFEST
+    assert len(claimed) == 37
+    assert _coverage_problems() == ([], 37)
 
 
 def test_every_module_contributes_operations():
-    prefixes = {op.split(".")[0] for op in MANIFEST}
+    prefixes = {op.split(".")[0] for suite in SUITES.values()
+                for op in suite.covers}
     assert prefixes == {"exactalg", "signkoszul", "simpcx", "cobarloop",
                         "hochschild", "freeloop", "boxquot", "cli"}
+
+
+def with_covers(monkeypatch, name, covers):
+    monkeypatch.setitem(SUITES, name, replace(SUITES[name], covers=covers))
+
+
+@pytest.mark.parametrize("bogus, problem", [
+    ("boxquot.box_slosh", "no such operation"),
+    ("nomodule.box_slash", "no such operation"),
+    ("cobarloop.LoopAlgebra.letterz", "no such operation"),
+    ("boxquot._certify", "not a public callable of boxquot"),
+    ("boxquot.ZERO", "not a public callable of boxquot"),
+    ("cli.box_slash", "not a public callable of cli"),
+    ("freeloop.normalize", "claimed by freeloop and boxquot"),
+])
+def test_coverage_audit_rejects_a_bad_cover(monkeypatch, bogus, problem):
+    with_covers(monkeypatch, "boxquot", SUITES["boxquot"].covers | {bogus})
+    problems, _ = _coverage_problems()
+    assert problems == [f"{bogus}: {problem}"]
+
+
+def test_coverage_audit_rejects_a_renamed_cover_and_a_silent_module(monkeypatch):
+    covers = SUITES["boxquot"].covers - {"boxquot.box_dot"}
+    with_covers(monkeypatch, "boxquot", covers | {"boxquot.box_dots"})
+    with_covers(monkeypatch, "ledger", frozenset())
+    problems, count = _coverage_problems()
+    assert problems == ["boxquot.box_dots: no such operation",
+                        "cli: no operation covered"]
+    assert count == 36
