@@ -134,51 +134,60 @@ class ResolutionError(RuntimeError):
 @dataclass
 class Workspace:
     """Fixture directory plus caches for the derived objects the suites
-    share.  The solid 3-simplex is built inline: it needs no fixture."""
+    and the report share, each built once.  The solid 3-simplex "ball3"
+    is built inline: it needs no fixture."""
 
     fixtures: Path
 
     def __post_init__(self):
-        self._cache = {}
+        self._cache = {("complex", "ball3"): SimplicialComplex(
+            "solid 3-simplex", (0, 1, 2, 3), ((0, 1, 2, 3),))}
+
+    def _memo(self, key, build):
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
 
     def complex(self, name):
-        key = ("complex", name)
-        if key not in self._cache:
-            self._cache[key] = load_complex(self.fixtures / (name + ".json"))
-        return self._cache[key]
+        return self._memo(("complex", name), lambda: load_complex(
+            self.fixtures / (name + ".json")))
 
     def collapsed(self, name):
-        key = ("collapsed", name)
-        if key not in self._cache:
-            if name == "ball3":
-                sc = SimplicialComplex("solid 3-simplex", (0, 1, 2, 3),
-                                       ((0, 1, 2, 3),))
-            else:
-                sc = self.complex(name)
-            self._cache[key] = collapse(sc)
-        return self._cache[key]
+        return self._memo(("collapsed", name),
+                          lambda: collapse(self.complex(name)))
 
     def algebra(self, name, conv):
-        key = ("algebra", name, conv)
-        if key not in self._cache:
-            self._cache[key] = LoopAlgebra(self.collapsed(name), conv)
-        return self._cache[key]
+        return self._memo(("algebra", name, conv),
+                          lambda: LoopAlgebra(self.collapsed(name), conv))
 
     def sweep(self):
         """The sign-identity sweep the signs suite and the report share."""
-        key = ("sweep",)
-        if key not in self._cache:
-            self._cache[key] = sweep_identity(4, (-2, 2))
-        return self._cache[key]
+        return self._memo(("sweep",), lambda: sweep_identity(4, (-2, 2)))
+
+    def cubes(self, name):
+        """A cube family fixture and its quotient homology comparison."""
+        def build():
+            family = load_cube_family(self.fixtures / (name + ".json"))
+            return family, quotient_homology_compare(family)
+        return self._memo(("cubes", name), build)
+
+    def varying_level_control(self):
+        """The collapse certificate of the identity square under the level
+        rising from 1/8 to 3/8: a negative control that must fail on the
+        level side."""
+        square = PLCube.from_function(((0, 1), (0, 1)), lambda p: (p[0], p[1]))
+        level = PLCube(((0, 1),), {(0,): (Fraction(1, 8),),
+                                   (1,): (Fraction(3, 8),)})
+        return self._memo(("varying level",), lambda: box_slash(square, level))
 
 
 # -- convention resolution ---------------------------------------------------------
 
-STAGE_ONE = ("mu2_order", "leibniz_prefix", "hochschild_arity",
-             "tau_degeneracy", "pi2_bsplit_sign", "t_word_sign",
-             "t_pair2_sign")
-STAGE_TWO = ("wedge_sign_left", "wedge_sign_right", "wedge_sign_cat",
-             "wedge_sign_swap", "g_parity_s", "iota_twist")
+# stage two is every entry the freeloop suite certifies, stage one the rest
+STAGE_TWO = tuple(f.name for f in fields(Conventions)
+                  if CHOICES[f.name][1] == "freeloop")
+STAGE_ONE = tuple(f.name for f in fields(Conventions)
+                  if f.name not in STAGE_TWO)
 
 
 def _certify_stage_one(ws: Workspace, conv: Conventions):
@@ -573,24 +582,13 @@ def _suite_s1(ws, conv, seed):
     return ck.result("s1")
 
 
-def _varying_level_control():
-    """The collapse certificate of the identity square under the level
-    rising from 1/8 to 3/8: a negative control that must fail on the
-    level side."""
-    square = PLCube.from_function(((0, 1), (0, 1)), lambda p: (p[0], p[1]))
-    level = PLCube(((0, 1),), {(0,): (Fraction(1, 8),),
-                               (1,): (Fraction(3, 8),)})
-    return box_slash(square, level)
-
-
 def _suite_boxquot(ws, conv, seed):
     ck = Checker()
     for name in CUBE_FIXTURES:
-        path = ws.fixtures / (name + ".json")
-        family = load_cube_family(path)
+        family, cmp = ws.cubes(name)
         ck.check(f"{name}: serialize round trip",
-                 serialize_cube_family(family) == path.read_text())
-        cmp = quotient_homology_compare(family)
+                 serialize_cube_family(family)
+                 == (ws.fixtures / (name + ".json")).read_text())
         plain = {n: (h.rank, h.torsion) for n, h in cmp.plain.items()}
         want_plain, want_concat, want_transpose = CUBE_TABLE[name]
         ck.equal(f"{name}: span homology", plain, want_plain)
@@ -631,7 +629,7 @@ def _suite_boxquot(ws, conv, seed):
              pl_equal(transpose(transpose(square, 1), 1), square))
     ck.equal("face of a square is an interval", face(square, 1, 0).dim, 1)
     ck.equal("varying level reports the level-side obstruction",
-             _varying_level_control().failures,
+             ws.varying_level_control().failures,
              (("face 1(0) commutes (level side)", (Fraction(1, 3),)),))
     return ck.result("boxquot")
 
@@ -738,7 +736,7 @@ def _suspected_typos(ws, conv):
         else:
             out.append(f"{head} shows no failing term under the active "
                        "ledger")
-    cert = _varying_level_control()
+    cert = ws.varying_level_control()
     if cert.failures:
         check, witness = cert.failures[0]
         point = ",".join(str(x) for x in witness)
@@ -963,8 +961,7 @@ def _cmd_report(args):
     lines.append("cube families")
     cube_rows = {}
     for name in CUBE_FIXTURES:
-        cmp = quotient_homology_compare(
-            load_cube_family(ws.fixtures / (name + ".json")))
+        _, cmp = ws.cubes(name)
         verdict = "agree" if cmp.agree else "DISAGREE"
         cube_rows[name] = {"verdict": verdict,
                            "concat": cmp.concat_relations,

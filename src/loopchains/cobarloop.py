@@ -297,22 +297,9 @@ def based_loop_complex(cc, max_weight: int,
         by_degree.setdefault(word_degree(word), []).append(word)
     for ws in by_degree.values():
         ws.sort()
-    index = {n: {w: i for i, w in enumerate(ws)} for n, ws in by_degree.items()}
-    dims = {n: len(ws) for n, ws in by_degree.items()}
-    diffs = {}
-    from .exactalg import IntMatrix
-    for n, ws in sorted(by_degree.items()):
-        if n + 1 not in dims:
-            continue
-        m = IntMatrix(dims[n + 1], dims[n])
-        for j, w in enumerate(ws):
-            for out, c in word_boundary(cc, w, conv).items():
-                if word_weight(out) > max_weight:
-                    raise AssertionError("differential raised weight")
-                m[index[n + 1][out], j] = c
-        if not m.is_zero():
-            diffs[n] = m
-    return LoopComplexModel(complex=FreeComplex(dims, diffs),
+    complex_ = FreeComplex.from_basis(
+        by_degree, lambda w: word_boundary(cc, w, conv))
+    return LoopComplexModel(complex=complex_,
                             words_by_degree=by_degree, max_weight=max_weight)
 
 

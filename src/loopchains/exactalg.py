@@ -429,9 +429,10 @@ class FreeComplex:
     """A finitely supported complex of free Z-modules.
 
     The differential raises degree by one: diff(n) maps degree n to
-    degree n + 1.  Inputs indexed the other way around (a differential
-    that lowers degree) can be ingested with from_homological, which
-    negates the grading.
+    degree n + 1.  Complexes are usually assembled with from_basis, from
+    a graded basis and a boundary rule.  Inputs indexed the other way
+    around (a differential that lowers degree) can be ingested with
+    from_homological, which negates the grading.
     """
 
     def __init__(self, dims: dict, diffs: dict):
@@ -455,6 +456,38 @@ class FreeComplex:
         """
         return cls({-n: d for n, d in dims.items()},
                    {-n: m for n, m in diffs.items()})
+
+    @classmethod
+    def from_basis(cls, bases: dict, boundary) -> "FreeComplex":
+        """Assemble a complex from a graded basis and a boundary rule.
+
+        ``bases`` maps each degree n to an ordered list of its basis
+        elements; ``boundary(x)`` gives the image of a degree-n element
+        as {element of degree n + 1: coeff}.  Degree n gets a
+        differential only when n + 1 is a key of ``bases``, and the rule
+        is called only there.  An output outside the basis of degree
+        n + 1 raises ValueError naming the element, its degree and the
+        output: the basis is not closed under the rule.
+        """
+        dims = {n: len(xs) for n, xs in bases.items()}
+        diffs = {}
+        for n, xs in bases.items():
+            if n + 1 not in bases:
+                continue
+            index = {y: i for i, y in enumerate(bases[n + 1])}
+            m = IntMatrix(dims[n + 1], dims[n])
+            for j, x in enumerate(xs):
+                for y, c in boundary(x).items():
+                    i = index.get(y)
+                    if i is None:
+                        raise ValueError(
+                            f"basis not closed under the boundary: {x!r} in "
+                            f"degree {n} maps to {y!r}, which is not in the "
+                            f"basis of degree {n + 1}")
+                    if c:
+                        m.entries[i, j] = c
+            diffs[n] = m
+        return cls(dims, diffs)
 
     def dim(self, n: int) -> int:
         return self.dims.get(n, 0)

@@ -8,7 +8,8 @@ keeps that subspace invariant, so dropping degenerate output words (the
 default) is the quotient differential of the normalized complex.
 
 Degrees.  An entry of ordinary degree g contributes its reduced degree
-g + 1 to all sign bookkeeping.  A word's degree is
+g + 1 to all sign bookkeeping, whose exponents come from signkoszul.
+A word's degree is
 
     sum_i |a_i| - (d - 1),
 
@@ -36,11 +37,8 @@ from itertools import combinations
 from operator import itemgetter
 from random import Random
 
-from .exactalg import FreeComplex, HomologySummary, IntMatrix, homology as _homology
-
-
-def _reduced(degree: int) -> int:
-    return (degree + 1) % 2
+from .exactalg import FreeComplex, HomologySummary, homology as _homology
+from .signkoszul import bullet_exponent, maltese_exponent
 
 
 def word_degree(algebra, word) -> int:
@@ -83,8 +81,8 @@ def hochschild_b(algebra, word, coeff=1, *, arity="argument_count",
     two adjacent slots strictly inside the word.  Wrap terms close the
     word up cyclically: the special slot is multiplied with a run of
     slots taken from the right end, and the slots it jumped over move to
-    the front.  Sign exponents are sums of reduced degrees (maltese
-    runs) and the wrap correction described in signkoszul.
+    the front.  The sign exponents are signkoszul's maltese runs of
+    reduced degrees and its bullet wrap correction.
 
     ``arity`` selects how the wrapped product's arity is read: from its
     argument count (certified) or from the printed subscript, which is
@@ -95,11 +93,7 @@ def hochschild_b(algebra, word, coeff=1, *, arity="argument_count",
     out = {}
     d = len(word)
     a = lambda i: word[d - i]  # 1-based from the right
-
-    def mal(lo, hi):
-        if lo > hi:
-            return 0
-        return sum(_reduced(algebra.degree(a(t))) for t in range(lo, hi + 1))
+    degrees = tuple(algebra.degree(x) for x in reversed(word))  # |a_1| first
 
     def emit(prefix_word, vector, suffix_word, sgn):
         for element, c in vector.items():
@@ -113,7 +107,7 @@ def hochschild_b(algebra, word, coeff=1, *, arity="argument_count",
         for j in (1, 2):
             if not 1 <= i + j < d:
                 continue
-            sgn = (-1) ** (mal(1, i) % 2)
+            sgn = (-1) ** (maltese_exponent(degrees, 1, i) % 2)
             prefix = word[:d - i - j]
             suffix = word[d - i:]
             if j == 1:
@@ -131,8 +125,8 @@ def hochschild_b(algebra, word, coeff=1, *, arity="argument_count",
             m = argc if arity == "argument_count" else argc - 1
             if m > 2:
                 continue
-            bullet = mal(1, i) * (1 + mal(i + 1, d)) + mal(i + j + 1, d - 1)
-            sgn = (-1) ** ((bullet + mal(i + 1, i + j) + 1) % 2)
+            sgn = (-1) ** ((bullet_exponent(degrees, i, i + j)
+                            + maltese_exponent(degrees, i + 1, i + j) + 1) % 2)
             tail = tuple(a(t) for t in range(i + j, i, -1))
             if m == 1:
                 if not (i == 0 and argc == 1):
@@ -333,23 +327,18 @@ def cc_of_morphism(morphism: Morphism, word, coeff=1, *, normalize=True) -> dict
     blocks.  The special output slot collects the wrapped block
     (a_{s_1}, ..., a_1, a_d, ..., a_{s_k + 1}); the remaining blocks
     follow in descending order.  The sign is the wrap exponent of the
-    jump, a bullet run over the source degrees.
+    jump, signkoszul's bullet exponent over the source degrees.
     """
     algebra = morphism.source
     out = {}
     d = len(word)
     a = lambda i: word[d - i]
-
-    def mal(lo, hi):
-        if lo > hi:
-            return 0
-        return sum(_reduced(algebra.degree(a(t))) for t in range(lo, hi + 1))
+    degrees = tuple(algebra.degree(x) for x in reversed(word))  # |a_1| first
 
     for k in range(1, d + 1):
         for s in combinations(range(0, d), k):
             s1, sk = s[0], s[-1]
-            bullet = mal(1, s1) * (1 + mal(s1 + 1, d)) + mal(sk + 1, d - 1)
-            sgn = (-1) ** (bullet % 2)
+            sgn = (-1) ** (bullet_exponent(degrees, s1, sk) % 2)
             wrap_args = tuple(a(t) for t in range(s1, 0, -1)) + \
                 tuple(a(t) for t in range(d, sk, -1))
             blocks = [morphism.apply(len(wrap_args), wrap_args)]
@@ -443,29 +432,6 @@ def _word_sort_key(word):
     return (len(word), tuple(repr(x) for x in word))
 
 
-def _graded_complex(algebra, degree: int, layers, max_weight: int, arity):
-    """Three-term complex around the requested degree, weight-capped:
-    ``layers`` maps degree - 1, degree and degree + 1 to their words."""
-    index = {n: {w: i for i, w in enumerate(ws)} for n, ws in layers.items()}
-    dims = {n: len(ws) for n, ws in layers.items()}
-    diffs = {}
-    for n in (degree - 1, degree):
-        m = IntMatrix(dims[n + 1], dims[n])
-        for j, w in enumerate(layers[n]):
-            for out, c in hochschild_b(algebra, w, arity=arity).items():
-                if word_weight(algebra, out) > max_weight:
-                    raise ValueError(
-                        "weight is not closed under the differential: "
-                        f"{w!r} -> {out!r} raises it past {max_weight}")
-                row = index[n + 1].get(out)
-                if row is None:
-                    raise ValueError(
-                        f"differential left the graded basis at {out!r}")
-                m[row, j] = c
-        diffs[n] = m
-    return FreeComplex(dims, diffs)
-
-
 def hh_truncated(algebra, degree: int, max_weight: int, *,
                  arity="argument_count") -> TruncatedHomology:
     """Homology of the weight-capped cyclic bar complex in one degree.
@@ -482,11 +448,11 @@ def hh_truncated(algebra, degree: int, max_weight: int, *,
         layer = layers.get(word_degree(algebra, word))
         if layer is not None:
             layer.append(word)
-    summary = _hh_at(algebra, degree, layers, max_weight, arity)
+    summary = _hh_at(algebra, degree, layers, arity)
     if max_weight >= 1:
         lower = {n: [w for w in ws if word_weight(algebra, w) < max_weight]
                  for n, ws in layers.items()}
-        previous = _hh_at(algebra, degree, lower, max_weight - 1, arity)
+        previous = _hh_at(algebra, degree, lower, arity)
         stabilized = (previous.rank, previous.torsion) == \
             (summary.rank, summary.torsion)
     else:
@@ -495,8 +461,10 @@ def hh_truncated(algebra, degree: int, max_weight: int, *,
                              summary=summary, stabilized=stabilized)
 
 
-def _hh_at(algebra, degree: int, layers, max_weight: int,
-           arity) -> HomologySummary:
-    complex_ = _graded_complex(algebra, degree, layers, max_weight, arity)
+def _hh_at(algebra, degree: int, layers, arity) -> HomologySummary:
+    """Homology in ``degree`` of the three-term complex on ``layers``,
+    which maps degree - 1, degree and degree + 1 to their words."""
+    complex_ = FreeComplex.from_basis(
+        layers, lambda w: hochschild_b(algebra, w, arity=arity))
     summaries = _homology(complex_)
     return summaries.get(degree, HomologySummary(degree, 0, ()))

@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 
-from .exactalg import FreeComplex, HomologySummary, IntMatrix, homology as _complex_homology
+from .exactalg import FreeComplex, HomologySummary, homology as _complex_homology
 
 
 class ParseError(ValueError):
@@ -194,46 +194,22 @@ def collapse(sc: SimplicialComplex) -> CollapsedComplex:
     return CollapsedComplex(source=sc, tree=frozenset(spanning_tree(sc)))
 
 
-def _chain_complex(cells_by_dim, boundary) -> FreeComplex:
-    """Homological chain complex from indexed cells and a boundary rule."""
-    dims = {}
-    index = {}
-    for k, cells in cells_by_dim.items():
-        dims[k] = len(cells)
-        index[k] = {c: i for i, c in enumerate(cells)}
-    diffs = {}
-    for k, cells in cells_by_dim.items():
-        if k - 1 not in dims or not dims[k]:
-            continue
-        m = IntMatrix(dims[k - 1], dims[k])
-        for j, cell in enumerate(cells):
-            for face, coeff in boundary(cell).items():
-                m[index[k - 1][face], j] = coeff
-        if not m.is_zero():
-            diffs[k] = m
-    return FreeComplex.from_homological(dims, diffs)
-
-
 def chain_complex(sc: SimplicialComplex) -> FreeComplex:
-    """Full simplicial chain complex, ingested cohomologically (degree -n)."""
-    cells_by_dim = {}
+    """Full simplicial chain complex, graded cohomologically (n-cells in
+    degree -n)."""
+    cells_by_degree = {}
     for cell in sc.cells():
-        cells_by_dim.setdefault(len(cell) - 1, []).append(cell)
-
-    def boundary(cell):
-        if len(cell) == 1:
-            return {}
-        return {cell[:j] + cell[j + 1:]: (-1) ** j for j in range(len(cell))}
-
-    return _chain_complex(cells_by_dim, boundary)
+        cells_by_degree.setdefault(1 - len(cell), []).append(cell)
+    return FreeComplex.from_basis(
+        cells_by_degree,
+        lambda cell: {cell[:j] + cell[j + 1:]: (-1) ** j
+                      for j in range(len(cell))})
 
 
 def collapsed_chain_complex(cc: CollapsedComplex) -> FreeComplex:
-    cells_by_dim = {}
     top = cc.source.dimension()
-    for k in range(top + 1):
-        cells_by_dim[k] = cc.cells(dim=k)
-    return _chain_complex(cells_by_dim, cc.boundary)
+    return FreeComplex.from_basis(
+        {-k: cc.cells(dim=k) for k in range(top + 1)}, cc.boundary)
 
 
 def _positive_grading(summaries) -> dict:

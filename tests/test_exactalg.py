@@ -165,6 +165,42 @@ def test_homology_from_homological_grading():
     assert h[0].rank == 1
 
 
+def test_from_basis_assembles_a_filled_triangle():
+    # the simplicial boundary of the triangle abc, n-cells in degree -n
+    bases = {-2: ["abc"], -1: ["ab", "ac", "bc"], 0: ["a", "b", "c"]}
+    c = FreeComplex.from_basis(
+        bases, lambda cell: {cell[:j] + cell[j + 1:]: (-1) ** j
+                             for j in range(len(cell))})
+    assert c.dims == {-2: 1, -1: 3, 0: 3}
+    assert c.diff(-2) == IntMatrix.from_rows([[1], [-1], [1]])
+    assert c.diff(-1) == IntMatrix.from_rows([[-1, -1, 0],
+                                              [1, 0, -1],
+                                              [0, 1, 1]])
+    assert set(c.diffs) == {-2, -1}
+    h = homology(c)
+    assert [h[n].describe() for n in (-2, -1, 0)] == ["0", "0", "Z"]
+
+
+def test_from_basis_names_an_output_outside_the_next_basis():
+    with pytest.raises(ValueError, match=r"not closed.*'u' in degree 0 maps "
+                                         r"to 'w'.*basis of degree 1"):
+        FreeComplex.from_basis({0: ["u"], 1: ["v"]}, lambda x: {"w": 1})
+
+
+def test_from_basis_skips_degrees_without_a_successor():
+    def boundary(x):
+        if x != "mid":
+            raise AssertionError(f"rule called on {x!r}")
+        return {"top": 2}
+
+    # degrees 0 and 3 have no degree above them in the basis
+    c = FreeComplex.from_basis({0: ["lone"], 2: ["mid"], 3: ["top"]},
+                               boundary)
+    assert set(c.diffs) == {2}
+    assert c.diff(2) == IntMatrix.from_rows([[2]])
+    assert homology(c)[3] == HomologySummary(3, 0, (2,))
+
+
 def test_chain_map_identity_and_sign():
     d0 = IntMatrix.from_rows([[3]])
     c = FreeComplex({0: 1, 1: 1}, {0: d0})
