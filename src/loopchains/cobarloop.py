@@ -196,17 +196,50 @@ def letter_boundary(cc, letter, conv: Conventions = DEFAULT) -> dict:
     raise ValueError(f"unknown letter kind {kind!r}")
 
 
+def _letter_entry(cc, letter, conv):
+    """A letter's boundary terms, as an immutable tuple, and whether it
+    flips the parity of the Leibniz prefix exponent."""
+    terms = tuple(letter_boundary(cc, letter, conv).items())
+    parity = letter_degree(letter) + (conv.leibniz_prefix == "reduced")
+    return terms, parity % 2 == 1
+
+
+# The letter table of the most recent (complex, conventions) pair,
+# matched by identity: one table at a time, so memory does not grow with
+# the number of conventions a sweep tries.  A letter whose boundary
+# raises gets no entry.
+_table = (None, None, {})
+
+
 def word_boundary(cc, word, conv: Conventions = DEFAULT) -> dict:
-    """Leibniz extension of the letter boundary to words."""
+    """Leibniz extension of the letter boundary to words.
+
+    The terms of the letter in slot i carry the sign (-1)^e, where e is
+    the degree of the prefix word[:i], plus its length under the reduced
+    prefix convention; e is kept as a running parity.
+    """
+    global _table
+    table_cc, table_conv, entries = _table
+    if table_cc is not cc or table_conv is not conv:
+        entries = {}
+        _table = (cc, conv, entries)
+    has_unit = UNIT_LETTER in word
     out = {}
+    odd = False
     for i, letter in enumerate(word):
-        prefix = word[:i]
-        exponent = word_degree(prefix)
-        if conv.leibniz_prefix == "reduced":
-            exponent += len(prefix)
-        sgn = (-1) ** (exponent % 2)
-        for t, c in letter_boundary(cc, letter, conv).items():
-            _add(out, normalize_word(word[:i] + t + word[i + 1:]), sgn * c)
+        entry = entries.get(letter)
+        if entry is None:
+            entry = entries[letter] = _letter_entry(cc, letter, conv)
+        terms, flips = entry
+        if terms:
+            head, tail = word[:i], word[i + 1:]
+            for t, c in terms:
+                w = head + t + tail
+                if has_unit:
+                    w = normalize_word(w)
+                _add(out, w, -c if odd else c)
+        if flips:
+            odd = not odd
     return out
 
 

@@ -414,15 +414,23 @@ def cyclic_words(algebra, max_weight: int, degree: int | None = None):
 
     The special slot ranges over the basis and, when the algebra has
     one, the unit; the other slots exclude the unit.  Non-unit elements
-    all have weight >= 1, so words are finite in number.
+    all have weight >= 1, so words are finite in number.  The tails are
+    enumerated once, at the cap, and bucketed by weight; each special
+    slot is joined to the buckets it has room for.
     """
     basis = list(algebra.basis(max_weight))
+    weight = {x: algebra.weight(x) for x in basis}
+    buckets = [[] for _ in range(max_weight + 1)]
+    for tail in bounded_words(basis, weight.__getitem__, max_weight):
+        buckets[sum(map(weight.__getitem__, tail))].append(tail)
     unit = algebra.unit()
-    specials = basis + ([unit] if unit is not None else [])
+    specials = [(x, weight[x]) for x in basis]
+    if unit is not None:
+        specials.append((unit, algebra.weight(unit)))
     words = [(first,) + tail
-             for first in specials
-             for tail in bounded_words(basis, algebra.weight,
-                                       max_weight - algebra.weight(first))]
+             for first, w in specials
+             for bucket in buckets[:max(max_weight - w + 1, 0)]
+             for tail in bucket]
     if degree is not None:
         words = [w for w in words if word_degree(algebra, w) == degree]
     return sorted(words, key=_word_sort_key)

@@ -17,6 +17,8 @@ from loopchains.exactalg import homology, validate_complex
 from loopchains.hochschild import hochschild_b
 from loopchains.simpcx import SimplicialComplex, collapse, load_complex
 
+from oracle_words import leibniz_word_boundary
+
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 T12 = ("tau", (1, 2))
@@ -233,6 +235,63 @@ def test_differential_properties_on_random_words(seed):
         assert word_degree(out) == n + 1
         assert word_weight(out) <= w
     assert dga_differential(sphere2, vec) == {}
+
+
+# the ledger and each single flip of an entry that word boundaries read
+BOUNDARY_CONVENTIONS = (DEFAULT, *(DEFAULT.flip(name) for name in (
+    "leibniz_prefix", "mu2_order", "tau_degeneracy", "pi2_bsplit_sign")))
+
+
+@pytest.fixture(scope="module")
+def letter_pool():
+    """The four collapsed fixtures, and one letter pool: their tau
+    letters, the unit letter, and every letter of their comparison-map
+    images (wrap paths and pi2 letters among them).  The fixtures share
+    vertex labels, so many letters have a different boundary in each."""
+    complexes = [_load(f"{name}.json")
+                 for name in ("s1_3", "boundary_delta3", "torus_7", "rp2")]
+    letters = {UNIT_LETTER}
+    for cc in complexes:
+        letters.update(LoopAlgebra(cc).letters())
+        for dim in range(1, cc.source.dimension() + 1):
+            for cell in cc.cells(dim=dim):
+                for ccword in adams_T(cc, cell):
+                    letters.update(l for entry in ccword for l in entry)
+    return complexes, sorted(letters)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_word_boundary_matches_the_leibniz_reference(letter_pool, data):
+    # every word is differentiated under each (complex, conventions) pair
+    # in a drawn order, so a letter table kept under the wrong key, or
+    # not dropped when the pair changes, fails
+    complexes, letters = letter_pool
+    words = data.draw(st.lists(st.lists(st.sampled_from(letters),
+                                        max_size=5).map(tuple),
+                               min_size=1, max_size=3))
+    pairs = data.draw(st.permutations(
+        [(cc, conv) for cc in complexes for conv in BOUNDARY_CONVENTIONS]))
+    for cc, conv in pairs:
+        for word in words:
+            assert word_boundary(cc, word, conv) == \
+                leibniz_word_boundary(cc, word, conv)
+
+
+def test_word_boundary_caches_no_failure_and_hands_out_fresh_dicts(sphere2):
+    q = ("pi3", (0, 1), (1, 2), (2, 1, 0))
+    for word in ((q,), (T12, q), (T123, q, T12)):
+        for _ in range(2):
+            with pytest.raises(BoundaryUndefinedError, match="corner"):
+                word_boundary(sphere2, word)
+    expected = {(T12, T13): -1, (T12, T12, T23): 1}
+    for word, want in (((T12, T123), expected),
+                       ((T123,), {(T13,): -1, (T12, T23): 1})):
+        got = word_boundary(sphere2, word)
+        assert got == want
+        got.clear()
+        got[(T12,)] = 5
+        assert word_boundary(sphere2, word) == want
 
 
 # -- the comparison map --------------------------------------------------------

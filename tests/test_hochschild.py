@@ -12,6 +12,7 @@ from loopchains.hochschild import (
 )
 
 from oracle_classical import classical_b_squared, classical_cyclic_b, rev
+from oracle_words import per_special_cyclic_words
 
 
 class DegreeStub:
@@ -345,12 +346,17 @@ def point_algebra():
     return LoopAlgebra(collapse(point))
 
 
-def circle_algebra():
+def loop_algebra(name):
     from loopchains.cobarloop import LoopAlgebra
     from loopchains.simpcx import collapse, load_complex
     import pathlib
     root = pathlib.Path(__file__).resolve().parent.parent
-    return LoopAlgebra(collapse(load_complex(root / "fixtures" / "s1_3.json")))
+    return LoopAlgebra(collapse(load_complex(root / "fixtures"
+                                             / f"{name}.json")))
+
+
+def circle_algebra():
+    return loop_algebra("s1_3")
 
 
 def test_cyclic_word_enumeration_on_the_circle():
@@ -382,3 +388,42 @@ def test_weight_not_closed_is_an_error():
                    weights={"u": 1, "v": 2})
     with pytest.raises(ValueError, match="not closed"):
         hh_truncated(dga, 0, 1)
+
+
+def _cyclic_word_cases():
+    from loopchains.freeloop import CircleWordAlgebra
+    # torus_7 stops at cap 2: at cap 3 the per-special reference takes
+    # 19 s on a 2-vCPU Xeon host
+    for name, top in (("s1_3", 3), ("boundary_delta3", 3), ("torus_7", 2),
+                      ("rp2", 3)):
+        yield name, loop_algebra(name), range(-1, top + 1)
+    for seed in range(10):
+        yield f"random_dga({seed})", random_dga(seed), range(-1, 5)
+    for strict in (False, True):
+        yield (f"CircleWordAlgebra(strict={strict})",
+               CircleWordAlgebra(strict=strict), range(-1, 5))
+    yield "UncappedBasis", UncappedBasis(), range(-1, 5)
+
+
+class UncappedBasis(TableDGA):
+    """A basis that ignores the cap and holds an element heavier than
+    the cap plus one: it must still give no word past the cap."""
+
+    def __init__(self):
+        super().__init__({"a": 0, "b": -1}, {}, {},
+                         weights={"a": 1, "b": 3})
+
+    def basis(self, max_weight=None):
+        return super().basis()
+
+
+def test_cyclic_words_match_the_per_special_reference():
+    for label, algebra, caps in _cyclic_word_cases():
+        for cap in caps:
+            want = per_special_cyclic_words(algebra, cap)
+            assert cyclic_words(algebra, cap) == want, (label, cap)
+            degrees = [word_degree(algebra, w) for w in want]
+            for degree in sorted(set(degrees)) + [7]:  # 7: no word
+                assert cyclic_words(algebra, cap, degree=degree) == \
+                    [w for w, n in zip(want, degrees) if n == degree], \
+                    (label, cap, degree)
