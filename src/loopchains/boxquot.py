@@ -5,8 +5,13 @@ realization, stored as exact rational values on the subdivision lattice and
 interpolated affinely on the lexicographic Kuhn triangulation of every cell.
 Everything stays in Fraction arithmetic, so equality of maps, degeneracy
 and fit conditions are decided, not sampled.  The homotopy certificates
-below are exact too, but checked on probe grids: a certificate that
-passes has held at every probe point, not been proved between them.
+below are exact too.  The shrink-to-center identities (box_dot) are
+decided on all of [0, 1]^n whenever the corners of the cube confirm
+them, because their domain maps are multilinear; the probe grid runs
+only for an identity the corners refute, to find its witness.  The
+sum-clamp identities (box_slash) are checked on probe grids: the clamp
+is piecewise, so a certificate that passes has held at every probe
+point, not been proved between them.
 
 On top of the representation:
 
@@ -16,8 +21,9 @@ On top of the representation:
   reparametrizing level, with admissibility conditions, and the inverse
   splitting;
 * certificates for the two collapse homotopies (sum-clamp on the last two
-  coordinates; shrink-to-center on a transposed axis pair), checked by
-  exact evaluation on probe grids covering every breakpoint;
+  coordinates, checked by exact evaluation on probe grids covering every
+  breakpoint; shrink-to-center on a transposed axis pair, decided at the
+  cube's corners and probed only where they refute it);
 * a comparison of the homology of the span of a finite face-closed cube
   family against the homology after dividing out concatenation and
   transposition relations.
@@ -373,9 +379,16 @@ class PLCube:
         return f"<PLCube dim={self.dim} ambient={self.ambient} cells={cells}>"
 
 
+def _require_int(name, value):
+    # 1.0 passes a range check but cannot index a list
+    if not isinstance(value, int):
+        raise GeometryError(f"{name} must be an integer, got {value!r}")
+
+
 def face(cube: PLCube, k: int, eps: int) -> PLCube:
     """The face fixing coordinate k (1-indexed) at eps, an exact data
     restriction.  The full boundary weights it by (-1)**(k + eps)."""
+    _require_int("face index k", k)
     if not 1 <= k <= cube.dim:
         raise GeometryError(f"face index {k} out of range for a {cube.dim}-cube")
     if eps not in (0, 1):
@@ -391,6 +404,7 @@ def face(cube: PLCube, k: int, eps: int) -> PLCube:
 def transpose(cube: PLCube, k: int) -> PLCube:
     """Precompose with the swap of coordinates k and k+1 (exact data
     permutation)."""
+    _require_int("axis k", k)
     if not 1 <= k <= cube.dim - 1:
         raise GeometryError(
             f"axis {k} out of range for transposition in a {cube.dim}-cube")
@@ -774,20 +788,37 @@ def _probe_axes(dim, *cubes):
     return axes
 
 
-def _certify(identities, axes) -> HomotopyCertificate:
+def _same_point_in_cube(p, q) -> bool:
+    return p == q and all(ZERO <= x <= ONE for x in p)
+
+
+def _certify(identities, axes, *, multilinear=False) -> HomotopyCertificate:
     """Probe identities (name, component, phi, psi): the component must
     take the same value at phi(t) and psi(t) for every t of the probe grid
     ``axes`` cut to its dimension.  The first t where the values differ,
     or where either point leaves the unit cube, is that identity's failure
     witness.  Where phi and psi give one point inside the cube the
-    identity holds there, so the component is evaluated only elsewhere."""
+    identity holds there, so the component is evaluated only elsewhere.
+
+    ``multilinear`` promises that every coordinate of phi and psi has
+    degree at most one in each coordinate of t.  Then phi == psi on all
+    of [0, 1]^n as soon as they agree on the corners {0, 1}^n, and each
+    coordinate of phi takes its extremes over [0, 1]^n at corners, so
+    corners that give one point inside the cube decide the identity for
+    the whole cube, and the probe grid (inside [0, 1]^n) is not walked.
+    Only an identity that the corners refute walks the grid, so its
+    witness is the one the plain walk finds."""
     checks = []
     failures = []
     for name, component, phi, psi in identities:
         checks.append(name)
+        if multilinear and all(
+                _same_point_in_cube(phi(t), psi(t))
+                for t in product((ZERO, ONE), repeat=component.dim)):
+            continue
         for t in product(*axes[:component.dim]):
             p, q = phi(t), psi(t)
-            if p == q and all(ZERO <= x <= ONE for x in p):
+            if _same_point_in_cube(p, q):
                 continue
             try:
                 holds = component.eval(p) == component.eval(q)
@@ -850,18 +881,27 @@ def box_dot(cube: PLCube, k: int, *, center=HALF) -> HomotopyCertificate:
     transposed axis pair (k, k+1).
 
     The homotopy pulls coordinates k and k+1 toward the center point by the
-    appended last coordinate.  Checked exactly on probe grids:
+    appended last coordinate.  The identities:
 
     * the parameter-zero face restores the cube;
     * the parameter-one face is the cube frozen at the center of the (k,
       k+1)-square, a degenerate cube;
     * the homotopy commutes with the face maps of every other axis.
 
+    Each is a pair of domain maps of degree at most one in every
+    coordinate, so the 2^n corners of the cube decide it on all of
+    [0, 1]^n: when both maps give one point inside the cube at every
+    corner, the identity holds everywhere.  An identity the corners
+    refute is walked on the probe grid through every breakpoint, and
+    its first failing probe point is the witness.
+
     ``center`` is the negative-control knob: the reference face is pinned
-    at (1/2, 1/2), so any other center fails exactly the parameter-one
-    check on cubes that depend on those axes.
+    at (1/2, 1/2), so any other center in [0, 1] fails exactly the
+    parameter-one check on cubes that depend on those axes.  A center
+    outside [0, 1] also pulls the commuting faces out of the cube.
     """
     i = cube.dim
+    _require_int("axis k", k)
     if not 1 <= k <= i - 1:
         raise GeometryError(
             f"axis {k} out of range for transposition in a {i}-cube")
@@ -882,7 +922,7 @@ def box_dot(cube: PLCube, k: int, *, center=HALF) -> HomotopyCertificate:
                                lambda t, j=j, e=eps: _shrink(_insert(t, j, e), k, c),
                                lambda t, j=j, e=eps, kk=shifted:
                                _insert(_shrink(t, kk, c), j, e)))
-    return _certify(identities, _probe_axes(i, cube))
+    return _certify(identities, _probe_axes(i, cube), multilinear=True)
 
 
 def transpose_cancellation(cube: PLCube, k: int) -> bool:

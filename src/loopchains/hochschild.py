@@ -38,7 +38,7 @@ from operator import itemgetter
 from random import Random
 
 from .exactalg import FreeComplex, HomologySummary, homology as _homology
-from .signkoszul import bullet_exponent, maltese_exponent
+from .signkoszul import bullet_exponent
 
 
 def word_degree(algebra, word) -> int:
@@ -82,7 +82,8 @@ def hochschild_b(algebra, word, coeff=1, *, arity="argument_count",
     word up cyclically: the special slot is multiplied with a run of
     slots taken from the right end, and the slots it jumped over move to
     the front.  The sign exponents are signkoszul's maltese runs of
-    reduced degrees and its bullet wrap correction.
+    reduced degrees and its bullet wrap correction, read off the prefix
+    sums of the reduced degrees, which are taken once per word.
 
     ``arity`` selects how the wrapped product's arity is read: from its
     argument count (certified) or from the printed subscript, which is
@@ -93,55 +94,55 @@ def hochschild_b(algebra, word, coeff=1, *, arity="argument_count",
     out = {}
     d = len(word)
     a = lambda i: word[d - i]  # 1-based from the right
-    degrees = tuple(algebra.degree(x) for x in reversed(word))  # |a_1| first
+    # maltese(i, j) = run[j] - run[i - 1]: reduced degrees of a_i..a_j
+    run = [0]
+    for x in reversed(word):
+        run.append(run[-1] + algebra.degree(x) + 1)
 
-    def emit(prefix_word, vector, suffix_word, sgn):
+    def emit(prefix_word, vector, suffix_word, exponent):
+        sgn = -1 if exponent % 2 else 1
         for element, c in vector.items():
             w = prefix_word + (element,) + suffix_word
             if normalize and is_degenerate(algebra, w):
                 continue
             _add(out, w, coeff * sgn * c)
 
-    # inner terms: mu_j eats slots i+1 .. i+j, 1 <= i+j < d
+    # inner terms: mu_j eats slots i+1 .. i+j, 1 <= i+j < d; the sign
+    # is maltese(1, i)
     for i in range(0, d):
         for j in (1, 2):
             if not 1 <= i + j < d:
                 continue
-            sgn = (-1) ** (maltese_exponent(degrees, 1, i) % 2)
             prefix = word[:d - i - j]
             suffix = word[d - i:]
             if j == 1:
-                emit(prefix, algebra.mu1(a(i + 1)), suffix, sgn)
+                emit(prefix, algebra.mu1(a(i + 1)), suffix, run[i])
             else:
-                emit(prefix, algebra.mu2(a(i + 2), a(i + 1)), suffix, sgn)
+                emit(prefix, algebra.mu2(a(i + 2), a(i + 1)), suffix, run[i])
 
     # wrap terms: the product swallows a_d together with a_i..a_1, and
-    # the skipped slots a_{i+j}..a_{i+1} become the tail of the output
-    for i in range(0, d):
-        for j in range(0, d):
-            if i + j >= d:
-                continue
-            argc = d - j  # a_i..a_1 plus a_d..a_{i+j+1}
-            m = argc if arity == "argument_count" else argc - 1
-            if m > 2:
-                continue
-            sgn = (-1) ** ((bullet_exponent(degrees, i, i + j)
-                            + maltese_exponent(degrees, i + 1, i + j) + 1) % 2)
-            tail = tuple(a(t) for t in range(i + j, i, -1))
-            if m == 1:
-                if not (i == 0 and argc == 1):
-                    continue
-                emit((), algebra.mu1(a(d)), tail, sgn)
-            elif m == 2:
-                if argc != 2:
-                    continue
-                if i == 0:
-                    product = algebra.mu2(a(d), a(d - 1))
-                elif i == 1:
-                    product = algebra.mu2(a(1), a(d))
-                else:
-                    continue
-                emit((), product, tail, sgn)
+    # the skipped slots a_{i+j}..a_{i+1} become the tail of the output;
+    # the sign is bullet(i, i + j) + maltese(i + 1, i + j) + 1.  Only
+    # mu1 and mu2 exist, so the product takes d - j = 1 or 2 arguments:
+    # a_d alone, or a_d with a_{d-1} (i = 0) or with a_1 (i = 1).  Read
+    # from the subscript, each arity is one lower than the argument
+    # count, and no product matches.
+    if arity != "argument_count":
+        return out
+    for i, j in ((0, d - 2), (0, d - 1), (1, d - 2)):
+        if j < 0:
+            continue
+        if d - j == 1:
+            product = algebra.mu1(a(d))
+        elif i == 0:
+            product = algebra.mu2(a(d), a(d - 1))
+        else:
+            product = algebra.mu2(a(1), a(d))
+        # bullet(i, i + j) = maltese(1, i) (1 + maltese(i + 1, d))
+        #                    + maltese(i + j + 1, d - 1)
+        bullet = run[i] * (1 + run[d] - run[i]) + run[d - 1] - run[i + j]
+        tail = word[d - i - j:d - i]
+        emit((), product, tail, bullet + run[i + j] - run[i] + 1)
     return out
 
 

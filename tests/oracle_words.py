@@ -1,16 +1,19 @@
-"""Reference versions of two word routines, written the plain way.
+"""Reference versions of three word routines, written the plain way.
 
 ``leibniz_word_boundary`` extends the letter boundary to words by
 recomputing every letter's boundary and every prefix degree at each
 slot, with no table and no running sign.  ``per_special_cyclic_words``
 enumerates the cyclic bar words with one bounded-word call per special
-slot, re-weighing the basis each time.  Both are slow on purpose; the
-tests compare the fast routines against them.
+slot, re-weighing the basis each time.  ``signkoszul_hochschild_b``
+takes every sign of the cyclic bar differential from its own signkoszul
+call, summing the degrees of each run again.  All three are slow on
+purpose; the tests compare the fast routines against them.
 """
 
 from loopchains.cobarloop import letter_boundary, normalize_word, word_degree
-from loopchains.hochschild import _add, bounded_words
+from loopchains.hochschild import _add, bounded_words, is_degenerate
 from loopchains.hochschild import word_degree as cc_word_degree
+from loopchains.signkoszul import bullet_exponent, maltese_exponent
 
 
 def leibniz_word_boundary(cc, word, conv):
@@ -37,3 +40,63 @@ def per_special_cyclic_words(algebra, max_weight, degree=None):
     if degree is not None:
         words = [w for w in words if cc_word_degree(algebra, w) == degree]
     return sorted(words, key=lambda w: (len(w), tuple(repr(x) for x in w)))
+
+
+def signkoszul_hochschild_b(algebra, word, coeff=1, *,
+                            arity="argument_count", normalize=True):
+    """The cyclic bar differential with every sign taken from a
+    signkoszul call per term: maltese_exponent for the inner terms,
+    bullet_exponent plus maltese_exponent for the wrap terms."""
+    out = {}
+    d = len(word)
+    a = lambda i: word[d - i]  # 1-based from the right
+    degrees = tuple(algebra.degree(x) for x in reversed(word))  # |a_1| first
+
+    def emit(prefix_word, vector, suffix_word, sgn):
+        for element, c in vector.items():
+            w = prefix_word + (element,) + suffix_word
+            if normalize and is_degenerate(algebra, w):
+                continue
+            _add(out, w, coeff * sgn * c)
+
+    # inner terms: mu_j eats slots i+1 .. i+j, 1 <= i+j < d
+    for i in range(0, d):
+        for j in (1, 2):
+            if not 1 <= i + j < d:
+                continue
+            sgn = (-1) ** (maltese_exponent(degrees, 1, i) % 2)
+            prefix = word[:d - i - j]
+            suffix = word[d - i:]
+            if j == 1:
+                emit(prefix, algebra.mu1(a(i + 1)), suffix, sgn)
+            else:
+                emit(prefix, algebra.mu2(a(i + 2), a(i + 1)), suffix, sgn)
+
+    # wrap terms: the product swallows a_d together with a_i..a_1, and
+    # the skipped slots a_{i+j}..a_{i+1} become the tail of the output
+    for i in range(0, d):
+        for j in range(0, d):
+            if i + j >= d:
+                continue
+            argc = d - j  # a_i..a_1 plus a_d..a_{i+j+1}
+            m = argc if arity == "argument_count" else argc - 1
+            if m > 2:
+                continue
+            sgn = (-1) ** ((bullet_exponent(degrees, i, i + j)
+                            + maltese_exponent(degrees, i + 1, i + j) + 1) % 2)
+            tail = tuple(a(t) for t in range(i + j, i, -1))
+            if m == 1:
+                if not (i == 0 and argc == 1):
+                    continue
+                emit((), algebra.mu1(a(d)), tail, sgn)
+            elif m == 2:
+                if argc != 2:
+                    continue
+                if i == 0:
+                    product = algebra.mu2(a(d), a(d - 1))
+                elif i == 1:
+                    product = algebra.mu2(a(1), a(d))
+                else:
+                    continue
+                emit((), product, tail, sgn)
+    return out

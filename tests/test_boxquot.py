@@ -178,6 +178,21 @@ def test_double_transpose_is_identity_and_symmetric_cube_is_fixed():
         transpose(sym, 2)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda sq: face(sq, 1.0, 0), "face index k must be an integer, got 1.0"),
+    (lambda sq: transpose(sq, 1.0), "axis k must be an integer, got 1.0"),
+    (lambda sq: box_dot(sq, 1.0), "axis k must be an integer, got 1.0"),
+    (lambda sq: transpose_cancellation(sq, 1.0),
+     "axis k must be an integer, got 1.0"),
+], ids=["face", "transpose", "box_dot", "transpose_cancellation"])
+def test_non_integer_axis_is_named(call, message):
+    # 1.0 passes the range check; it must not reach list indexing
+    sq = PLCube.from_function(((0, 1), (0, 1)), lambda p: (p[0], p[1]))
+    with pytest.raises(GeometryError) as caught:
+        call(sq)
+    assert str(caught.value) == message
+
+
 def test_transposition_faces_cancel_for_fifty_random_cubes():
     rng = random.Random(23)
     for _ in range(50):
@@ -460,25 +475,33 @@ def dot_identities(cube, k, c):
     return out
 
 
-def first_failures(identities, axes):
+def first_failures(identities, axes, values):
     """Evaluate both sides of every identity at every probe point through
-    the public eval; a point outside the unit cube fails the identity."""
+    the public eval; a point outside the unit cube fails the identity.
+    ``values`` keeps each (component, point) evaluation across calls,
+    with None where eval refuses the point."""
+    def value(comp, pt):
+        key = (comp, pt)
+        if key not in values:
+            try:
+                values[key] = comp.eval(pt)
+            except GeometryError:
+                values[key] = None
+        return values[key]
+
     out = []
     for name, comp, lhs, rhs in identities:
         for t in product(*axes[:comp.dim]):
-            try:
-                holds = comp.eval(lhs(t)) == comp.eval(rhs(t))
-            except GeometryError:
-                holds = False
-            if not holds:
+            p, q = value(comp, lhs(t)), value(comp, rhs(t))
+            if p is None or p != q:
                 out.append((name, t))
                 break
     return out
 
 
-def assert_matches_oracle(cert, identities, axes):
+def assert_matches_oracle(cert, identities, axes, values):
     assert cert.checks == tuple(name for name, _, _, _ in identities)
-    oracle = first_failures(identities, axes)
+    oracle = first_failures(identities, axes, values)
     assert cert.failures == tuple(oracle)
     assert cert.ok == (not oracle)
 
@@ -486,32 +509,50 @@ def assert_matches_oracle(cert, identities, axes):
 def test_certificates_match_the_full_evaluation_oracle():
     # every identity is evaluated on both sides at every probe point, so a
     # certificate that skips evaluating a point it may not skip shows here
+    # box_dot's corner decision shows here as well: centers outside
+    # [0, 1] push the face identities out of the cube, which the corners
+    # must refute and the grid must witness
     rng = random.Random(59)
     sq = PLCube.from_function(((0, 1), (0, 1)), lambda p: (p[0], p[1]))
-    cases = [(sq, PLCube(((0, 1),), {(0,): (F(1, 8),), (1,): (F(3, 8),)}))]
+    cube3 = PLCube.from_function(((0, 1),) * 3, lambda p: p)
+    cases = [(sq, PLCube(((0, 1),), {(0,): (F(1, 8),), (1,): (F(3, 8),)})),
+             (cube3, PLCube.constant(2, (F(1, 2),)))]
     for dim in (1, 2, 2, 3):
         cube = random_cube(rng, dim)
         cases.append((cube, random_level(rng, dim - 1, constant=True)))
         if dim >= 2:
             cases.append((cube, random_level(rng, dim - 1)))
+    centers = (F(1, 2), F(1, 3), F(0), F(1), F(2, 3), F(3, 2), F(-1, 2))
     failing = set()
     for cube, level in cases:
+        values = {}
         for thr in (F(1), F(3, 4), F(7, 5)):
             cert = box_slash(cube, level, clamp_threshold=thr)
             assert_matches_oracle(cert, slash_identities(cube, level, thr),
-                                  probe_grid(cube.dim, cube, level))
+                                  probe_grid(cube.dim, cube, level), values)
             failing |= {(thr, name) for name, _ in cert.failures}
         for k in range(1, cube.dim):
-            for c in (F(1, 2), F(1, 3)):
+            for c in centers:
                 cert = box_dot(cube, k, center=c)
                 assert_matches_oracle(cert, dot_identities(cube, k, c),
-                                      probe_grid(cube.dim, cube))
+                                      probe_grid(cube.dim, cube), values)
                 failing |= {(c, name) for name, _ in cert.failures}
+    # one 4-cube, at its middle axis pair, so that faces lie on both sides
+    cube4, values = random_cube(rng, 4), {}
+    for c in centers:
+        assert_matches_oracle(box_dot(cube4, 2, center=c),
+                              dot_identities(cube4, 2, c),
+                              probe_grid(4, cube4), values)
     # the negative controls all fired: threshold, center, varying level
     assert (F(3, 4), "zero face restores the cube") in failing
     assert (F(7, 5), "one face is degenerate (cube side)") in failing
     assert (F(1, 3), "one face lands on the center-degenerate cube") in failing
     assert (F(1), "face 1(0) commutes (level side)") in failing
+    assert (F(3, 2), "face 3(0) commutes") in failing
+    assert (F(-1, 2), "face 3(1) commutes") in failing
+    # the witness is the first grid point that leaves the cube
+    assert ("face 3(0) commutes", (F(0), F(0), F(3, 4))) in \
+        box_dot(cube3, 1, center=F(3, 2)).failures
 
 
 # -- quotient homology comparison ---------------------------------------------
