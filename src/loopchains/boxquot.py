@@ -245,7 +245,10 @@ class PLCube:
         items = values.items() if hasattr(values, "items") else values
         vals = {}
         for idx, p in items:
-            vals[tuple(int(x) for x in idx)] = tuple(_frac(x) for x in p)
+            idx = tuple(idx)
+            for x in idx:
+                _require_int(f"index entry of lattice point {idx}", x)
+            vals[idx] = tuple(_frac(x) for x in p)
         expected = set(product(*(range(len(ax)) for ax in self.breakpoints)))
         if set(vals) != expected:
             missing = sorted(expected - set(vals))
@@ -380,8 +383,9 @@ class PLCube:
 
 
 def _require_int(name, value):
-    # 1.0 passes a range check but cannot index a list
-    if not isinstance(value, int):
+    # 1.0 passes a range check but cannot index a list; True is 1 in
+    # disguise
+    if not isinstance(value, int) or isinstance(value, bool):
         raise GeometryError(f"{name} must be an integer, got {value!r}")
 
 
@@ -469,18 +473,26 @@ class CubicalChain:
         return f"<CubicalChain dim={self.dim} terms={len(self.terms)}>"
 
 
+def _signed_faces(cube):
+    """(k, eps, face) for each nondegenerate face of the cube; the face
+    enters the boundary with sign (-1)**(k + eps)."""
+    for k in range(1, cube.dim + 1):
+        for eps in (0, 1):
+            f = face(cube, k, eps)
+            if not f.is_degenerate:
+                yield k, eps, f
+
+
 def boundary(x) -> CubicalChain:
     """Cubical boundary: sum of (-1)**(k + eps) times the (k, eps)-faces.
-    Degenerate faces vanish through chain normalization; the composite of
+    Degenerate faces vanish, as in chain normalization; the composite of
     two boundaries is zero."""
     if isinstance(x, PLCube):
         x = CubicalChain({x: 1})
     acc = {}
     for cube, coeff in x.terms.items():
-        for k in range(1, cube.dim + 1):
-            for eps in (0, 1):
-                f = face(cube, k, eps)
-                acc[f] = acc.get(f, 0) + coeff * (-1) ** (k + eps)
+        for k, eps, f in _signed_faces(cube):
+            acc[f] = acc.get(f, 0) + coeff * (-1) ** (k + eps)
     return CubicalChain(acc)
 
 
@@ -938,23 +950,6 @@ def transpose_cancellation(cube: PLCube, k: int) -> bool:
     return True
 
 
-def _int_solve(a: IntMatrix, b):
-    """One integer solution x of a x = b, or None.  Via the Smith form:
-    in diagonal coordinates each equation divides or dies."""
-    s = smith_normal_form(a)
-    ub = s.left.apply(list(b))
-    y = [0] * a.cols
-    for r in range(a.rows):
-        d = s.diagonal[r] if r < len(s.diagonal) else 0
-        if d:
-            if ub[r] % d:
-                return None
-            y[r] = ub[r] // d
-        elif ub[r]:
-            return None
-    return s.right.apply(y)
-
-
 @dataclass(frozen=True)
 class QuotientComparison:
     """Homology of the span of a family next to the homology of the span
@@ -990,33 +985,6 @@ def _find_generator(cube, gens, index):
     return None
 
 
-def _family_matrices(gens_by_dim, index_by_dim):
-    """Homological boundary matrices over the given generators; keys n, shape
-    (#gens at n-1, #gens at n).  Every nondegenerate face must resolve."""
-    mats = {}
-    for n in sorted(gens_by_dim):
-        gens = gens_by_dim[n]
-        if n == 0 or not gens:
-            continue
-        lower = gens_by_dim.get(n - 1, [])
-        lindex = index_by_dim.setdefault(n - 1, {})
-        m = IntMatrix(len(lower), len(gens))
-        for col, cube in enumerate(gens):
-            for k in range(1, n + 1):
-                for eps in (0, 1):
-                    f = face(cube, k, eps)
-                    if f.is_degenerate:
-                        continue
-                    row = _find_generator(f, lower, lindex)
-                    if row is None:
-                        raise ValueError(
-                            f"family not face-closed: face {k}({eps}) of a "
-                            f"{n}-cube has no match")
-                    m[row, col] = m[row, col] + (-1) ** (k + eps)
-        mats[n] = m
-    return mats
-
-
 def quotient_homology_compare(family, *, level=HALF) -> QuotientComparison:
     """Compare the homology of the chain complex spanned by a face-closed
     cube family with the homology after dividing out the concatenation and
@@ -1043,141 +1011,118 @@ def quotient_homology_compare(family, *, level=HALF) -> QuotientComparison:
             members.append(c)
     if not members:
         raise ValueError("family has no nondegenerate cubes")
-    by_dim = {}
+    # the generators by dimension, every dimension up to the top listed so
+    # that from_basis asks for the faces of every cube; members first,
+    # derived cubes appended as the relations resolve them
+    top = max(c.dim for c in members)
+    gens = {n: [] for n in range(top + 1)}
+    index = {n: {} for n in gens}
     for c in members:
-        by_dim.setdefault(c.dim, []).append(c)
-    index_by_dim = {n: {c: j for j, c in enumerate(gens)}
-                    for n, gens in by_dim.items()}
+        index[c.dim][c] = len(gens[c.dim])
+        gens[c.dim].append(c)
+    by_dim = {n: list(gs) for n, gs in gens.items()}
 
-    plain_mats = _family_matrices(by_dim, index_by_dim)  # raises if not closed
-    plain_cx = FreeComplex.from_homological(
-        {n: len(g) for n, g in by_dim.items()}, plain_mats)
-    plain_h = _positive_grading(homology(plain_cx))
+    def faces(cube):
+        # the boundary of a generator as {position one dimension down: coeff}
+        n = cube.dim
+        out = {}
+        for k, eps, f in _signed_faces(cube):
+            j = _find_generator(f, gens[n - 1], index[n - 1])
+            if j is None:
+                raise ValueError(f"family not face-closed: face {k}({eps}) of a "
+                                 f"{n}-cube has no match")
+            out[j] = out.get(j, 0) + (-1) ** (k + eps)
+        return out
 
-    qgens = {n: list(gens) for n, gens in by_dim.items()}
-    qindex = {n: dict(index) for n, index in index_by_dim.items()}
+    plain = FreeComplex.from_basis(
+        {-n: gens[n] for n in gens},
+        lambda c: {gens[c.dim - 1][j]: v for j, v in faces(c).items()})
+    plain_h = _positive_grading(homology(plain))
 
     def resolve(cube):
-        n = cube.dim
-        gens = qgens.setdefault(n, [])
-        index = qindex.setdefault(n, {})
-        j = _find_generator(cube, gens, index)
+        gs, ix = gens[cube.dim], index[cube.dim]
+        j = _find_generator(cube, gs, ix)
         if j is None:
-            gens.append(cube)
-            j = len(gens) - 1
-            index[cube] = j
-            for k in range(1, n + 1):
-                for eps in (0, 1):
-                    f = face(cube, k, eps)
-                    if not f.is_degenerate:
-                        resolve(f)
+            j = ix[cube] = len(gs)
+            gs.append(cube)
+            for _, _, f in _signed_faces(cube):
+                resolve(f)
         return j
+
+    def relation(*terms):
+        vec = {}
+        for cube, coeff in terms:
+            j = resolve(cube)
+            vec[j] = vec.get(j, 0) + coeff
+        return vec
 
     relations = {}
     concat_count = 0
     transpose_count = 0
-    for n in sorted(by_dim):
-        if n == 0:
-            continue
+    for n in range(1, top + 1):
         for a in by_dim[n]:
             for b in by_dim[n]:
                 if not fits(a, b):
                     continue
                 cat = concat_f(a, b, level)
-                vec = {}
-                for term in (a, b):
-                    j = resolve(term)
-                    vec[j] = vec.get(j, 0) + 1
+                terms = [(a, 1), (b, 1)]
                 if not cat.is_degenerate:
-                    j = resolve(cat)
-                    vec[j] = vec.get(j, 0) - 1
-                relations.setdefault(n, []).append(vec)
+                    terms.append((cat, -1))
+                relations.setdefault(n, []).append(relation(*terms))
                 concat_count += 1
         if n >= 2:
             for m in by_dim[n]:
                 for k in range(1, n):
-                    vec = {}
-                    for term in (m, transpose(m, k)):
-                        j = resolve(term)
-                        vec[j] = vec.get(j, 0) + 1
-                    relations.setdefault(n, []).append(vec)
+                    relations.setdefault(n, []).append(
+                        relation((m, 1), (transpose(m, k), 1)))
                     transpose_count += 1
 
-    quot_mats = _family_matrices(qgens, qindex)
-    basis = {}
+    # the relation lattice R_n from the Smith form U M V = D of the relation
+    # matrix M: its basis is the nonzero columns of M V, and a chain y has
+    # coordinates (U y)_i / d_i in it when every division is exact and U y
+    # vanishes past the rank
+    lattice = {}
+    forms = {}
     for n, vecs in relations.items():
-        m = IntMatrix(len(qgens[n]), len(vecs))
+        m = IntMatrix(len(gens[n]), len(vecs))
         for col, vec in enumerate(vecs):
             for j, coeff in vec.items():
                 m[j, col] = coeff
-        image = m @ smith_normal_form(m).right
-        cols = [image.column(j) for j in range(image.cols)]
-        cols = [v for v in cols if any(v)]
-        if cols:
-            basis[n] = cols
+        s = forms[n] = smith_normal_form(m)
+        image = m @ s.right
+        lattice[n] = [image.column(i) for i in range(s.rank)]
 
-    # boundaries of relation lattice vectors must resolve inside the lattice
-    # one dimension down, in integer coordinates
-    rel_diff = {}
-    for n in sorted(basis):
-        down = basis.get(n - 1, [])
-        bmat = quot_mats.get(n)
-        cols = []
-        for vec in basis[n]:
-            img = bmat.apply(vec) if bmat is not None else []
-            if not any(img):
-                cols.append([0] * len(down))
-                continue
-            if not down:
-                raise ValueError("relations are not closed under the boundary")
-            phi = IntMatrix(len(qgens[n - 1]), len(down))
-            for cc, dv in enumerate(down):
-                for rr, v in enumerate(dv):
-                    if v:
-                        phi[rr, cc] = v
-            x = _int_solve(phi, img)
-            if x is None:
-                raise ValueError("relations are not closed under the boundary")
-            cols.append(list(x))
-        m = IntMatrix(len(down), len(basis[n]))
-        for cc, col in enumerate(cols):
-            for rr, v in enumerate(col):
-                if v:
-                    m[rr, cc] = v
-        rel_diff[n] = m
+    def coordinates(n, y):
+        s = forms.get(n)
+        uy = s.left.apply(y) if s else y
+        d = s.diagonal[:s.rank] if s else ()
+        if any(uy[len(d):]) or any(x % di for x, di in zip(uy, d)):
+            raise ValueError("relations are not closed under the boundary")
+        return [x // di for x, di in zip(uy, d)]
 
     # mapping cone of the relation inclusion: Cone_n = C_n (+) R_{n-1},
     # d(c, r) = (dc + r, -dr); its homology is the quotient's
-    top = max(qgens)
-    cone_dims = {}
-    for n in range(top + 2):
-        size = len(qgens.get(n, [])) + len(basis.get(n - 1, []))
-        if size:
-            cone_dims[n] = size
-    cone_mats = {}
-    for n in sorted(cone_dims):
-        if n == 0:
-            continue
-        rows = len(qgens.get(n - 1, [])) + len(basis.get(n - 2, []))
-        if rows == 0:
-            continue
-        m = IntMatrix(rows, cone_dims[n])
-        bmat = quot_mats.get(n)
-        if bmat is not None:
-            for (r, cvt), v in bmat.entries.items():
-                m[r, cvt] = v
-        col_off = len(qgens.get(n, []))
-        row_off = len(qgens.get(n - 1, []))
-        for cc, vec in enumerate(basis.get(n - 1, [])):
-            for rr, v in enumerate(vec):
-                if v:
-                    m[rr, col_off + cc] = v
-        dmat = rel_diff.get(n - 1)
-        if dmat is not None:
-            for (r, cvt), v in dmat.entries.items():
-                m[row_off + r, col_off + cvt] = -v
-        cone_mats[n] = m
-    cone = FreeComplex.from_homological(cone_dims, cone_mats)
+    def cone_boundary(x):
+        if x[0] == "c":
+            cube = x[1]
+            return {("c", gens[cube.dim - 1][j]): v for j, v in faces(cube).items()}
+        _, n, i = x
+        r = lattice[n][i]
+        out = {("c", gens[n][j]): v for j, v in enumerate(r) if v}
+        dr = [0] * len(gens[n - 1])
+        for j, v in enumerate(r):
+            if v:
+                for jj, w in faces(gens[n][j]).items():
+                    dr[jj] += v * w
+        for ii, v in enumerate(coordinates(n - 1, dr)):
+            out[("r", n - 1, ii)] = -v
+        return out
+
+    cone = FreeComplex.from_basis(
+        {-n: [("c", c) for c in gens.get(n, [])]
+             + [("r", n - 1, i) for i in range(len(lattice.get(n - 1, [])))]
+         for n in range(top + 2)},
+        cone_boundary)
     quot_h = _positive_grading(homology(cone))
 
     return QuotientComparison(plain=plain_h, quotient=quot_h,

@@ -2,7 +2,9 @@
 
 Smith normal form, free (co)chain complexes, integral homology with
 torsion, and chain map verification.  Everything is exact: entries are
-Python ints, there is no floating point anywhere.
+Python ints, there is no floating point anywhere.  Every complex in
+the package is assembled by one constructor, FreeComplex.from_basis,
+from a graded basis and a boundary rule.
 
 The Smith normal form is one sparse elimination kernel.  Its pivots are
 the +-1 entries first, cheapest by Markowitz cost, then the entries of
@@ -429,10 +431,9 @@ class FreeComplex:
     """A finitely supported complex of free Z-modules.
 
     The differential raises degree by one: diff(n) maps degree n to
-    degree n + 1.  Complexes are usually assembled with from_basis, from
-    a graded basis and a boundary rule.  Inputs indexed the other way
-    around (a differential that lowers degree) can be ingested with
-    from_homological, which negates the grading.
+    degree n + 1.  Complexes are assembled with from_basis, from a
+    graded basis and a boundary rule; a homologically graded complex
+    (a boundary that lowers dimension) puts dimension n in degree -n.
     """
 
     def __init__(self, dims: dict, diffs: dict):
@@ -446,16 +447,6 @@ class FreeComplex:
                     f"expected {expected[0]}x{expected[1]}")
             if not m.is_zero():
                 self.diffs[n] = m
-
-    @classmethod
-    def from_homological(cls, dims: dict, diffs: dict) -> "FreeComplex":
-        """Ingest a homologically graded complex (differential lowers degree).
-
-        Degree n becomes degree -n; the boundary C_n -> C_{n-1} becomes
-        the map in degree -n, raising the (negated) degree by one.
-        """
-        return cls({-n: d for n, d in dims.items()},
-                   {-n: m for n, m in diffs.items()})
 
     @classmethod
     def from_basis(cls, bases: dict, boundary) -> "FreeComplex":

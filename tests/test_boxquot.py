@@ -180,11 +180,12 @@ def test_double_transpose_is_identity_and_symmetric_cube_is_fixed():
 
 @pytest.mark.parametrize("call, message", [
     (lambda sq: face(sq, 1.0, 0), "face index k must be an integer, got 1.0"),
+    (lambda sq: face(sq, True, 0), "face index k must be an integer, got True"),
     (lambda sq: transpose(sq, 1.0), "axis k must be an integer, got 1.0"),
     (lambda sq: box_dot(sq, 1.0), "axis k must be an integer, got 1.0"),
     (lambda sq: transpose_cancellation(sq, 1.0),
      "axis k must be an integer, got 1.0"),
-], ids=["face", "transpose", "box_dot", "transpose_cancellation"])
+], ids=["face", "face_bool", "transpose", "box_dot", "transpose_cancellation"])
 def test_non_integer_axis_is_named(call, message):
     # 1.0 passes the range check; it must not reach list indexing
     sq = PLCube.from_function(((0, 1), (0, 1)), lambda p: (p[0], p[1]))
@@ -557,17 +558,23 @@ def test_certificates_match_the_full_evaluation_oracle():
 
 # -- quotient homology comparison ---------------------------------------------
 
+def table(summaries):
+    return {n: (s.rank, s.torsion) for n, s in summaries.items()}
+
+
 def test_point_family_comparison():
     cmp = quotient_homology_compare(load_cube_family(FIXTURES / "point_cubes.json"))
     assert cmp.agree
-    assert cmp.plain[0].rank == 1 and cmp.plain[0].torsion == ()
+    assert table(cmp.plain) == {0: (1, ())}
+    assert table(cmp.quotient) == {0: (1, ())}
     assert cmp.concat_relations == 0 and cmp.transpose_relations == 0
 
 
 def test_circle_family_comparison():
     cmp = quotient_homology_compare(load_cube_family(FIXTURES / "circle_cubes.json"))
     assert cmp.agree
-    assert {n: s.rank for n, s in cmp.plain.items()} == {0: 1, 1: 1}
+    assert table(cmp.plain) == {0: (1, ()), 1: (1, ())}
+    assert table(cmp.quotient) == {0: (1, ()), 1: (1, ()), 2: (0, ())}
     assert cmp.concat_relations == 2
 
 
@@ -575,17 +582,15 @@ def test_figure_eight_family_comparison():
     cmp = quotient_homology_compare(
         load_cube_family(FIXTURES / "figure_eight_cubes.json"))
     assert cmp.agree
-    assert {n: s.rank for n, s in cmp.plain.items()} == {0: 1, 1: 2}
+    assert table(cmp.plain) == {0: (1, ()), 1: (2, ())}
+    assert table(cmp.quotient) == {0: (1, ()), 1: (2, ()), 2: (0, ())}
     assert cmp.concat_relations == 4
 
 
-def square_transposition_family():
-    real = triangle_realization()
-    sq = PLCube(((0, 1), (0, 1)),
-                {(0, 0): (0, 0), (1, 0): (1, 0), (0, 1): (0, 1),
-                 (1, 1): (1, 0)}, real)
-    fam = [sq, transpose(sq, 1)]
-    for _ in range(2):  # close under faces, twice (dim 2 -> 1 -> 0)
+def face_closure(fam):
+    # close under nondegenerate faces, up to map equality (dim 2 -> 1 -> 0)
+    fam = list(fam)
+    for _ in range(2):
         fresh = []
         for cube in fam:
             for k in range(1, cube.dim + 1):
@@ -599,13 +604,36 @@ def square_transposition_family():
     return fam
 
 
+def square_transposition_family():
+    sq = PLCube(((0, 1), (0, 1)),
+                {(0, 0): (0, 0), (1, 0): (1, 0), (0, 1): (0, 1),
+                 (1, 1): (1, 0)}, triangle_realization())
+    return face_closure([sq, transpose(sq, 1)])
+
+
 def test_transposition_relation_kills_the_square_class():
     # the span of a square and its transposition has H_2 = Z, and the
     # transposition relation kills it; the two tables legitimately disagree
     cmp = quotient_homology_compare(square_transposition_family())
     assert cmp.transpose_relations == 2
-    assert cmp.plain[2].rank == 1
-    assert cmp.quotient.get(2) is None or cmp.quotient[2].rank == 0
+    assert table(cmp.plain) == {0: (1, ()), 1: (0, ()), 2: (1, ())}
+    assert table(cmp.quotient) == {0: (1, ()), 1: (0, ()), 2: (0, ()),
+                                   3: (0, ())}
+    assert not cmp.agree
+
+
+def test_symmetric_square_leaves_torsion_in_the_quotient():
+    # transpose(sq, 1) == sq, so the transposition relation is 2 sq: the
+    # quotient keeps Z/2 where the span has Z, read off the mapping cone
+    sq = PLCube(((0, 1), (0, 1)),
+                {(0, 0): (0, 0), (1, 0): (1, 0), (0, 1): (1, 0),
+                 (1, 1): (0, 0)}, triangle_realization())
+    assert transpose(sq, 1) == sq
+    cmp = quotient_homology_compare(face_closure([sq]))
+    assert table(cmp.plain) == {0: (1, ()), 1: (1, ()), 2: (1, ())}
+    assert table(cmp.quotient) == {0: (1, ()), 1: (1, ()), 2: (0, (2,)),
+                                   3: (0, ())}
+    assert cmp.concat_relations == 2 and cmp.transpose_relations == 1
     assert not cmp.agree
 
 
@@ -615,6 +643,23 @@ def test_family_must_be_face_closed():
     pt0 = family.cube("pt0")
     with pytest.raises(ValueError, match="not face-closed"):
         quotient_homology_compare([arc, pt0])
+    # no 0-cube at all: the empty dimension below the arc is still asked
+    with pytest.raises(ValueError, match=r"face 1\(0\) of a 1-cube has no match"):
+        quotient_homology_compare([arc])
+
+
+def test_relations_must_be_closed_under_the_boundary():
+    # a's face 1(0) is degenerate and b's is not, so the boundary of
+    # a + b - a*b leaves face 1(0) of b minus that of a*b, which no
+    # relation among the 1-cubes spans
+    a = PLCube(((0, 1), (0, 1)), {(0, 0): (0, 0), (1, 0): (1, 0),
+                                  (0, 1): (0, 0), (1, 1): (1, 1)})
+    b = PLCube(((0, 1), (0, 1)), {(0, 0): (0, 0), (1, 0): (1, 1),
+                                  (0, 1): (0, 1), (1, 1): (1, 1)})
+    assert fits(a, b)
+    with pytest.raises(ValueError,
+                       match="relations are not closed under the boundary"):
+        quotient_homology_compare(face_closure([a, b]))
 
 
 def test_shipped_families_satisfy_the_transposition_cancellation():
@@ -650,6 +695,12 @@ def test_cube_family_parse_errors_name_locations():
     broken["cubes"][2]["values"] = broken["cubes"][2]["values"][:1]
     with pytest.raises(ParseError, match=r"cubes\[2\] \(arc-a\)"):
         parse_cube_family(json.dumps(broken))
+    for index in ([0.4], [True], ["x"]):
+        broken = json.loads(text)
+        broken["cubes"][2]["values"][0][0] = index
+        with pytest.raises(ParseError, match=r"cubes\[2\] \(arc-a\): index "
+                                             r"entry of lattice point"):
+            parse_cube_family(json.dumps(broken))
     broken = json.loads(text)
     broken["cubes"][1]["name"] = "pt0"
     with pytest.raises(ParseError, match="duplicate cube name"):

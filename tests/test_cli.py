@@ -17,6 +17,7 @@ from loopchains.cobarloop import BoundaryUndefinedError, TruncationError
 from loopchains.conventions import CHOICES, DEFAULT, parse_ledger, serialize_ledger
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden"
 
 
 def run_cli(*argv):
@@ -240,6 +241,7 @@ def test_report_is_green_and_byte_deterministic():
     code, second, _ = fx("report", "--seed", "7")
     assert code == 0
     assert first == second
+    assert first == (GOLDEN / "report-seed7.tsv").read_text()
     assert "artifact bugs: 0" in first
     assert "classified failures: 2226/2226" in first
     # the six pinned counterexamples for identities suspected of misprints
@@ -253,8 +255,9 @@ def test_report_is_green_and_byte_deterministic():
 
 
 def test_report_json_payload():
-    code, out, _ = fx("report", "--format", "json")
+    code, out, _ = fx("report", "--format", "json")  # seed 7 by default
     assert code == 0
+    assert out == (GOLDEN / "report-seed7.json").read_text()
     payload = json.loads(out)
     assert payload["ok"] is True
     assert payload["artifact_bugs"] == 0

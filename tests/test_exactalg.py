@@ -157,14 +157,6 @@ def test_homology_torsion():
     assert h[1].describe() == "Z/2"
 
 
-def test_homology_from_homological_grading():
-    # boundary lowering degree: Z_1 --0--> Z_0, reindexed to degrees -1, 0
-    c = FreeComplex.from_homological({0: 1, 1: 1}, {1: IntMatrix(1, 1)})
-    h = homology(c)
-    assert h[-1].rank == 1
-    assert h[0].rank == 1
-
-
 def test_from_basis_assembles_a_filled_triangle():
     # the simplicial boundary of the triangle abc, n-cells in degree -n
     bases = {-2: ["abc"], -1: ["ab", "ac", "bc"], 0: ["a", "b", "c"]}
