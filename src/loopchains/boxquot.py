@@ -300,7 +300,9 @@ class PLCube:
         return product(*(range(len(ax) - 1) for ax in self.breakpoints))
 
     def value(self, idx):
-        key = tuple(int(x) for x in idx)
+        key = tuple(idx)
+        for x in key:
+            _require_int(f"index entry of lattice point {key}", x)
         try:
             return self._values[key]
         except KeyError:

@@ -453,14 +453,17 @@ def _has_corner(ccword) -> bool:
     return any(letter[0] == "pi3" for entry in ccword for letter in entry)
 
 
-def verify_T_chain_map(cc, conv: Conventions = DEFAULT, *,
-                       max_weight: int | None = None,
-                       normalize: bool = True) -> TVerification:
-    """Residual of the comparison map on every surviving positive cell.
+def t_residuals(cc, conv: Conventions = DEFAULT, *,
+                max_weight: int | None = None, normalize: bool = True,
+                census: dict | None = None):
+    """Yield (cell, residual) for every surviving positive cell, lazily,
+    in dimension order, zero residuals included.
 
-    The image of a k-cell reaches weight k + 1, so a weight cap below
-    that cannot even hold the map's values: that is a truncation error,
-    not a verification failure.
+    A caller that stops at the first nonzero residual computes no later
+    cell.  The corner census, when passed, holds the tally of the cells
+    yielded so far.  The image of a k-cell reaches weight k + 1, so a
+    weight cap below that cannot even hold the map's values: that raises
+    a truncation error before any residual is computed.
     """
     cells = []
     top = cc.source.dimension()
@@ -470,10 +473,23 @@ def verify_T_chain_map(cc, conv: Conventions = DEFAULT, *,
         overflow = [c for c in cells if len(c) > max_weight]
         if overflow:
             raise TruncationError(max_weight, overflow)
+    for cell in cells:
+        yield cell, t_residual(cc, cell, conv, normalize=normalize,
+                               census=census)
+
+
+def verify_T_chain_map(cc, conv: Conventions = DEFAULT, *,
+                       max_weight: int | None = None,
+                       normalize: bool = True) -> TVerification:
+    """Residual of the comparison map on every surviving positive cell
+    (see t_residuals); ok when every residual vanishes and the corner
+    terms cancel in pairs."""
+    cells = []
     residuals = {}
     census = {}
-    for cell in cells:
-        r = t_residual(cc, cell, conv, normalize=normalize, census=census)
+    for cell, r in t_residuals(cc, conv, max_weight=max_weight,
+                               normalize=normalize, census=census):
+        cells.append(cell)
         if r:
             residuals[cell] = r
     ok = not residuals and all(p == m for p, m in census.values())

@@ -164,25 +164,34 @@ def g_residual(alg, word, conv: Conventions = DEFAULT) -> dict:
     return res
 
 
-def verify_G_chain_map(alg, conv: Conventions = DEFAULT, *, max_len=3,
-                       max_weight=3) -> GVerification:
-    """Residual check over every word of bounded length and weight.
+def g_residuals(alg, conv: Conventions = DEFAULT, *, max_len=3,
+                max_weight=3):
+    """Yield (word, residual) for every word of bounded length and
+    weight, lazily, zero residuals included.
 
     The slots hold basis elements.  The unit is checked only as the
     one-letter word ``(unit,)``: it may sit in the special slot alone,
     and longer words that start with the unit are not checked (words
     with the unit in any other slot are degenerate and already zero
-    upstream).
+    upstream).  A caller that stops at the first nonzero residual
+    computes no later word.
     """
     slots = alg.basis(max_weight)
     unit_word = (alg.unit(),)
-    failures = {}
-    checked = 0
     # the empty word stands for the one-letter unit word
     for word in bounded_words(slots, alg.weight, max_weight, max_len):
         w = word or unit_word
+        yield w, g_residual(alg, w, conv)
+
+
+def verify_G_chain_map(alg, conv: Conventions = DEFAULT, *, max_len=3,
+                       max_weight=3) -> GVerification:
+    """Residual check over every word of g_residuals."""
+    failures = {}
+    checked = 0
+    for w, res in g_residuals(alg, conv, max_len=max_len,
+                              max_weight=max_weight):
         checked += 1
-        res = g_residual(alg, w, conv)
         if res:
             failures[w] = res
     return GVerification(ok=not failures, words_checked=checked,

@@ -194,6 +194,18 @@ def test_non_integer_axis_is_named(call, message):
     assert str(caught.value) == message
 
 
+@pytest.mark.parametrize("idx", [(0.4,), (True,), ("x",)],
+                         ids=["float", "bool", "str"])
+def test_value_rejects_a_non_integer_index(idx):
+    # int() would read 0.4 as point 0 and True as point 1
+    interval = PLCube(((0, 1),), {(0,): (0,), (1,): (1,)})
+    assert interval.value((1,)) == (F(1),)
+    with pytest.raises(GeometryError) as caught:
+        interval.value(idx)
+    assert str(caught.value) == (f"index entry of lattice point {idx} must "
+                                 f"be an integer, got {idx[0]!r}")
+
+
 def test_transposition_faces_cancel_for_fifty_random_cubes():
     rng = random.Random(23)
     for _ in range(50):

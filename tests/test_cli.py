@@ -10,11 +10,14 @@ from pathlib import Path
 
 import pytest
 
+from loopchains import cli
 from loopchains.cli import (STAGE_ONE, STAGE_TWO, SUITES, ResolutionError,
-                            _coverage_problems, _sweep_stage,
+                            Workspace, _coverage_problems, _sweep_stage,
                             certify_assignment, main, resolve_conventions)
-from loopchains.cobarloop import BoundaryUndefinedError, TruncationError
+from loopchains.cobarloop import (BoundaryUndefinedError, TruncationError,
+                                  verify_T_chain_map)
 from loopchains.conventions import CHOICES, DEFAULT, parse_ledger, serialize_ledger
+from loopchains.freeloop import verify_G_chain_map
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden"
@@ -165,10 +168,61 @@ def test_resolve_command_is_byte_deterministic(tmp_path):
     assert first.read_text() == (FIXTURES / "conventions.ledger").read_text()
 
 
+FLIP_REASONS = {
+    "mu2_order": "tetrahedron face census",
+    "leibniz_prefix": "two-letter product rule census",
+    "hochschild_arity": "unit wrap image",
+    "tau_degeneracy": "comparison map fails on the 2-sphere model",
+    "pi2_bsplit_sign": "comparison map fails on the solid simplex",
+    "t_word_sign": "comparison map fails on the 2-sphere model",
+    "t_pair2_sign": "comparison map fails on the 2-sphere model",
+    "wedge_sign_left": "chain condition fails over the 2-sphere algebra",
+    "wedge_sign_right": "chain condition fails over the 2-sphere algebra",
+    "wedge_sign_cat": "chain condition fails over the circle algebra",
+    "wedge_sign_swap": "chain condition fails over the circle algebra",
+    "g_parity_s": "chain condition fails over the 2-sphere algebra",
+    "iota_twist": "two-slot image spot",
+}
+
+
 def test_every_single_entry_flip_fails_certification():
+    assert set(FLIP_REASONS) == set(CHOICES)
     for name in CHOICES:
         reason = certify_assignment(FIXTURES, DEFAULT.flip(name))
-        assert reason is not None, name
+        assert reason == FLIP_REASONS[name], name
+
+
+def test_certifiers_give_the_reasons_of_the_full_verifiers(monkeypatch):
+    # The oracle certifies T and G with the full verifiers, which check
+    # every cell and every word; the certifiers stop at the first nonzero
+    # residual.  Every assignment resolution builds must get the same
+    # reason from both.
+    ws = Workspace(FIXTURES)
+    built = {}
+    for name in ("_certify_stage_one", "_certify_stage_two"):
+        def record(ws, conv, certify=getattr(cli, name),
+                   seen=built.setdefault(name, [])):
+            reason = certify(ws, conv)
+            seen.append((conv, reason))
+            return reason
+
+        monkeypatch.setattr(cli, name, record)
+    resolve_conventions(ws)
+    monkeypatch.undo()
+    assert [len(seen) for seen in built.values()] == [128, 64]
+
+    monkeypatch.setattr(cli, "_t_refuted",
+                        lambda cc, conv: not verify_T_chain_map(cc, conv).ok)
+    monkeypatch.setattr(cli, "_g_refuted",
+                        lambda alg, conv: not verify_G_chain_map(alg, conv).ok)
+    for name, seen in built.items():
+        for conv, reason in seen:
+            assert getattr(cli, name)(ws, conv) == reason, conv
+    reasons = {reason for seen in built.values() for _, reason in seen}
+    assert {None, "comparison map fails on the 2-sphere model",
+            "comparison map fails on the solid simplex",
+            "chain condition fails over the circle algebra",
+            "chain condition fails over the 2-sphere algebra"} <= reasons
 
 
 def test_sweep_rejects_domain_errors_and_lets_other_errors_through():

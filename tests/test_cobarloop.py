@@ -4,15 +4,16 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from loopchains import cobarloop
 from loopchains.cobarloop import (
     BoundaryUndefinedError, LoopAlgebra, TruncationError, UNIT_LETTER,
     adams_T, based_loop_complex, degenerate_path, dga_differential,
     format_cyclic_word, format_letter, format_word, letter_degree,
     letter_weight, loop_words, make_tau, mu2, pi2_boundary, pi2_vanishes,
-    t_residual, tau_boundary, verify_T_chain_map, word_boundary, word_degree,
-    word_weight,
+    t_residual, t_residuals, tau_boundary, verify_T_chain_map, word_boundary,
+    word_degree, word_weight,
 )
-from loopchains.conventions import DEFAULT
+from loopchains.conventions import CHOICES, DEFAULT
 from loopchains.exactalg import homology, validate_complex
 from loopchains.hochschild import hochschild_b
 from loopchains.simpcx import SimplicialComplex, collapse, load_complex
@@ -326,6 +327,44 @@ def test_comparison_map_is_a_chain_map(circle, sphere2, ball3, torus):
         assert v.ok, (cc.source.name, v.residuals)
         assert len(v.corner_census) == census_size
         assert v.corners_balanced
+
+
+@pytest.fixture(scope="module")
+def rp2():
+    return _load("rp2.json")
+
+
+@pytest.mark.parametrize("axis", (None,) + tuple(CHOICES))
+def test_residual_generator_matches_the_verifier(circle, sphere2, ball3,
+                                                 torus, rp2, axis):
+    conv = DEFAULT if axis is None else DEFAULT.flip(axis)
+    for cc in (circle, sphere2, ball3, torus, rp2):
+        census = {}
+        pairs = list(t_residuals(cc, conv, census=census))
+        v = verify_T_chain_map(cc, conv)
+        assert tuple(cell for cell, _ in pairs) == v.cells
+        assert {cell: r for cell, r in pairs if r} == v.residuals
+        assert census == v.corner_census
+        # cell by cell, against the single-cell residual
+        cells = [c for dim in range(1, cc.source.dimension() + 1)
+                 for c in cc.cells(dim=dim)]
+        one_by_one = {}
+        assert pairs == [(c, t_residual(cc, c, conv, census=one_by_one))
+                         for c in cells]
+        assert one_by_one == census
+
+
+def test_residual_generator_computes_no_cell_past_its_caller(sphere2,
+                                                            monkeypatch):
+    seen = []
+    monkeypatch.setattr(cobarloop, "t_residual",
+                        lambda cc, cell, *args, **kwargs: seen.append(cell))
+    cells = t_residuals(sphere2)
+    assert next(cells)[0] == seen[0]
+    assert next(cells)[0] == seen[1]
+    assert len(seen) == 2
+    with pytest.raises(TruncationError, match="weight cap 2"):
+        next(t_residuals(sphere2, max_weight=2))
 
 
 def test_comparison_map_works_unnormalized_too(sphere2):

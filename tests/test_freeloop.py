@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loopchains.cobarloop import BoundaryUndefinedError, LoopAlgebra
-from loopchains.conventions import DEFAULT
+from loopchains.conventions import CHOICES, DEFAULT
 from loopchains.freeloop import (
     GAMMA, GAMMA_INV, SIGMA, CircleWordAlgebra, basepoint_degree,
-    g_residual, generator_degree, goodwillie_G, loop_boundary, normalize,
-    s1_example, verify_G_chain_map,
+    g_residual, g_residuals, generator_degree, goodwillie_G, loop_boundary,
+    normalize, s1_example, verify_G_chain_map,
 )
-from loopchains.hochschild import hochschild_b
+from loopchains.hochschild import bounded_words, hochschild_b
 from loopchains.simpcx import collapse, load_complex
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -216,6 +216,31 @@ def test_slot_sign_flips_need_open_slots_to_show(circle_alg, sphere_alg):
         conv = DEFAULT.flip(axis)
         assert verify_G_chain_map(circle_alg, conv).ok
         assert not verify_G_chain_map(sphere_alg, conv).ok
+
+
+G_AXES = tuple(name for name in CHOICES if CHOICES[name][1] == "freeloop")
+
+
+@pytest.mark.parametrize("axis", (None,) + G_AXES)
+def test_residual_generator_matches_the_verifier(axis):
+    conv = DEFAULT if axis is None else DEFAULT.flip(axis)
+    failing = 0
+    for name, caps, count in (("s1_3", {}, 8), ("boundary_delta3", {}, 182),
+                              ("rp2", {"max_len": 2}, 3621)):
+        alg = LoopAlgebra(collapse(load_complex(FIXTURES / (name + ".json"))),
+                          conv)
+        pairs = list(g_residuals(alg, conv, **caps))
+        v = verify_G_chain_map(alg, conv, **caps)
+        # the words in enumeration order, the empty word read as the unit
+        words = [w or (alg.unit(),) for w in bounded_words(
+            alg.basis(3), alg.weight, 3, caps.get("max_len", 3))]
+        assert [w for w, _ in pairs] == words
+        assert len(pairs) == v.words_checked == count
+        assert list({w: r for w, r in pairs if r}.items()) == \
+            list(v.failures.items())
+        failing += len(v.failures)
+    # both twist packages verify (see test_both_twist_packages_verify)
+    assert (failing == 0) == (axis in (None, "iota_twist"))
 
 
 def test_residual_of_a_single_word_is_exposed(sphere_alg):

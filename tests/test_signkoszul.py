@@ -14,6 +14,8 @@ from loopchains.signkoszul import (
     sweep_identity,
 )
 
+from oracle_signs import per_tuple_sweep_identity
+
 
 def test_dagger_example():
     p = SignParams(degrees=(0, 1, 2))
@@ -146,3 +148,25 @@ def test_sweep_frozen_counts():
         (1, 0, 1), (1, 1, 0), (2, 0, 2), (2, 1, 1), (2, 2, 0),
         (3, 0, 3), (3, 1, 2), (3, 2, 1), (3, 3, 0),
         (4, 0, 4), (4, 1, 3), (4, 2, 2), (4, 3, 1), (4, 4, 0))
+
+
+@pytest.mark.parametrize("d_max, window", [
+    (4, (-2, 2)), (3, (-3, 3)), (5, (-1, 1)), (3, (1, 1)), (3, (2, 2)),
+])
+def test_sweep_equals_the_per_tuple_oracle(d_max, window):
+    assert sweep_identity(d_max, window) == \
+        per_tuple_sweep_identity(d_max, window)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_identity_depends_only_on_degree_parities(data):
+    d = data.draw(st.integers(min_value=1, max_value=6))
+    degrees = tuple(data.draw(st.lists(st.integers(-5, 5), min_size=d,
+                                       max_size=d)))
+    shift = data.draw(st.lists(st.integers(-4, 4), min_size=d, max_size=d))
+    d1 = data.draw(st.integers(min_value=0, max_value=d))
+    r = data.draw(st.integers(min_value=0, max_value=d - d1))
+    moved = tuple(x + 2 * s for x, s in zip(degrees, shift))
+    assert homotopy_identity_check(moved, d1, r).equal == \
+        homotopy_identity_check(degrees, d1, r).equal
