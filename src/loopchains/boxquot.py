@@ -5,13 +5,13 @@ realization, stored as exact rational values on the subdivision lattice and
 interpolated affinely on the lexicographic Kuhn triangulation of every cell.
 Everything stays in Fraction arithmetic, so equality of maps, degeneracy
 and fit conditions are decided, not sampled.  The homotopy certificates
-below are exact too.  The shrink-to-center identities (box_dot) are
-decided on all of [0, 1]^n whenever the corners of the cube confirm
-them, because their domain maps are multilinear; the probe grid runs
-only for an identity the corners refute, to find its witness.  The
-sum-clamp identities (box_slash) are checked on probe grids: the clamp
-is piecewise, so a certificate that passes has held at every probe
-point, not been proved between them.
+below are exact too, and both collapse homotopies are decided on all of
+[0, 1]^n by a finite set of points: the corners for the shrink-to-center
+identities (box_dot), the vertices of the clamp arrangement for the
+sum-clamp identities (box_slash).  The probe grid runs only for an
+identity that set refutes, to find its witness; an identity whose maps
+differ on an axis the component reads although its values agree there
+stays a probe sample.
 
 On top of the representation:
 
@@ -21,9 +21,8 @@ On top of the representation:
   reparametrizing level, with admissibility conditions, and the inverse
   splitting;
 * certificates for the two collapse homotopies (sum-clamp on the last two
-  coordinates, checked by exact evaluation on probe grids covering every
-  breakpoint; shrink-to-center on a transposed axis pair, decided at the
-  cube's corners and probed only where they refute it);
+  coordinates; shrink-to-center on a transposed axis pair), decided as
+  above and probed through every breakpoint only where refuted;
 * a comparison of the homology of the span of a finite face-closed cube
   family against the homology after dividing out concatenation and
   transposition relations.
@@ -802,37 +801,46 @@ def _probe_axes(dim, *cubes):
     return axes
 
 
-def _same_point_in_cube(p, q) -> bool:
-    return p == q and all(ZERO <= x <= ONE for x in p)
+def _agree_in_cube(p, q, live) -> bool:
+    return (all(ZERO <= x <= ONE for x in p + q)
+            and all(p[a] == q[a] for a in live))
 
 
-def _certify(identities, axes, *, multilinear=False) -> HomotopyCertificate:
-    """Probe identities (name, component, phi, psi): the component must
-    take the same value at phi(t) and psi(t) for every t of the probe grid
-    ``axes`` cut to its dimension.  The first t where the values differ,
-    or where either point leaves the unit cube, is that identity's failure
-    witness.  Where phi and psi give one point inside the cube the
-    identity holds there, so the component is evaluated only elsewhere.
+def _certify(identities, axes, decide) -> HomotopyCertificate:
+    """Decide identities (name, component, phi, psi): the component must
+    take one value at phi(t) and psi(t) for every t in [0, 1]^n.  A Kuhn
+    interpolation does not depend on an axis its lattice values do not
+    vary along, so the identity holds at t when phi(t) and psi(t) lie in
+    the cube and agree on the live axes (those not in degenerate_axes).
+    When that holds on decide^n it holds on [0, 1]^n, and the probe grid
+    ``axes`` is not walked:
 
-    ``multilinear`` promises that every coordinate of phi and psi has
-    degree at most one in each coordinate of t.  Then phi == psi on all
-    of [0, 1]^n as soon as they agree on the corners {0, 1}^n, and each
-    coordinate of phi takes its extremes over [0, 1]^n at corners, so
-    corners that give one point inside the cube decide the identity for
-    the whole cube, and the probe grid (inside [0, 1]^n) is not walked.
-    Only an identity that the corners refute walks the grid, so its
-    witness is the one the plain walk finds."""
+    * box_dot decides on the corners (0, 1): its maps are multilinear.
+    * box_slash decides on {0, 1, thr, thr - 1} cut to [0, 1]: each
+      coordinate of its maps is t_j, a constant or min(a + b, thr), so
+      they are affine on the cells cut out of [0, 1]^n by at most two
+      hyperplanes t_a + t_b = thr or t_a = thr - e, e in {0, 1}, and
+      solving any tight constraints gives every vertex of that
+      arrangement coordinates in {0, 1, thr, thr - 1}.
+
+    Maps affine on a cell (or multilinear on the cube) agree on it when
+    they agree at its vertices, and their coordinates take their extremes
+    there.  Otherwise the grid is walked, and the first t where the
+    values differ, or where either point leaves the unit cube, is the
+    failure witness; an identity whose maps differ on a live axis while
+    its values agree there passes as a probe sample, not a decision."""
     checks = []
     failures = []
     for name, component, phi, psi in identities:
         checks.append(name)
-        if multilinear and all(
-                _same_point_in_cube(phi(t), psi(t))
-                for t in product((ZERO, ONE), repeat=component.dim)):
+        dead = component.degenerate_axes()
+        live = [a for a in range(component.dim) if a + 1 not in dead]
+        if all(_agree_in_cube(phi(t), psi(t), live)
+               for t in product(decide, repeat=component.dim)):
             continue
         for t in product(*axes[:component.dim]):
             p, q = phi(t), psi(t)
-            if _same_point_in_cube(p, q):
+            if _agree_in_cube(p, q, live):
                 continue
             try:
                 holds = component.eval(p) == component.eval(q)
@@ -850,8 +858,8 @@ def box_slash(cube: PLCube, level, *, clamp_threshold=1) -> HomotopyCertificate:
 
     The collapse precomposes a pair (cube of dimension i, level on the
     (i-1)-cube) with the projection replacing the last two coordinates by
-    their sum clamped at 1, giving a pair one dimension up.  Checked here by
-    exact evaluation over probe grids containing every breakpoint:
+    their sum clamped at 1, giving a pair one dimension up.  Each identity
+    is decided on the vertices of the clamp arrangement (see _certify):
 
     * the inserted-zero face restores the pair (both components);
     * the inserted-one face is degenerate (both components);
@@ -859,10 +867,11 @@ def box_slash(cube: PLCube, level, *, clamp_threshold=1) -> HomotopyCertificate:
       both components.
 
     The last family genuinely fails on the level side at k = i-1 whenever
-    the level varies; certificates report that rather than paper over it
-    (constant levels pass everything).  ``clamp_threshold`` moves the clamp
-    away from 1 as a negative control: any other threshold breaks the
-    restore identity on any cube that depends on its last coordinate.
+    the level varies; certificates report that, with a probe-grid witness,
+    rather than paper over it (constant levels pass everything).
+    ``clamp_threshold`` moves the clamp away from 1 as a negative control:
+    any other threshold breaks the restore identity on any cube that
+    depends on its last coordinate.
     """
     i = cube.dim
     if i == 0:
@@ -887,7 +896,8 @@ def box_slash(cube: PLCube, level, *, clamp_threshold=1) -> HomotopyCertificate:
     return _certify([(name.format(side), component, phi, psi)
                      for component, side in components
                      for name, phi, psi in family],
-                    _probe_axes(i, cube, level))
+                    _probe_axes(i, cube, level),
+                    [v for v in {ZERO, ONE, thr, thr - ONE} if ZERO <= v <= ONE])
 
 
 def box_dot(cube: PLCube, k: int, *, center=HALF) -> HomotopyCertificate:
@@ -903,11 +913,8 @@ def box_dot(cube: PLCube, k: int, *, center=HALF) -> HomotopyCertificate:
     * the homotopy commutes with the face maps of every other axis.
 
     Each is a pair of domain maps of degree at most one in every
-    coordinate, so the 2^n corners of the cube decide it on all of
-    [0, 1]^n: when both maps give one point inside the cube at every
-    corner, the identity holds everywhere.  An identity the corners
-    refute is walked on the probe grid through every breakpoint, and
-    its first failing probe point is the witness.
+    coordinate, so the 2^n corners of the cube decide it (see _certify);
+    an identity they refute gets its witness from the probe grid.
 
     ``center`` is the negative-control knob: the reference face is pinned
     at (1/2, 1/2), so any other center in [0, 1] fails exactly the
@@ -936,7 +943,7 @@ def box_dot(cube: PLCube, k: int, *, center=HALF) -> HomotopyCertificate:
                                lambda t, j=j, e=eps: _shrink(_insert(t, j, e), k, c),
                                lambda t, j=j, e=eps, kk=shifted:
                                _insert(_shrink(t, kk, c), j, e)))
-    return _certify(identities, _probe_axes(i, cube), multilinear=True)
+    return _certify(identities, _probe_axes(i, cube), (ZERO, ONE))
 
 
 def transpose_cancellation(cube: PLCube, k: int) -> bool:

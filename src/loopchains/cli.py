@@ -1018,6 +1018,16 @@ def _cmd_report(args):
 
 # -- entry point -------------------------------------------------------------------
 
+def _weight_cap(text):
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"weight cap must be at least 0, got {cap}")
+    return cap
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="loopchains",
@@ -1036,19 +1046,19 @@ def build_parser():
     q = sub.add_parser("cobar",
                        help="loop model word counts and d^2 on a fixture")
     q.add_argument("fixture")
-    q.add_argument("--max-weight", type=int, default=3)
+    q.add_argument("--max-weight", type=_weight_cap, default=3)
 
     q = sub.add_parser("t-map",
                        help="comparison map residuals on a fixture")
     q.add_argument("fixture")
-    q.add_argument("--max-weight", type=int, default=None)
+    q.add_argument("--max-weight", type=_weight_cap, default=None)
 
     q = sub.add_parser("hh",
                        help="truncated cyclic homology of a fixture's "
                             "loop algebra")
     q.add_argument("fixture")
     q.add_argument("--degree", type=int, default=0)
-    q.add_argument("--max-weight", type=int, default=3)
+    q.add_argument("--max-weight", type=_weight_cap, default=3)
     q.add_argument("--format", choices=("tsv", "json"), default="tsv")
     q.add_argument("--out")
 

@@ -119,6 +119,37 @@ def test_degeneracy_detection():
     assert PLCube.constant(2, (3,)).degenerate_axes() == (1, 2)
 
 
+def ignoring(rng, dim, dead, coarse=False):
+    """A random dim-cube whose lattice values do not vary along the
+    1-indexed axes in ``dead``.  A coarse cube takes values 0 and 1 only,
+    so its other axes are often flat on some slices and not on others."""
+    base = random_cube(rng, dim, ambient=1 if coarse else 2)
+
+    def value(idx):
+        p = base.value(tuple(0 if a + 1 in dead else j
+                             for a, j in enumerate(idx)))
+        return (F(p[0] > 0),) if coarse else p
+    return PLCube(base.breakpoints,
+                  {idx: value(idx) for idx, _ in base.lattice()})
+
+
+def test_degenerate_axes_do_not_move_the_kuhn_interpolation():
+    # the certificates skip evaluating two points that differ only on
+    # degenerate axes, so eval must not read those coordinates
+    rng = random.Random(61)
+    for dim, coarse in product((1, 2, 3, 4), (False, True)):
+        for _ in range(8):
+            dead = set(rng.sample(range(1, dim + 1), rng.randint(0, dim)))
+            cube = ignoring(rng, dim, dead, coarse)
+            flat = cube.degenerate_axes()
+            assert dead <= set(flat)
+            for _ in range(25):
+                p = tuple(F(rng.randint(0, 60), 60) for _ in range(dim))
+                q = tuple(F(rng.randint(0, 60), 60) if a + 1 in flat else x
+                          for a, x in enumerate(p))
+                assert cube.eval(p) == cube.eval(q), (cube.lattice(), p, q)
+
+
 def test_target_containment_is_checked():
     real = triangle_realization()
     PLCube(((0, 1),), {(0,): (0, 0), (1,): (F(1, 2), F(1, 2))}, real)
@@ -439,6 +470,28 @@ def test_box_dot_center_control_fails_exactly_the_one_face():
         box_dot(cube, 2)
 
 
+def test_a_passing_certificate_evaluates_no_cube(monkeypatch):
+    calls = []
+    real_eval = PLCube.eval
+    monkeypatch.setattr(PLCube, "eval",
+                        lambda self, pt: calls.append(pt) or real_eval(self, pt))
+    rng = random.Random(67)
+    for dim in (1, 2, 3):
+        for _ in range(5):
+            cube = random_cube(rng, dim)
+            level = random_level(rng, dim - 1, constant=True)
+            assert box_slash(cube, level).ok
+            for k in range(1, dim):
+                assert box_dot(cube, k).ok
+    assert calls == []
+    # the varying-level control is refuted and still walks to its witness
+    square = PLCube.from_function(((0, 1), (0, 1)), lambda p: (p[0], p[1]))
+    level = PLCube(((0, 1),), {(0,): (F(1, 8),), (1,): (F(3, 8),)})
+    assert box_slash(square, level).failures == \
+        (("face 1(0) commutes (level side)", (F(1, 3),)),)
+    assert calls
+
+
 def probe_grid(dim, *cubes):
     # the certificates' probe grid: a stock of rationals plus the
     # breakpoints of each axis and of the next
@@ -522,9 +575,10 @@ def assert_matches_oracle(cert, identities, axes, values):
 def test_certificates_match_the_full_evaluation_oracle():
     # every identity is evaluated on both sides at every probe point, so a
     # certificate that skips evaluating a point it may not skip shows here
-    # box_dot's corner decision shows here as well: centers outside
-    # [0, 1] push the face identities out of the cube, which the corners
-    # must refute and the grid must witness
+    # the decision sets show here as well: centers outside [0, 1] push
+    # the face identities out of the cube, which the corners must refute
+    # and the grid must witness, and the thresholds put thr and thr - 1
+    # inside, on the edge of and outside [0, 1]
     rng = random.Random(59)
     sq = PLCube.from_function(((0, 1), (0, 1)), lambda p: (p[0], p[1]))
     cube3 = PLCube.from_function(((0, 1),) * 3, lambda p: p)
@@ -536,10 +590,11 @@ def test_certificates_match_the_full_evaluation_oracle():
         if dim >= 2:
             cases.append((cube, random_level(rng, dim - 1)))
     centers = (F(1, 2), F(1, 3), F(0), F(1), F(2, 3), F(3, 2), F(-1, 2))
+    thresholds = (F(1), F(3, 4), F(7, 5), F(0), F(1, 3), F(2), F(5, 2), F(-1))
     failing = set()
     for cube, level in cases:
         values = {}
-        for thr in (F(1), F(3, 4), F(7, 5)):
+        for thr in thresholds:
             cert = box_slash(cube, level, clamp_threshold=thr)
             assert_matches_oracle(cert, slash_identities(cube, level, thr),
                                   probe_grid(cube.dim, cube, level), values)
@@ -556,6 +611,16 @@ def test_certificates_match_the_full_evaluation_oracle():
         assert_matches_oracle(box_dot(cube4, 2, center=c),
                               dot_identities(cube4, 2, c),
                               probe_grid(4, cube4), values)
+    # a cube that ignores axes 1 and 2: the one face lands on it at any
+    # center in [0, 1], and a center outside pulls it out of the cube
+    flat, values = ignoring(rng, 3, {1, 2}), {}
+    assert flat.degenerate_axes() == (1, 2)
+    for c, fails in ((F(1, 3), False), (F(3, 2), True)):
+        cert = box_dot(flat, 1, center=c)
+        assert_matches_oracle(cert, dot_identities(flat, 1, c),
+                              probe_grid(3, flat), values)
+        assert ("one face lands on the center-degenerate cube"
+                in dict(cert.failures)) == fails
     # the negative controls all fired: threshold, center, varying level
     assert (F(3, 4), "zero face restores the cube") in failing
     assert (F(7, 5), "one face is degenerate (cube side)") in failing

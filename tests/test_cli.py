@@ -144,6 +144,14 @@ def test_t_map_torus_summary():
                    "corners balanced\tyes\nstatus\tok\n")
 
 
+@pytest.mark.parametrize("command, cap", [("cobar", "-1"), ("hh", "-2"),
+                                          ("t-map", "-1")])
+def test_negative_weight_cap_is_refused_at_parse_time(command, cap):
+    code, out, err = fx(command, str(FIXTURES / "rp2.json"), "--max-weight", cap)
+    assert code == 2 and out == ""
+    assert f"argument --max-weight: weight cap must be at least 0, got {cap}" in err
+
+
 # -- resolution --------------------------------------------------------------------
 
 def test_resolution_is_unique_and_matches_the_committed_ledger():
