@@ -64,14 +64,15 @@ class AdmissibilityError(GeometryError):
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError):
             raise GeometryError(f"not a rational value: {x!r}") from None
-    # No floats: 0.1 is not 1/10 and this module never rounds.
+    # No floats: 0.1 is not 1/10 and this module never rounds.  No bools:
+    # a JSON true is not the number 1.
     raise GeometryError(f"not a rational value: {x!r}")
 
 
@@ -143,7 +144,11 @@ class Realization:
         for v in complex.vertices:
             if v not in coordinates:
                 raise GeometryError(f"vertex {v} has no coordinates")
-            coords[v] = tuple(_frac(x) for x in coordinates[v])
+            point = coordinates[v]
+            if not isinstance(point, (list, tuple)):
+                raise GeometryError(
+                    f"vertex {v} must be a list of rationals, got {point!r}")
+            coords[v] = tuple(_frac(x) for x in point)
         lens = {len(p) for p in coords.values()}
         if len(lens) != 1:
             raise GeometryError("vertex coordinates must share one ambient dimension")
@@ -428,14 +433,16 @@ class CubicalChain:
     """Formal integer combination of same-dimension cubes into one target.
 
     Zero coefficients and degenerate cubes drop out on construction, so a
-    chain is zero exactly when its term dict is empty.
+    chain is zero exactly when its term dict is empty.  A coefficient that
+    is not an int (a float, a Fraction, a bool, a string) raises
+    GeometryError rather than being rounded or converted.
     """
 
     def __init__(self, terms=()):
         items = terms.items() if hasattr(terms, "items") else terms
         acc = {}
         for cube, coeff in items:
-            coeff = int(coeff)
+            _require_int("chain coefficient", coeff)
             if coeff:
                 acc[cube] = acc.get(cube, 0) + coeff
         acc = {c: v for c, v in acc.items() if v and not c.is_degenerate}
@@ -463,6 +470,7 @@ class CubicalChain:
         return self + other.scale(-1)
 
     def scale(self, n: int) -> "CubicalChain":
+        _require_int("scale factor", n)
         return CubicalChain({c: n * v for c, v in self.terms.items()})
 
     def __eq__(self, other):

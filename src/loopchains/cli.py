@@ -321,22 +321,26 @@ def resolve_conventions(fixtures):
 @dataclass(frozen=True)
 class SuiteResult:
     name: str
-    ok: bool
     lines: tuple
+    failures: int
+
+    @property
+    def ok(self):
+        return not self.failures
 
 
 class Checker:
-    """Collects labeled pass/fail lines; any failure flips ok."""
+    """Collects labeled pass/fail lines and counts the failing ones."""
 
     def __init__(self):
-        self.ok = True
+        self.failures = 0
         self.lines = []
 
     def check(self, label, passed, detail=""):
         if passed:
             self.lines.append(label + ": ok")
         else:
-            self.ok = False
+            self.failures += 1
             self.lines.append(label + ": FAIL"
                               + (f" ({detail})" if detail else ""))
 
@@ -344,7 +348,7 @@ class Checker:
         self.check(label, got == want, f"got {got!r}, want {want!r}")
 
     def result(self, name):
-        return SuiteResult(name, self.ok, tuple(self.lines))
+        return SuiteResult(name, tuple(self.lines), self.failures)
 
 
 def _suite_ledger(ws, conv, seed):
@@ -786,9 +790,31 @@ def _torsion_str(t):
     return ",".join(str(x) for x in t) if t else "-"
 
 
-def _emit(text, out):
-    if out:
-        Path(out).write_text(text)
+def _status(ok):
+    return "pass" if ok else "FAIL"
+
+
+def _rank_record(groups):
+    """The {str(n): {"rank", "torsion"}} record of (n, group) pairs, kept in
+    their order: homology tables and truncated cyclic ranks alike."""
+    return {str(n): {"rank": h.rank, "torsion": list(h.torsion)}
+            for n, h in groups}
+
+
+def _rank_rows(record, prefix=""):
+    for n, row in record.items():
+        yield f"{prefix}{n}\t{row['rank']}\t{_torsion_str(row['torsion'])}"
+
+
+def _emit(args, record, rows):
+    """Write one command's result to --out or stdout: the record itself
+    under --format json, else the tsv rows rendered from it."""
+    if args.format == "json":
+        text = json.dumps(record, indent=2, sort_keys=True) + "\n"
+    else:
+        text = "".join(row + "\n" for row in rows)
+    if args.out:
+        Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
 
@@ -797,14 +823,8 @@ def _emit(text, out):
 
 def _cmd_homology(args):
     table = simplicial_homology(load_complex(args.fixture))
-    rows = sorted((n, h.rank, h.torsion) for n, h in table.items())
-    if args.format == "json":
-        payload = {str(n): {"rank": r, "torsion": list(t)}
-                   for n, r, t in rows}
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
-    else:
-        _emit("".join(f"{n}\t{r}\t{_torsion_str(t)}\n" for n, r, t in rows),
-              args.out)
+    record = _rank_record(sorted(table.items()))
+    _emit(args, record, _rank_rows(record))
     return 0
 
 
@@ -845,19 +865,12 @@ def _cmd_hh(args):
     alg = LoopAlgebra(collapse(load_complex(args.fixture)), conv)
     res = hh_truncated(alg, args.degree, args.max_weight,
                        arity=conv.hochschild_arity)
-    if args.format == "json":
-        payload = {"degree": res.degree, "max_weight": res.max_weight,
-                   "rank": res.summary.rank,
-                   "torsion": list(res.summary.torsion),
-                   "stabilized": res.stabilized}
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
-    else:
-        _emit(f"degree\t{res.degree}\n"
-              f"max_weight\t{res.max_weight}\n"
-              f"rank\t{res.summary.rank}\n"
-              f"torsion\t{_torsion_str(res.summary.torsion)}\n"
-              "stabilized\t" + ("yes" if res.stabilized else "no") + "\n",
-              args.out)
+    record = {"degree": res.degree, "max_weight": res.max_weight,
+              "rank": res.summary.rank, "torsion": list(res.summary.torsion),
+              "stabilized": res.stabilized}
+    shown = {**record, "torsion": _torsion_str(record["torsion"]),
+             "stabilized": "yes" if record["stabilized"] else "no"}
+    _emit(args, record, (f"{key}\t{value}" for key, value in shown.items()))
     return 0
 
 
@@ -882,13 +895,12 @@ def _cmd_verify(args):
     for name in TARGETS[args.target]:
         res = SUITES[name].run(ws, conv or DEFAULT, args.seed)
         ok &= res.ok
-        out.append(f"{name}: {'pass' if res.ok else 'FAIL'}")
+        out.append(f"{name}: {_status(res.ok)}")
         out.extend("  " + line for line in res.lines)
     if args.target == "all":
         problems, count = _coverage_problems()
         ok &= not problems
-        out.append("coverage: " + ("pass" if not problems else "FAIL")
-                   + f" ({count} operations)")
+        out.append(f"coverage: {_status(not problems)} ({count} operations)")
         out.extend("  " + p for p in problems)
     sys.stdout.write("\n".join(out) + "\n")
     return 0 if ok else 1
@@ -907,113 +919,100 @@ def _cmd_resolve(args):
     return 0
 
 
+def _report_record(ws, conv, note, seed):
+    """Everything `report` shows, built once: the record --format json
+    prints and `_report_rows` renders as tsv."""
+    active = conv or DEFAULT
+    results = {name: SUITES[name].run(ws, active, seed)
+               for name in TARGETS["all"]}
+    failing_checks = sum(r.failures for r in results.values())
+    sweep = ws.sweep()
+    boundary_failures = len(sweep.failures) - sweep.interior_failures
+    circle = ws.algebra("s1_3", active)
+    suite_of = {f.name: CHOICES[f.name][1] for f in fields(Conventions)}
+    cubes = {name: ws.cubes(name)[1] for name in CUBE_FIXTURES}
+    return {
+        "note": note,
+        "conventions": {name: {"value": getattr(active, name), "suite": suite,
+                               "status": _status(results[suite].ok)}
+                        for name, suite in suite_of.items()},
+        "suites": {name: r.ok for name, r in results.items()},
+        "failing_checks": failing_checks,
+        # Failing checks count as artifact bugs only when the active ledger
+        # is the certified one; under a mismatched ledger they indict it.
+        "artifact_bugs": failing_checks if results["ledger"].ok else None,
+        "sign_sweep": {
+            "cases": sweep.total,
+            "interior_total": sweep.interior_total,
+            "interior_failures": sweep.interior_failures,
+            "boundary_total": sweep.boundary_total,
+            "boundary_failures": boundary_failures,
+            "classified": (len(sweep.failures)
+                           if sweep.all_failures_on_boundary
+                           else boundary_failures),
+        },
+        "suspected_typos": _suspected_typos(ws, active),
+        "homology": {name: _rank_record(sorted(
+            simplicial_homology(ws.complex(name)).items()))
+            for name in COMPLEX_FIXTURES},
+        "hochschild_circle": _rank_record(
+            (w, hh_truncated(circle, 0, w,
+                             arity=active.hochschild_arity).summary)
+            for w in (1, 2, 3)),
+        "cube_families": {name: {"verdict": "agree" if cmp.agree
+                                            else "DISAGREE",
+                                 "concat": cmp.concat_relations,
+                                 "transpose": cmp.transpose_relations}
+                          for name, cmp in cubes.items()},
+        "ok": all(r.ok for r in results.values()),
+    }
+
+
+def _report_rows(record):
+    yield "conventions"
+    if record["note"]:
+        yield f"  ({record['note']}; built-in defaults shown)"
+    for name, row in record["conventions"].items():
+        yield f"  {name} = {row['value']}  [{row['suite']}: {row['status']}]"
+    yield "suites"
+    for name, ok in record["suites"].items():
+        yield f"  {name}: {_status(ok)}"
+    if record["artifact_bugs"] is not None:
+        yield f"  artifact bugs: {record['artifact_bugs']}"
+    else:
+        yield (f"  failing checks: {record['failing_checks']} "
+               "(ledger mismatch; not classified as artifact bugs)")
+    sweep = record["sign_sweep"]
+    yield "sign sweep"
+    yield f"  cases: {sweep['cases']}"
+    for side in ("interior", "boundary"):
+        total = sweep[f"{side}_total"]
+        yield f"  {side} passes: {total - sweep[side + '_failures']}/{total}"
+    yield (f"  classified failures: {sweep['classified']}/"
+           f"{sweep['interior_failures'] + sweep['boundary_failures']}")
+    yield "suspected typos"
+    for i, typo in enumerate(record["suspected_typos"], start=1):
+        yield f"  {i}. {typo}"
+    yield "homology"
+    for name, table in record["homology"].items():
+        yield from _rank_rows(table, f"  {name}\t")
+    yield "hochschild circle"
+    yield from _rank_rows(record["hochschild_circle"], "  ")
+    yield "cube families"
+    for name, row in record["cube_families"].items():
+        yield (f"  {name}\t{row['verdict']}\tconcat={row['concat']}"
+               f"\ttranspose={row['transpose']}")
+
+
 def _cmd_report(args):
     fixtures = Path(args.fixtures)
     if not fixtures.is_dir() or not any(fixtures.glob("*.json")):
-        _emit("no fixtures\n", args.out)
+        _emit(args, {"note": "no fixtures", "ok": True}, ["no fixtures"])
         return 0
-    ws = Workspace(fixtures)
     conv, note = _load_ledger(fixtures)
-    active = conv or DEFAULT
-    results = {name: SUITES[name].run(ws, active, args.seed)
-               for name in TARGETS["all"]}
-    failing_checks = sum(sum(1 for line in r.lines if ": FAIL" in line)
-                         for r in results.values())
-    # Failing checks count as artifact bugs only when the active ledger is
-    # the certified one; under a mismatched ledger they indict the ledger.
-    certified = results["ledger"].ok
-    sweep = ws.sweep()
-    boundary_failures = len(sweep.failures) - sweep.interior_failures
-    classified = (len(sweep.failures) if sweep.all_failures_on_boundary
-                  else boundary_failures)
-    typos = _suspected_typos(ws, active)
-
-    lines = ["conventions"]
-    if note:
-        lines.append(f"  ({note}; built-in defaults shown)")
-    conv_rows = {}
-    for f in fields(Conventions):
-        suite = CHOICES[f.name][1]
-        status = "pass" if results[suite].ok else "FAIL"
-        lines.append(f"  {f.name} = {getattr(active, f.name)}  "
-                     f"[{suite}: {status}]")
-        conv_rows[f.name] = {"value": getattr(active, f.name),
-                             "suite": suite, "status": status}
-    lines.append("suites")
-    for name in TARGETS["all"]:
-        lines.append(f"  {name}: {'pass' if results[name].ok else 'FAIL'}")
-    if certified:
-        lines.append(f"  artifact bugs: {failing_checks}")
-    else:
-        lines.append(f"  failing checks: {failing_checks} "
-                     "(ledger mismatch; not classified as artifact bugs)")
-    lines.append("sign sweep")
-    lines.append(f"  cases: {sweep.total}")
-    lines.append(f"  interior passes: "
-                 f"{sweep.interior_total - sweep.interior_failures}"
-                 f"/{sweep.interior_total}")
-    lines.append(f"  boundary passes: "
-                 f"{sweep.boundary_total - boundary_failures}"
-                 f"/{sweep.boundary_total}")
-    lines.append(f"  classified failures: {classified}/{len(sweep.failures)}")
-    lines.append("suspected typos")
-    for i, typo in enumerate(typos, start=1):
-        lines.append(f"  {i}. {typo}")
-    lines.append("homology")
-    hom_rows = {}
-    for name in COMPLEX_FIXTURES:
-        table = simplicial_homology(ws.complex(name))
-        hom_rows[name] = {str(n): {"rank": h.rank,
-                                   "torsion": list(h.torsion)}
-                          for n, h in table.items()}
-        for n, h in sorted(table.items()):
-            lines.append(f"  {name}\t{n}\t{h.rank}\t{_torsion_str(h.torsion)}")
-    lines.append("hochschild circle")
-    hh_rows = {}
-    circle = ws.algebra("s1_3", active)
-    for w in (1, 2, 3):
-        res = hh_truncated(circle, 0, w, arity=active.hochschild_arity)
-        hh_rows[str(w)] = {"rank": res.summary.rank,
-                           "torsion": list(res.summary.torsion)}
-        lines.append(f"  {w}\t{res.summary.rank}"
-                     f"\t{_torsion_str(res.summary.torsion)}")
-    lines.append("cube families")
-    cube_rows = {}
-    for name in CUBE_FIXTURES:
-        _, cmp = ws.cubes(name)
-        verdict = "agree" if cmp.agree else "DISAGREE"
-        cube_rows[name] = {"verdict": verdict,
-                           "concat": cmp.concat_relations,
-                           "transpose": cmp.transpose_relations}
-        lines.append(f"  {name}\t{verdict}\tconcat={cmp.concat_relations}"
-                     f"\ttranspose={cmp.transpose_relations}")
-
-    ok = all(r.ok for r in results.values())
-    if args.format == "json":
-        payload = {
-            "note": note,
-            "conventions": conv_rows,
-            "suites": {name: results[name].ok for name in TARGETS["all"]},
-            "failing_checks": failing_checks,
-            "artifact_bugs": failing_checks if certified else None,
-            "sign_sweep": {
-                "cases": sweep.total,
-                "interior_total": sweep.interior_total,
-                "interior_failures": sweep.interior_failures,
-                "boundary_total": sweep.boundary_total,
-                "boundary_failures": boundary_failures,
-                "classified": classified,
-            },
-            "suspected_typos": typos,
-            "homology": hom_rows,
-            "hochschild_circle": hh_rows,
-            "cube_families": cube_rows,
-            "ok": ok,
-        }
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
-    else:
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0 if ok else 1
+    record = _report_record(Workspace(fixtures), conv, note, args.seed)
+    _emit(args, record, _report_rows(record))
+    return 0 if record["ok"] else 1
 
 
 # -- entry point -------------------------------------------------------------------
@@ -1039,23 +1038,27 @@ def build_parser():
 
     q = sub.add_parser("homology",
                        help="integral homology of a fixture complex")
+    q.set_defaults(handler=_cmd_homology)
     q.add_argument("fixture")
     q.add_argument("--format", choices=("tsv", "json"), default="tsv")
     q.add_argument("--out")
 
     q = sub.add_parser("cobar",
                        help="loop model word counts and d^2 on a fixture")
+    q.set_defaults(handler=_cmd_cobar)
     q.add_argument("fixture")
     q.add_argument("--max-weight", type=_weight_cap, default=3)
 
     q = sub.add_parser("t-map",
                        help="comparison map residuals on a fixture")
+    q.set_defaults(handler=_cmd_t_map)
     q.add_argument("fixture")
     q.add_argument("--max-weight", type=_weight_cap, default=None)
 
     q = sub.add_parser("hh",
                        help="truncated cyclic homology of a fixture's "
                             "loop algebra")
+    q.set_defaults(handler=_cmd_hh)
     q.add_argument("fixture")
     q.add_argument("--degree", type=int, default=0)
     q.add_argument("--max-weight", type=_weight_cap, default=3)
@@ -1063,38 +1066,29 @@ def build_parser():
     q.add_argument("--out")
 
     q = sub.add_parser("verify", help="run a verification suite")
+    q.set_defaults(handler=_cmd_verify)
     q.add_argument("target", choices=tuple(TARGETS))
     q.add_argument("--seed", type=int, default=7)
 
     q = sub.add_parser("resolve",
                        help="search the convention space and write the "
                             "ledger")
+    q.set_defaults(handler=_cmd_resolve)
     q.add_argument("--out")
 
     q = sub.add_parser("report",
                        help="consolidated pass/fail report with tables")
+    q.set_defaults(handler=_cmd_report)
     q.add_argument("--seed", type=int, default=7)
     q.add_argument("--format", choices=("tsv", "json"), default="tsv")
     q.add_argument("--out")
     return p
 
 
-_HANDLERS = {
-    "homology": _cmd_homology,
-    "cobar": _cmd_cobar,
-    "t-map": _cmd_t_map,
-    "hh": _cmd_hh,
-    "verify": _cmd_verify,
-    "resolve": _cmd_resolve,
-    "report": _cmd_report,
-}
-
-
 def run(args):
     """Dispatch one parsed invocation."""
-    handler = _HANDLERS[args.command]
     try:
-        return handler(args)
+        return args.handler(args)
     except (OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

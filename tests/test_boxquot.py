@@ -266,6 +266,24 @@ def test_chain_normalization():
         CubicalChain({cube: 1, random_cube(rng, 3): 1})
 
 
+@pytest.mark.parametrize("coeff", [1.5, F(3, 2), 0.4, True, "2"],
+                         ids=["float", "fraction", "small_float", "bool", "str"])
+def test_chain_rejects_a_non_integer_coefficient(coeff):
+    # int() would read 1.5 and 3/2 as 1, drop 0.4, and read True and "2"
+    cube = random_cube(random.Random(3), 2)
+    with pytest.raises(GeometryError) as caught:
+        CubicalChain({cube: coeff})
+    assert str(caught.value) == \
+        f"chain coefficient must be an integer, got {coeff!r}"
+
+
+def test_chain_scale_rejects_a_non_integer_factor():
+    chain = CubicalChain({random_cube(random.Random(3), 2): 3})
+    with pytest.raises(GeometryError,
+                       match="scale factor must be an integer, got 0.5"):
+        chain.scale(0.5)
+
+
 # -- concatenation and splitting ---------------------------------------------
 
 def test_midpoint_concatenation_of_two_arcs():
@@ -781,6 +799,18 @@ def test_cube_family_parse_errors_name_locations():
     broken = json.loads(text)
     broken["cubes"][1]["name"] = "pt0"
     with pytest.raises(ParseError, match="duplicate cube name"):
+        parse_cube_family(json.dumps(broken))
+    for point in (5, None, "1/2"):
+        broken = json.loads(text)
+        broken["coordinates"]["0"] = point
+        with pytest.raises(ParseError) as caught:
+            parse_cube_family(json.dumps(broken))
+        assert str(caught.value) == ("coordinates: vertex 0 must be a list of "
+                                     f"rationals, got {point!r}")
+    broken = json.loads(text)
+    broken["cubes"][2]["values"][0][1][0] = True
+    with pytest.raises(ParseError, match=r"cubes\[2\] \(arc-a\): not a "
+                                         r"rational value: True"):
         parse_cube_family(json.dumps(broken))
 
 

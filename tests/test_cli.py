@@ -329,9 +329,14 @@ def test_report_json_payload():
 
 
 def test_report_on_empty_fixture_directory(tmp_path):
-    code, out, _ = run_cli("--fixtures", str(tmp_path), "report")
-    assert code == 0
-    assert out == "no fixtures\n"
+    for fixtures in (tmp_path, tmp_path / "absent"):
+        code, out, _ = run_cli("--fixtures", str(fixtures), "report")
+        assert code == 0
+        assert out == "no fixtures\n"
+        code, out, _ = run_cli("--fixtures", str(fixtures), "report",
+                               "--format", "json")
+        assert code == 0
+        assert out == '{\n  "note": "no fixtures",\n  "ok": true\n}\n'
 
 
 def test_report_marks_the_certifying_suite_on_tamper(tmp_path):
@@ -344,6 +349,49 @@ def test_report_marks_the_certifying_suite_on_tamper(tmp_path):
     assert "[t_chain_map: FAIL]" in out
     assert "failing checks:" in out
     assert "artifact bugs:" not in out
+
+
+def tsv_section(text, heading):
+    """The indented lines under one heading of a tsv report."""
+    lines = text.splitlines()
+    start = lines.index(heading) + 1
+    end = start
+    while end < len(lines) and lines[end].startswith("  "):
+        end += 1
+    return lines[start:end]
+
+
+@pytest.mark.parametrize("damage, failing", [("tampered", 5), ("missing", 1)])
+def test_report_json_under_a_bad_ledger(tmp_path, damage, failing):
+    fixtures = copy_fixtures(tmp_path)
+    path = fixtures / "conventions.ledger"
+    if damage == "tampered":
+        path.write_text(path.read_text().replace(
+            "pi2_bsplit_sign  = geometric", "pi2_bsplit_sign  = printed"))
+        note = None
+    else:
+        path.unlink()
+        note = f"conventions.ledger not found under {fixtures}"
+    code, tsv, _ = run_cli("--fixtures", str(fixtures), "report")
+    assert code == 1
+    code, out, _ = run_cli("--fixtures", str(fixtures), "report",
+                           "--format", "json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["ok"] is False
+    assert payload["artifact_bugs"] is None
+    assert payload["failing_checks"] == failing
+    assert payload["note"] == note
+    noted = [line for line in tsv_section(tsv, "conventions")
+             if line.startswith("  (")]
+    assert noted == ([] if note is None
+                     else [f"  ({note}; built-in defaults shown)"])
+    *suites, tally = tsv_section(tsv, "suites")
+    assert dict(line.strip().split(": ") for line in suites) == {
+        name: "pass" if ok else "FAIL"
+        for name, ok in payload["suites"].items()}
+    assert tally == (f"  failing checks: {failing} "
+                     "(ledger mismatch; not classified as artifact bugs)")
 
 
 # -- coverage audit ----------------------------------------------------------------
