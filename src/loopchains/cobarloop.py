@@ -206,9 +206,11 @@ def _letter_entry(cc, letter, conv):
 
 # The letter table of the most recent (complex, conventions) pair,
 # matched by identity: one table at a time, so memory does not grow with
-# the number of conventions a sweep tries.  A letter whose boundary
-# raises gets no entry.
-_table = (None, None, {})
+# the number of conventions a sweep tries.  Beside it, the set of the
+# letters met so far whose boundary has no terms (edge letters and the
+# unit): a word made of these alone has no boundary.  A letter whose
+# boundary raises gets no entry.
+_table = (None, None, {}, set())
 
 
 def word_boundary(cc, word, conv: Conventions = DEFAULT) -> dict:
@@ -219,10 +221,12 @@ def word_boundary(cc, word, conv: Conventions = DEFAULT) -> dict:
     prefix convention; e is kept as a running parity.
     """
     global _table
-    table_cc, table_conv, entries = _table
+    table_cc, table_conv, entries, free = _table
     if table_cc is not cc or table_conv is not conv:
-        entries = {}
-        _table = (cc, conv, entries)
+        entries, free = {}, set()
+        _table = (cc, conv, entries, free)
+    if free.issuperset(word):
+        return {}
     has_unit = UNIT_LETTER in word
     out = {}
     odd = False
@@ -230,6 +234,8 @@ def word_boundary(cc, word, conv: Conventions = DEFAULT) -> dict:
         entry = entries.get(letter)
         if entry is None:
             entry = entries[letter] = _letter_entry(cc, letter, conv)
+            if not entry[0]:
+                free.add(letter)
         terms, flips = entry
         if terms:
             head, tail = word[:i], word[i + 1:]
@@ -296,8 +302,9 @@ class LoopAlgebra:
 
     def basis(self, max_weight: int):
         """All nonempty tau words of weight <= max_weight, sorted."""
-        words = bounded_words(self.letters(), letter_weight, max_weight)
-        return sorted(islice(words, 1, None))  # past the empty word
+        words = bounded_words(sorted(self.letters()), letter_weight,
+                              max_weight)
+        return list(islice(words, 1, None))  # past the empty word
 
 
 # -- the loop complex, materialized -------------------------------------------
@@ -313,7 +320,11 @@ class LoopComplexModel:
 
 
 def loop_words(cc, max_weight: int, conv: Conventions = DEFAULT):
-    """Every word of the weight-capped loop dga, the unit included."""
+    """Every word of the weight-capped loop dga, the unit included,
+    sorted."""
+    if max_weight < 0:
+        raise ValueError(
+            f"weight cap must be at least 0, got {max_weight}")
     return [()] + LoopAlgebra(cc, conv).basis(max_weight)
 
 
@@ -325,11 +336,9 @@ def based_loop_complex(cc, max_weight: int,
     the complex is exact data, not an approximation.  Degrees are
     cohomological and nonpositive.
     """
-    by_degree = {}
+    by_degree = {}  # each list stays sorted, as loop_words is
     for word in loop_words(cc, max_weight, conv):
         by_degree.setdefault(word_degree(word), []).append(word)
-    for ws in by_degree.values():
-        ws.sort()
     complex_ = FreeComplex.from_basis(
         by_degree, lambda w: word_boundary(cc, w, conv))
     return LoopComplexModel(complex=complex_,

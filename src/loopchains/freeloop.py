@@ -274,8 +274,9 @@ class CircleWordAlgebra:
     def basis(self, max_weight: int):
         """All nonempty words of length <= max_weight, sorted; in the
         strict picture only the reduced ones."""
-        words = bounded_words(self.letters(), lambda letter: 1, max_weight)
-        return sorted(w for w in words if w and self._reduce(w) == w)
+        words = bounded_words(sorted(self.letters()), lambda letter: 1,
+                              max_weight)
+        return [w for w in words if w and self._reduce(w) == w]
 
 
 def _letter_winding(alg, letter) -> int:

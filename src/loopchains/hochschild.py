@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from operator import itemgetter
 from random import Random
 
 from .exactalg import FreeComplex, HomologySummary, homology as _homology
@@ -385,29 +384,31 @@ def bounded_words(letters, weight, max_weight: int,
     """Every tuple of ``letters`` whose weights sum to at most
     ``max_weight``, of length at most ``max_len`` (uncapped when None).
 
-    Words are yielded lazily, the empty tuple first; the rest come in no
-    promised order, so callers that need one sort.  Each letter's weight
-    is looked up once and the letters are tried lightest first, so a
-    branch stops at the first letter that does not fit.  Every weight
+    Words are yielded lazily in depth-first preorder over the letters in
+    the order given: the empty tuple first, each word before its
+    extensions, and the extensions by an earlier letter before those by
+    a later one.  Given sorted letters, the words come out sorted.  Each
+    letter's weight is looked up once, into a table that lists, for
+    every room left under the cap, the letters that fit.  Every weight
     must be >= 1, which keeps the set finite; a negative cap yields
     nothing.
     """
-    weighted = sorted(((weight(x), x) for x in letters), key=itemgetter(0))
-    if weighted and weighted[0][0] < 1:
+    weighted = [(x, weight(x)) for x in letters]
+    if any(w < 1 for _, w in weighted):
         raise ValueError("non-unit basis elements must have weight >= 1")
     if max_weight < 0:
         return
     if max_len is None:
         max_len = max_weight  # no word of weight <= max_weight is longer
+    # last letter first, so that the stack pops the first letter next
+    fits = [[((x,), room - w) for x, w in reversed(weighted) if w <= room]
+            for room in range(max_weight + 1)]
     stack = [((), max_weight)]
     while stack:
         word, room = stack.pop()
         yield word
         if len(word) < max_len:
-            for w, x in weighted:
-                if w > room:
-                    break
-                stack.append((word + (x,), room - w))
+            stack.extend([(word + x, left) for x, left in fits[room]])
 
 
 def cyclic_words(algebra, max_weight: int, degree: int | None = None):

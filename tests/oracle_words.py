@@ -1,4 +1,4 @@
-"""Reference versions of three word routines, written the plain way.
+"""Reference versions of four word routines, written the plain way.
 
 ``leibniz_word_boundary`` extends the letter boundary to words by
 recomputing every letter's boundary and every prefix degree at each
@@ -6,8 +6,9 @@ slot, with no table and no running sign.  ``per_special_cyclic_words``
 enumerates the cyclic bar words with one bounded-word call per special
 slot, re-weighing the basis each time.  ``signkoszul_hochschild_b``
 takes every sign of the cyclic bar differential from its own signkoszul
-call, summing the degrees of each run again.  All three are slow on
-purpose; the tests compare the fast routines against them.
+call, summing the degrees of each run again.  ``sorted_basis`` sorts
+every bounded word instead of trusting the enumeration order.  All four
+are slow on purpose; the tests compare the fast routines against them.
 """
 
 from loopchains.cobarloop import letter_boundary, normalize_word, word_degree
@@ -27,6 +28,11 @@ def leibniz_word_boundary(cc, word, conv):
         for t, c in letter_boundary(cc, letter, conv).items():
             _add(out, normalize_word(word[:i] + t + word[i + 1:]), sgn * c)
     return out
+
+
+def sorted_basis(letters, weight, max_weight):
+    """Every nonempty word of weight <= max_weight, sorted."""
+    return sorted(bounded_words(letters, weight, max_weight))[1:]
 
 
 def per_special_cyclic_words(algebra, max_weight, degree=None):

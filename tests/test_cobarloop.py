@@ -18,7 +18,7 @@ from loopchains.exactalg import homology, validate_complex
 from loopchains.hochschild import hochschild_b
 from loopchains.simpcx import SimplicialComplex, collapse, load_complex
 
-from oracle_words import leibniz_word_boundary
+from oracle_words import leibniz_word_boundary, sorted_basis
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -202,6 +202,31 @@ def test_circle_loop_words_count(circle):
     assert len(loop_words(circle, 6)) == 7  # unit plus six powers
 
 
+def test_a_negative_weight_cap_is_refused(circle):
+    with pytest.raises(ValueError, match="got -1"):
+        loop_words(circle, -1)
+    with pytest.raises(ValueError, match="got -2"):
+        based_loop_complex(circle, -2)
+
+
+FIXTURE_NAMES = ("s1_3", "boundary_delta3", "torus_7", "rp2")
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_loop_basis_matches_the_sorted_oracle(name):
+    alg = LoopAlgebra(_load(f"{name}.json"))
+    for cap in range(5):
+        assert alg.basis(cap) == sorted_basis(alg.letters(), letter_weight,
+                                              cap), cap
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_words_by_degree_lists_are_sorted(name):
+    model = based_loop_complex(_load(f"{name}.json"), 3)
+    for n, ws in model.words_by_degree.items():
+        assert ws == sorted(ws), n
+
+
 def test_sphere_complex_is_a_complex(sphere2):
     model = based_loop_complex(sphere2, 4)
     assert model.word_count() == 273
@@ -245,12 +270,15 @@ BOUNDARY_CONVENTIONS = (DEFAULT, *(DEFAULT.flip(name) for name in (
 
 @pytest.fixture(scope="module")
 def letter_pool():
-    """The four collapsed fixtures, and one letter pool: their tau
-    letters, the unit letter, and every letter of their comparison-map
-    images (wrap paths and pi2 letters among them).  The fixtures share
-    vertex labels, so many letters have a different boundary in each."""
-    complexes = [_load(f"{name}.json")
-                 for name in ("s1_3", "boundary_delta3", "torus_7", "rp2")]
+    """The four collapsed fixtures, one letter pool and its boundary-free
+    part.  The pool holds their tau letters, the unit letter, every
+    letter of their comparison-map images (wrap paths and pi2 letters
+    among them) and the alternating path (a, b, a, b) of each edge
+    (a, b).  The fixtures share vertex labels, so many letters have a
+    different boundary in each.  The second list holds the edge letters,
+    the unit and the alternating paths: an alternating path has no
+    boundary terms under cyclic degeneracy and has some under linear."""
+    complexes = [_load(f"{name}.json") for name in FIXTURE_NAMES]
     letters = {UNIT_LETTER}
     for cc in complexes:
         letters.update(LoopAlgebra(cc).letters())
@@ -258,19 +286,25 @@ def letter_pool():
             for cell in cc.cells(dim=dim):
                 for ccword in adams_T(cc, cell):
                     letters.update(l for entry in ccword for l in entry)
-    return complexes, sorted(letters)
+    edges = {l for l in letters if l[0] == "tau" and len(l[1]) == 2}
+    alternating = {("tau", l[1] * 2) for l in edges}
+    letters |= alternating
+    return complexes, sorted(letters), sorted(edges | alternating
+                                              | {UNIT_LETTER})
 
 
 @settings(deadline=None, max_examples=60)
 @given(st.data())
 def test_word_boundary_matches_the_leibniz_reference(letter_pool, data):
     # every word is differentiated under each (complex, conventions) pair
-    # in a drawn order, so a letter table kept under the wrong key, or
-    # not dropped when the pair changes, fails
-    complexes, letters = letter_pool
-    words = data.draw(st.lists(st.lists(st.sampled_from(letters),
-                                        max_size=5).map(tuple),
-                               min_size=1, max_size=3))
+    # in a drawn order, so a letter table or boundary-free set kept under
+    # the wrong key, or not dropped when the pair changes, fails; some
+    # words are drawn from the boundary-free letters alone
+    complexes, letters, free = letter_pool
+    words = data.draw(st.lists(
+        st.one_of(st.lists(st.sampled_from(letters), max_size=5),
+                  st.lists(st.sampled_from(free), max_size=5)).map(tuple),
+        min_size=1, max_size=3))
     pairs = data.draw(st.permutations(
         [(cc, conv) for cc in complexes for conv in BOUNDARY_CONVENTIONS]))
     for cc, conv in pairs:
@@ -293,6 +327,20 @@ def test_word_boundary_caches_no_failure_and_hands_out_fresh_dicts(sphere2):
         got.clear()
         got[(T12,)] = 5
         assert word_boundary(sphere2, word) == want
+    # a word of edge letters and units has no boundary, and each call
+    # hands out its own empty dict
+    edges = (T12, T23, UNIT_LETTER, T13, T12)
+    got = word_boundary(sphere2, edges)
+    assert got == {}
+    got[(T12,)] = 5
+    again = word_boundary(sphere2, edges)
+    assert again == {} and again is not got
+    # a corner letter still raises beside a letter known to be
+    # boundary-free, on either side of it
+    assert word_boundary(sphere2, (T12,)) == {}
+    for word in ((T12, q), (q, T12)):
+        with pytest.raises(BoundaryUndefinedError, match="corner"):
+            word_boundary(sphere2, word)
 
 
 # -- the comparison map --------------------------------------------------------

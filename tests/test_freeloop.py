@@ -14,6 +14,8 @@ from loopchains.freeloop import (
 from loopchains.hochschild import bounded_words, hochschild_b
 from loopchains.simpcx import collapse, load_complex
 
+from oracle_words import sorted_basis
+
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 T12 = ("tau", (1, 2))
@@ -276,6 +278,15 @@ def test_s1_strict_group_ring_needs_no_sigma():
     assert r.strict and not r.sigma_included
     assert r.chain_closed
     assert abs(r.winding) == 1
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_circle_basis_matches_the_sorted_oracle(strict):
+    alg = CircleWordAlgebra(strict=strict)
+    for cap in range(6):
+        want = [w for w in sorted_basis(alg.letters(), lambda letter: 1, cap)
+                if alg._reduce(w) == w]
+        assert alg.basis(cap) == want, cap
 
 
 def test_strict_wrap_terms_cancel_to_the_unit_word():

@@ -309,15 +309,23 @@ def brute_force_words(weights, max_weight, max_len):
     {},
 ])
 def test_bounded_words_match_brute_force(weights):
+    # the words come in depth-first preorder over the letters as given:
+    # sorted for sorted letters, and sorted by letter position otherwise
+    backwards = sorted(weights, reverse=True)
+    position = {x: i for i, x in enumerate(backwards)}
     for max_weight in range(-1, 6):
         for max_len in (None, 0, 1, 2, 3):
-            got = list(bounded_words(weights, weights.get, max_weight,
-                                     max_len))
+            got = list(bounded_words(sorted(weights), weights.get,
+                                     max_weight, max_len))
             assert len(got) == len(set(got))
             assert set(got) == brute_force_words(weights, max_weight,
                                                  max_len)
+            assert got == sorted(got)
             if got:
                 assert got[0] == ()
+            got = list(bounded_words(backwards, weights.get, max_weight,
+                                     max_len))
+            assert got == sorted(got, key=lambda w: [position[x] for x in w])
 
 
 def test_bounded_words_is_lazy():
