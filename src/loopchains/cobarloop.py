@@ -28,7 +28,7 @@ from itertools import combinations, islice
 
 from .conventions import Conventions, DEFAULT
 from .exactalg import FreeComplex
-from .hochschild import _add, bounded_words, hochschild_b
+from .hochschild import _Memo, _add, _check_cap, bounded_words, hochschild_b
 from .simpcx import CollapsedComplex
 
 UNIT_LETTER = ("unit",)
@@ -111,10 +111,13 @@ def normalize_word(letters):
 def mu2(x2, x1, conv: Conventions = DEFAULT):
     """(sign, product word).  The sign is the loop-composition twist
     (-1)^|x1|; the ordering is the convention under test."""
-    sign = (-1) ** (word_degree(x1) % 2)
+    return (-1) ** (word_degree(x1) % 2), _product(x2, x1, conv)
+
+
+def _product(x2, x1, conv):
     if conv.mu2_order == "path":
-        return sign, normalize_word(x1 + x2)
-    return sign, normalize_word(x2 + x1)
+        return normalize_word(x1 + x2)
+    return normalize_word(x2 + x1)
 
 
 # -- boundaries ---------------------------------------------------------------
@@ -267,17 +270,20 @@ class LoopAlgebra:
     cyclic bar machinery expects.  Elements are words; the basis words
     are built from tau letters only (pair and corner letters occur in
     comparison-map images, and mu1 handles them, but they are not part
-    of the algebra's own basis)."""
+    of the algebra's own basis).  Each element's degree and weight are
+    computed once, on first use, into tables kept by the instance."""
 
     def __init__(self, cc: CollapsedComplex, conv: Conventions = DEFAULT):
         self.cc = cc
         self.conv = conv
+        self._degrees = _Memo(word_degree)
+        self._weights = _Memo(word_weight)
 
     def degree(self, word) -> int:
-        return word_degree(word)
+        return self._degrees[word]
 
     def weight(self, word) -> int:
-        return word_weight(word)
+        return self._weights[word]
 
     def is_unit(self, word) -> bool:
         return word == ()
@@ -289,8 +295,8 @@ class LoopAlgebra:
         return word_boundary(self.cc, word, self.conv)
 
     def mu2(self, x2, x1) -> dict:
-        s, w = mu2(x2, x1, self.conv)
-        return {w: s}
+        sign = -1 if self._degrees[x1] % 2 else 1
+        return {_product(x2, x1, self.conv): sign}
 
     def letters(self):
         out = []
@@ -322,9 +328,7 @@ class LoopComplexModel:
 def loop_words(cc, max_weight: int, conv: Conventions = DEFAULT):
     """Every word of the weight-capped loop dga, the unit included,
     sorted."""
-    if max_weight < 0:
-        raise ValueError(
-            f"weight cap must be at least 0, got {max_weight}")
+    _check_cap(max_weight)
     return [()] + LoopAlgebra(cc, conv).basis(max_weight)
 
 

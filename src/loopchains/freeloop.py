@@ -27,7 +27,8 @@ split signs.  Both packages verify; mixing them does not.
 from dataclasses import dataclass
 
 from .conventions import DEFAULT, Conventions
-from .hochschild import _add, bounded_words, hochschild_b, hochschild_b_vector
+from .hochschild import (_add, _check_cap, bounded_words, hochschild_b,
+                         hochschild_b_vector)
 
 
 def _sign(axis):
@@ -174,8 +175,9 @@ def g_residuals(alg, conv: Conventions = DEFAULT, *, max_len=3,
     and longer words that start with the unit are not checked (words
     with the unit in any other slot are degenerate and already zero
     upstream).  A caller that stops at the first nonzero residual
-    computes no later word.
+    computes no later word.  A negative cap is refused.
     """
+    _check_cap(max_weight)
     slots = alg.basis(max_weight)
     unit_word = (alg.unit(),)
     # the empty word stands for the one-letter unit word

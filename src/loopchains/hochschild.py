@@ -411,35 +411,69 @@ def bounded_words(letters, weight, max_weight: int,
             stack.extend([(word + x, left) for x, left in fits[room]])
 
 
+def _check_cap(max_weight: int) -> None:
+    if max_weight < 0:
+        raise ValueError(f"weight cap must be at least 0, got {max_weight}")
+
+
+class _Memo(dict):
+    """A dict that fills a missing key from ``rule(key)`` and keeps it."""
+
+    def __init__(self, rule):
+        super().__init__()
+        self.rule = rule
+
+    def __missing__(self, key):
+        value = self[key] = self.rule(key)
+        return value
+
+
 def cyclic_words(algebra, max_weight: int, degree: int | None = None):
-    """All normalized words of weight <= max_weight (and given degree).
+    """All normalized words of weight <= max_weight (and given degree),
+    sorted by length and then by the reprs of their slots.
 
     The special slot ranges over the basis and, when the algebra has
     one, the unit; the other slots exclude the unit.  Non-unit elements
     all have weight >= 1, so words are finite in number.  The tails are
     enumerated once, at the cap, and bucketed by weight; each special
     slot is joined to the buckets it has room for.
+
+    With a degree n, the tails are cut to the lengths that can reach it.
+    A tail slot x adds |x| - 1 <= M - 1 to the word degree, where M is
+    the top basis degree, and the special slot gives at most H, the top
+    degree over the basis and the unit.  So when H < n there is no word,
+    and when M <= 0 a word of degree n has at most (H - n) // (1 - M)
+    tail slots.  When M >= 1 the tails are not cut.  A negative cap is
+    refused.
     """
+    _check_cap(max_weight)
     basis = list(algebra.basis(max_weight))
-    weight = {x: algebra.weight(x) for x in basis}
-    buckets = [[] for _ in range(max_weight + 1)]
-    for tail in bounded_words(basis, weight.__getitem__, max_weight):
-        buckets[sum(map(weight.__getitem__, tail))].append(tail)
     unit = algebra.unit()
-    specials = [(x, weight[x]) for x in basis]
-    if unit is not None:
-        specials.append((unit, algebra.weight(unit)))
-    words = [(first,) + tail
-             for first, w in specials
-             for bucket in buckets[:max(max_weight - w + 1, 0)]
-             for tail in bucket]
+    specials = basis if unit is None else basis + [unit]
+    weight = {x: algebra.weight(x) for x in specials}
+    max_len = None
     if degree is not None:
-        words = [w for w in words if word_degree(algebra, w) == degree]
-    return sorted(words, key=_word_sort_key)
-
-
-def _word_sort_key(word):
-    return (len(word), tuple(repr(x) for x in word))
+        degree_of = {x: algebra.degree(x) for x in specials}
+        high = max(degree_of.values(), default=None)
+        if high is None or high < degree:
+            return []
+        top = max(map(degree_of.__getitem__, basis), default=0)
+        if top <= 0:
+            max_len = (high - degree) // (1 - top)
+    buckets = [[] for _ in range(max_weight + 1)]
+    for tail in bounded_words(basis, weight.__getitem__, max_weight,
+                              max_len):
+        buckets[sum(map(weight.__getitem__, tail))].append(tail)
+    words = [(first,) + tail
+             for first in specials
+             for bucket in buckets[:max(max_weight - weight[first] + 1, 0)]
+             for tail in bucket]
+    if degree is not None:  # word_degree, read from degree_of
+        slot = degree_of.__getitem__
+        words = [w for w in words if sum(map(slot, w)) - len(w) + 1 == degree]
+    reprs = _Memo(repr)  # each slot's repr once, for the sort key
+    return sorted(words, key=lambda w: (len(w),
+                                        tuple(map(reprs.__getitem__, w))))
 
 
 def hh_truncated(algebra, degree: int, max_weight: int, *,
@@ -449,15 +483,14 @@ def hh_truncated(algebra, degree: int, max_weight: int, *,
     The weight cap is a subcomplex, so this is the honest homology of a
     finite complex, not an approximation with leakage.  ``stabilized``
     records whether dropping the cap by one leaves the answer unchanged,
-    a cheap signal that the cap has stopped biting.  The words are
-    enumerated once, at the cap; the lower cap's words are those of
-    smaller weight.
+    a cheap signal that the cap has stopped biting.  Each of the degrees
+    degree - 1, degree and degree + 1 is enumerated on its own, at the
+    cap, so ``cyclic_words`` cuts each one's tails to the lengths that
+    can reach it; the lower cap's words are those of smaller weight.  A
+    negative cap is refused.
     """
-    layers = {n: [] for n in (degree - 1, degree, degree + 1)}
-    for word in cyclic_words(algebra, max_weight):
-        layer = layers.get(word_degree(algebra, word))
-        if layer is not None:
-            layer.append(word)
+    layers = {n: cyclic_words(algebra, max_weight, degree=n)
+              for n in (degree - 1, degree, degree + 1)}
     summary = _hh_at(algebra, degree, layers, arity)
     if max_weight >= 1:
         lower = {n: [w for w in ws if word_weight(algebra, w) < max_weight]

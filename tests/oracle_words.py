@@ -1,4 +1,4 @@
-"""Reference versions of four word routines, written the plain way.
+"""Reference versions of five word routines, written the plain way.
 
 ``leibniz_word_boundary`` extends the letter boundary to words by
 recomputing every letter's boundary and every prefix degree at each
@@ -7,12 +7,17 @@ enumerates the cyclic bar words with one bounded-word call per special
 slot, re-weighing the basis each time.  ``signkoszul_hochschild_b``
 takes every sign of the cyclic bar differential from its own signkoszul
 call, summing the degrees of each run again.  ``sorted_basis`` sorts
-every bounded word instead of trusting the enumeration order.  All four
-are slow on purpose; the tests compare the fast routines against them.
+every bounded word instead of trusting the enumeration order.
+``bucketed_hh_truncated`` enumerates every cyclic word at the cap and
+buckets the three degrees it needs, with no length bound.  All five are
+slow on purpose; the tests compare the fast routines against them.
 """
 
 from loopchains.cobarloop import letter_boundary, normalize_word, word_degree
-from loopchains.hochschild import _add, bounded_words, is_degenerate
+from loopchains.exactalg import FreeComplex, HomologySummary, homology
+from loopchains.hochschild import (TruncatedHomology, _add, bounded_words,
+                                   cyclic_words, hochschild_b, is_degenerate,
+                                   word_weight)
 from loopchains.hochschild import word_degree as cc_word_degree
 from loopchains.signkoszul import bullet_exponent, maltese_exponent
 
@@ -46,6 +51,38 @@ def per_special_cyclic_words(algebra, max_weight, degree=None):
     if degree is not None:
         words = [w for w in words if cc_word_degree(algebra, w) == degree]
     return sorted(words, key=lambda w: (len(w), tuple(repr(x) for x in w)))
+
+
+def bucketed_layers(algebra, degree, max_weight):
+    """The words of degrees degree - 1, degree and degree + 1 at the cap,
+    bucketed from one enumeration of every word."""
+    layers = {n: [] for n in (degree - 1, degree, degree + 1)}
+    for word in cyclic_words(algebra, max_weight):
+        layer = layers.get(cc_word_degree(algebra, word))
+        if layer is not None:
+            layer.append(word)
+    return layers
+
+
+def bucketed_hh_truncated(algebra, degree, max_weight, *,
+                          arity="argument_count"):
+    def at(layers):
+        complex_ = FreeComplex.from_basis(
+            layers, lambda w: hochschild_b(algebra, w, arity=arity))
+        return homology(complex_).get(degree, HomologySummary(degree, 0, ()))
+
+    layers = bucketed_layers(algebra, degree, max_weight)
+    summary = at(layers)
+    if max_weight >= 1:
+        previous = at({n: [w for w in ws
+                           if word_weight(algebra, w) < max_weight]
+                       for n, ws in layers.items()})
+        stabilized = (previous.rank, previous.torsion) == \
+            (summary.rank, summary.torsion)
+    else:
+        stabilized = False
+    return TruncatedHomology(degree=degree, max_weight=max_weight,
+                             summary=summary, stabilized=stabilized)
 
 
 def signkoszul_hochschild_b(algebra, word, coeff=1, *,

@@ -1,4 +1,5 @@
 import pathlib
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -15,7 +16,7 @@ from loopchains.cobarloop import (
 )
 from loopchains.conventions import CHOICES, DEFAULT
 from loopchains.exactalg import homology, validate_complex
-from loopchains.hochschild import hochschild_b
+from loopchains.hochschild import cyclic_words, hochschild_b
 from loopchains.simpcx import SimplicialComplex, collapse, load_complex
 
 from oracle_words import leibniz_word_boundary, sorted_basis
@@ -218,6 +219,28 @@ def test_loop_basis_matches_the_sorted_oracle(name):
     for cap in range(5):
         assert alg.basis(cap) == sorted_basis(alg.letters(), letter_weight,
                                               cap), cap
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_algebra_tables_match_the_word_functions(name):
+    cc = _load(f"{name}.json")
+    for order in CHOICES["mu2_order"][0]:
+        conv = replace(DEFAULT, mu2_order=order)
+        alg = LoopAlgebra(cc, conv)
+        by_weight = {w: [] for w in range(1, 4)}
+        for word in alg.basis(3):
+            assert alg.degree(word) == word_degree(word), word
+            assert alg.weight(word) == word_weight(word), word
+            by_weight[word_weight(word)].append(word)
+        # every product of two basis words that stays under the cap
+        for w1, x1s in by_weight.items():
+            for x1 in x1s:
+                for w2 in range(1, 4 - w1):
+                    for x2 in by_weight[w2]:
+                        sign, product = mu2(x2, x1, conv)
+                        assert alg.mu2(x2, x1) == {product: sign}, (x2, x1)
+        # a loop word has degree <= 0, so a cyclic word has degree <= 0
+        assert cyclic_words(alg, 3, degree=1) == []
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)

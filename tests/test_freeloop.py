@@ -245,6 +245,14 @@ def test_residual_generator_matches_the_verifier(axis):
     assert (failing == 0) == (axis in (None, "iota_twist"))
 
 
+def test_a_negative_weight_cap_is_refused(circle_alg):
+    with pytest.raises(ValueError, match="weight cap must be at least 0, "
+                                         "got -1"):
+        verify_G_chain_map(circle_alg, max_weight=-1)
+    with pytest.raises(ValueError, match="got -1"):
+        next(g_residuals(circle_alg, max_weight=-1))
+
+
 def test_residual_of_a_single_word_is_exposed(sphere_alg):
     assert g_residual(sphere_alg, ((T123,), (T12,))) == {}
     bad = g_residual(sphere_alg, ((T123,), (T12,)),

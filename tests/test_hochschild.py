@@ -12,7 +12,9 @@ from loopchains.hochschild import (
 )
 
 from oracle_classical import classical_b_squared, classical_cyclic_b, rev
-from oracle_words import per_special_cyclic_words, signkoszul_hochschild_b
+from loopchains import hochschild
+from oracle_words import (bucketed_hh_truncated, bucketed_layers,
+                          per_special_cyclic_words, signkoszul_hochschild_b)
 
 
 class DegreeStub:
@@ -404,13 +406,13 @@ def _cyclic_word_cases():
     # 19 s on a 2-vCPU Xeon host
     for name, top in (("s1_3", 3), ("boundary_delta3", 3), ("torus_7", 2),
                       ("rp2", 3)):
-        yield name, loop_algebra(name), range(-1, top + 1)
+        yield name, loop_algebra(name), range(top + 1)
     for seed in range(10):
-        yield f"random_dga({seed})", random_dga(seed), range(-1, 5)
+        yield f"random_dga({seed})", random_dga(seed), range(5)
     for strict in (False, True):
         yield (f"CircleWordAlgebra(strict={strict})",
-               CircleWordAlgebra(strict=strict), range(-1, 5))
-    yield "UncappedBasis", UncappedBasis(), range(-1, 5)
+               CircleWordAlgebra(strict=strict), range(5))
+    yield "UncappedBasis", UncappedBasis(), range(5)
 
 
 class UncappedBasis(TableDGA):
@@ -427,6 +429,8 @@ class UncappedBasis(TableDGA):
 
 def test_cyclic_words_match_the_per_special_reference():
     for label, algebra, caps in _cyclic_word_cases():
+        with pytest.raises(ValueError, match="got -1"):
+            cyclic_words(algebra, -1)
         for cap in caps:
             want = per_special_cyclic_words(algebra, cap)
             assert cyclic_words(algebra, cap) == want, (label, cap)
@@ -435,6 +439,52 @@ def test_cyclic_words_match_the_per_special_reference():
                 assert cyclic_words(algebra, cap, degree=degree) == \
                     [w for w, n in zip(want, degrees) if n == degree], \
                     (label, cap, degree)
+
+
+def test_a_negative_weight_cap_is_refused():
+    alg = circle_algebra()
+    for degree in (None, 0, 1):
+        with pytest.raises(ValueError, match="weight cap must be at least "
+                                             "0, got -1"):
+            cyclic_words(alg, -1, degree)
+    with pytest.raises(ValueError, match="weight cap must be at least "
+                                         "0, got -1"):
+        hh_truncated(alg, 0, -1)
+    with pytest.raises(ValueError, match="got -2"):
+        hh_truncated(random_dga(0), 0, -2)
+
+
+def test_hh_truncated_matches_the_bucketed_reference(monkeypatch):
+    # the layers hh_truncated hands to the homology step, in call order:
+    # the cap's, then the lower cap's when the cap is at least 1
+    seen = []
+    at = hochschild._hh_at
+
+    def record(algebra, degree, layers, arity):
+        seen.append(layers)
+        return at(algebra, degree, layers, arity)
+
+    def outcome(truncated, algebra, degree, cap):
+        # the non-strict circle's sigma is lighter than its boundary, so
+        # some of its caps are not subcomplexes: both sides must say so
+        try:
+            t = truncated(algebra, degree, cap)
+        except ValueError as e:
+            return str(e)
+        return t.summary, t.stabilized
+
+    monkeypatch.setattr(hochschild, "_hh_at", record)
+    for label, algebra, caps in _cyclic_word_cases():
+        for cap in caps:
+            for degree in range(-2, 3):
+                seen.clear()
+                got = outcome(hh_truncated, algebra, degree, cap)
+                want = outcome(bucketed_hh_truncated, algebra, degree, cap)
+                layers = bucketed_layers(algebra, degree, cap)
+                case = (label, cap, degree)
+                # the same words in the same order, under the same keys
+                assert list(seen[0].items()) == list(layers.items()), case
+                assert got == want, case
 
 
 def test_hochschild_b_matches_the_signkoszul_reference():
