@@ -161,6 +161,13 @@ class Workspace:
         return self._memo(("algebra", name, conv),
                           lambda: LoopAlgebra(self.collapsed(name), conv))
 
+    def hh(self, name, conv, max_weight):
+        """Degree-0 truncated cyclic homology of a fixture's loop algebra,
+        which the hochschild suite and the report share."""
+        return self._memo(("hh", name, conv, max_weight), lambda: hh_truncated(
+            self.algebra(name, conv), 0, max_weight,
+            arity=conv.hochschild_arity))
+
     def sweep(self):
         """The sign-identity sweep the signs suite and the report share."""
         return self._memo(("sweep",), lambda: sweep_identity(4, (-2, 2)))
@@ -551,9 +558,8 @@ def _suite_hochschild(ws, conv, seed):
     ck.equal("identity morphism acts as the identity",
              cc_of_morphism(identity_morphism(SQUARE_ZERO), ("u", "v")),
              {("u", "v"): 1})
-    circle = ws.algebra("s1_3", conv)
     for w, want in ((1, 2), (2, 3), (3, 4)):
-        res = hh_truncated(circle, 0, w, arity=conv.hochschild_arity)
+        res = ws.hh("s1_3", conv, w)
         ck.equal(f"circle rank in degree 0 at weight {w}",
                  (res.summary.rank, res.summary.torsion), (want, ()))
     return ck.result("hochschild")
@@ -928,7 +934,6 @@ def _report_record(ws, conv, note, seed):
     failing_checks = sum(r.failures for r in results.values())
     sweep = ws.sweep()
     boundary_failures = len(sweep.failures) - sweep.interior_failures
-    circle = ws.algebra("s1_3", active)
     suite_of = {f.name: CHOICES[f.name][1] for f in fields(Conventions)}
     cubes = {name: ws.cubes(name)[1] for name in CUBE_FIXTURES}
     return {
@@ -956,9 +961,7 @@ def _report_record(ws, conv, note, seed):
             simplicial_homology(ws.complex(name)).items()))
             for name in COMPLEX_FIXTURES},
         "hochschild_circle": _rank_record(
-            (w, hh_truncated(circle, 0, w,
-                             arity=active.hochschild_arity).summary)
-            for w in (1, 2, 3)),
+            (w, ws.hh("s1_3", active, w).summary) for w in (1, 2, 3)),
         "cube_families": {name: {"verdict": "agree" if cmp.agree
                                             else "DISAGREE",
                                  "concat": cmp.concat_relations,

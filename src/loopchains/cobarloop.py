@@ -443,7 +443,13 @@ def t_residual(cc, cell, conv: Conventions = DEFAULT, *,
     map at this cell.  When a census dict is passed, every corner-letter
     word produced by the bar differential is tallied there with its sign
     before any cancellation."""
-    algebra = LoopAlgebra(cc, conv)
+    return _t_residual(LoopAlgebra(cc, conv), cell, normalize, census)
+
+
+def _t_residual(algebra, cell, normalize, census) -> dict:
+    """t_residual in the loop algebra of its complex and conventions,
+    which t_residuals shares across its cells."""
+    cc, conv = algebra.cc, algebra.conv
     out = {}
     for w, c in adams_T(cc, cell, conv, normalize=normalize).items():
         for t, c2 in hochschild_b(algebra, w, c,
@@ -486,9 +492,9 @@ def t_residuals(cc, conv: Conventions = DEFAULT, *,
         overflow = [c for c in cells if len(c) > max_weight]
         if overflow:
             raise TruncationError(max_weight, overflow)
+    algebra = LoopAlgebra(cc, conv)
     for cell in cells:
-        yield cell, t_residual(cc, cell, conv, normalize=normalize,
-                               census=census)
+        yield cell, _t_residual(algebra, cell, normalize, census)
 
 
 def verify_T_chain_map(cc, conv: Conventions = DEFAULT, *,

@@ -4,7 +4,8 @@ Smith normal form, free (co)chain complexes, integral homology with
 torsion, and chain map verification.  Everything is exact: entries are
 Python ints, there is no floating point anywhere.  Every complex in
 the package is assembled by one constructor, FreeComplex.from_basis,
-from a graded basis and a boundary rule.
+from a graded basis and a boundary rule, or restricted from one so
+built to a sub-basis.
 
 The Smith normal form is one sparse elimination kernel.  Its pivots are
 the +-1 entries first, cheapest by Markowitz cost, then the entries of
@@ -427,6 +428,12 @@ class ComplexVerdict:
     message: str = ""
 
 
+def _not_closed(x, n: int, y) -> ValueError:
+    return ValueError(
+        f"basis not closed under the boundary: {x!r} in degree {n} maps "
+        f"to {y!r}, which is not in the basis of degree {n + 1}")
+
+
 class FreeComplex:
     """A finitely supported complex of free Z-modules.
 
@@ -434,9 +441,11 @@ class FreeComplex:
     degree n + 1.  Complexes are assembled with from_basis, from a
     graded basis and a boundary rule; a homologically graded complex
     (a boundary that lowers dimension) puts dimension n in degree -n.
+    restrict gives the complex of a sub-basis from the same matrices.
     """
 
-    def __init__(self, dims: dict, diffs: dict):
+    def __init__(self, dims: dict, diffs: dict, *, bases: dict | None = None):
+        self.bases = bases  # the graded basis, when built from one
         self.dims = {n: d for n, d in dims.items() if d}
         self.diffs = {}
         for n, m in diffs.items():
@@ -458,7 +467,8 @@ class FreeComplex:
         differential only when n + 1 is a key of ``bases``, and the rule
         is called only there.  An output outside the basis of degree
         n + 1 raises ValueError naming the element, its degree and the
-        output: the basis is not closed under the rule.
+        output: the basis is not closed under the rule.  The complex
+        keeps ``bases`` (not a copy) for ``restrict``.
         """
         dims = {n: len(xs) for n, xs in bases.items()}
         diffs = {}
@@ -471,14 +481,61 @@ class FreeComplex:
                 for y, c in boundary(x).items():
                     i = index.get(y)
                     if i is None:
-                        raise ValueError(
-                            f"basis not closed under the boundary: {x!r} in "
-                            f"degree {n} maps to {y!r}, which is not in the "
-                            f"basis of degree {n + 1}")
+                        raise _not_closed(x, n, y)
                     if c:
                         m.entries[i, j] = c
             diffs[n] = m
-        return cls(dims, diffs)
+        return cls(dims, diffs, bases=bases)
+
+    def restrict(self, bases: dict) -> "FreeComplex":
+        """The complex that ``from_basis(bases, boundary)`` builds, for a
+        sub-basis ``bases`` of the basis this complex was built from,
+        read out of this complex's matrices: no boundary is computed.
+
+        Every degree of ``bases`` must be a degree of the basis, and
+        every element an element of it in that degree.  When the
+        sub-basis is not closed under the differential, this raises
+        ``from_basis``' ValueError, naming the same first element and
+        output.  An output is a nonzero entry, so a rule's zero
+        coefficients are not outputs here.
+        """
+        if self.bases is None:
+            raise ValueError("only a complex built by from_basis can be "
+                             "restricted")
+        positions = {}  # degree -> {position in self.bases: position kept}
+        for n, xs in bases.items():
+            if n not in self.bases:
+                raise ValueError(f"degree {n} is not a degree of the basis")
+            index = {x: i for i, x in enumerate(self.bases[n])}
+            kept = positions[n] = {}
+            for j, x in enumerate(xs):
+                i = index.get(x)
+                if i is None:
+                    raise ValueError(f"{x!r} is not in the basis of degree "
+                                     f"{n}")
+                kept[i] = j
+        dims = {n: len(xs) for n, xs in bases.items()}
+        diffs = {}
+        for n, cols in positions.items():
+            if n + 1 not in bases:
+                continue
+            rows = positions[n + 1]
+            m = IntMatrix(dims[n + 1], dims[n])
+            dropped = None  # (kept column, output) of the first offender
+            for (i, j), c in self.diff(n).entries.items():
+                k = cols.get(j)
+                if k is None:
+                    continue
+                r = rows.get(i)
+                if r is not None:
+                    m.entries[r, k] = c
+                elif dropped is None or k < dropped[0]:
+                    dropped = (k, self.bases[n + 1][i])
+            if dropped is not None:
+                k, y = dropped
+                raise _not_closed(bases[n][k], n, y)
+            diffs[n] = m
+        return FreeComplex(dims, diffs, bases=bases)
 
     def dim(self, n: int) -> int:
         return self.dims.get(n, 0)

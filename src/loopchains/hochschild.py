@@ -428,23 +428,26 @@ class _Memo(dict):
         return value
 
 
-def cyclic_words(algebra, max_weight: int, degree: int | None = None):
+def cyclic_words(algebra, max_weight: int, degree: int | range | None = None):
     """All normalized words of weight <= max_weight (and given degree),
     sorted by length and then by the reprs of their slots.
 
     The special slot ranges over the basis and, when the algebra has
     one, the unit; the other slots exclude the unit.  Non-unit elements
-    all have weight >= 1, so words are finite in number.  The tails are
-    enumerated once, at the cap, and bucketed by weight; each special
-    slot is joined to the buckets it has room for.
+    all have weight >= 1, so words are finite in number.  The basis is
+    read once; the tails are enumerated once, at the cap, and bucketed
+    by weight; each special slot is joined to the buckets it has room
+    for.
 
-    With a degree n, the tails are cut to the lengths that can reach it.
-    A tail slot x adds |x| - 1 <= M - 1 to the word degree, where M is
-    the top basis degree, and the special slot gives at most H, the top
-    degree over the basis and the unit.  So when H < n there is no word,
-    and when M <= 0 a word of degree n has at most (H - n) // (1 - M)
-    tail slots.  When M >= 1 the tails are not cut.  A negative cap is
-    refused.
+    ``degree`` is one degree or a range of them, a window.  The words
+    of every degree in the window come back in one list, sorted as
+    above, and the tails are cut to the lengths that can reach its
+    lowest degree n.  A tail slot x adds |x| - 1 <= M - 1 to the word
+    degree, where M is the top basis degree, and the special slot gives
+    at most H, the top degree over the basis and the unit.  So when
+    H < n there is no word, and when M <= 0 a word of degree n or more
+    has at most (H - n) // (1 - M) tail slots.  When M >= 1 the tails
+    are not cut.  A negative cap is refused.
     """
     _check_cap(max_weight)
     basis = list(algebra.basis(max_weight))
@@ -453,13 +456,16 @@ def cyclic_words(algebra, max_weight: int, degree: int | None = None):
     weight = {x: algebra.weight(x) for x in specials}
     max_len = None
     if degree is not None:
+        window = range(degree, degree + 1) if isinstance(degree, int) \
+            else degree
         degree_of = {x: algebra.degree(x) for x in specials}
         high = max(degree_of.values(), default=None)
-        if high is None or high < degree:
+        low = min(window, default=None)
+        if high is None or low is None or high < low:
             return []
         top = max(map(degree_of.__getitem__, basis), default=0)
         if top <= 0:
-            max_len = (high - degree) // (1 - top)
+            max_len = (high - low) // (1 - top)
     buckets = [[] for _ in range(max_weight + 1)]
     for tail in bounded_words(basis, weight.__getitem__, max_weight,
                               max_len):
@@ -470,7 +476,7 @@ def cyclic_words(algebra, max_weight: int, degree: int | None = None):
              for tail in bucket]
     if degree is not None:  # word_degree, read from degree_of
         slot = degree_of.__getitem__
-        words = [w for w in words if sum(map(slot, w)) - len(w) + 1 == degree]
+        words = [w for w in words if sum(map(slot, w)) - len(w) + 1 in window]
     reprs = _Memo(repr)  # each slot's repr once, for the sort key
     return sorted(words, key=lambda w: (len(w),
                                         tuple(map(reprs.__getitem__, w))))
@@ -483,19 +489,27 @@ def hh_truncated(algebra, degree: int, max_weight: int, *,
     The weight cap is a subcomplex, so this is the honest homology of a
     finite complex, not an approximation with leakage.  ``stabilized``
     records whether dropping the cap by one leaves the answer unchanged,
-    a cheap signal that the cap has stopped biting.  Each of the degrees
-    degree - 1, degree and degree + 1 is enumerated on its own, at the
-    cap, so ``cyclic_words`` cuts each one's tails to the lengths that
-    can reach it; the lower cap's words are those of smaller weight.  A
-    negative cap is refused.
+    a cheap signal that the cap has stopped biting.  One ``cyclic_words``
+    call enumerates the window of degrees degree - 1, degree and
+    degree + 1 at the cap, and one assembly builds the cap's complex.
+    The lower cap's words are those of smaller weight, and its complex
+    is the cap's restricted to them, so no boundary is computed twice;
+    a lower cap that is not a subcomplex raises ``from_basis``' error.
+    A negative cap is refused.
     """
-    layers = {n: cyclic_words(algebra, max_weight, degree=n)
-              for n in (degree - 1, degree, degree + 1)}
-    summary = _hh_at(algebra, degree, layers, arity)
+    window = range(degree - 1, degree + 2)
+    layers = {n: [] for n in window}
+    lower = {n: [] for n in window}
+    slot_degree = _Memo(algebra.degree).__getitem__
+    slot_weight = _Memo(algebra.weight).__getitem__
+    for word in cyclic_words(algebra, max_weight, degree=window):
+        n = sum(map(slot_degree, word)) - len(word) + 1  # word_degree
+        layers[n].append(word)
+        if sum(map(slot_weight, word)) < max_weight:
+            lower[n].append(word)
+    complex_, summary = _hh_at(algebra, degree, layers, arity)
     if max_weight >= 1:
-        lower = {n: [w for w in ws if word_weight(algebra, w) < max_weight]
-                 for n, ws in layers.items()}
-        previous = _hh_at(algebra, degree, lower, arity)
+        previous = _summary(complex_.restrict(lower), degree)
         stabilized = (previous.rank, previous.torsion) == \
             (summary.rank, summary.torsion)
     else:
@@ -504,10 +518,14 @@ def hh_truncated(algebra, degree: int, max_weight: int, *,
                              summary=summary, stabilized=stabilized)
 
 
-def _hh_at(algebra, degree: int, layers, arity) -> HomologySummary:
-    """Homology in ``degree`` of the three-term complex on ``layers``,
-    which maps degree - 1, degree and degree + 1 to their words."""
+def _hh_at(algebra, degree: int, layers, arity):
+    """The three-term complex on ``layers``, which maps degree - 1,
+    degree and degree + 1 to their words, and its homology in
+    ``degree``."""
     complex_ = FreeComplex.from_basis(
         layers, lambda w: hochschild_b(algebra, w, arity=arity))
-    summaries = _homology(complex_)
-    return summaries.get(degree, HomologySummary(degree, 0, ()))
+    return complex_, _summary(complex_, degree)
+
+
+def _summary(complex_, degree: int) -> HomologySummary:
+    return _homology(complex_).get(degree, HomologySummary(degree, 0, ()))

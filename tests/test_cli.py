@@ -328,6 +328,22 @@ def test_report_json_payload():
     assert payload["hochschild_circle"]["3"]["rank"] == 4
 
 
+def test_report_computes_each_circle_rank_once(monkeypatch):
+    # the hochschild suite and the report's circle table share them
+    calls = []
+    compute = cli.hh_truncated
+
+    def counting(algebra, degree, max_weight, **kwargs):
+        calls.append((degree, max_weight))
+        return compute(algebra, degree, max_weight, **kwargs)
+
+    monkeypatch.setattr(cli, "hh_truncated", counting)
+    code, out, _ = fx("report", "--format", "json")
+    assert code == 0
+    assert out == (GOLDEN / "report-seed7.json").read_text()
+    assert sorted(calls) == [(0, 1), (0, 2), (0, 3)]
+
+
 def test_report_on_empty_fixture_directory(tmp_path):
     for fixtures in (tmp_path, tmp_path / "absent"):
         code, out, _ = run_cli("--fixtures", str(fixtures), "report")

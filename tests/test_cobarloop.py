@@ -428,14 +428,42 @@ def test_residual_generator_matches_the_verifier(circle, sphere2, ball3,
 def test_residual_generator_computes_no_cell_past_its_caller(sphere2,
                                                             monkeypatch):
     seen = []
-    monkeypatch.setattr(cobarloop, "t_residual",
-                        lambda cc, cell, *args, **kwargs: seen.append(cell))
+    # t_residuals computes each cell through the helper behind t_residual
+    monkeypatch.setattr(cobarloop, "_t_residual",
+                        lambda algebra, cell, *args: seen.append(cell))
     cells = t_residuals(sphere2)
     assert next(cells)[0] == seen[0]
     assert next(cells)[0] == seen[1]
     assert len(seen) == 2
     with pytest.raises(TruncationError, match="weight cap 2"):
         next(t_residuals(sphere2, max_weight=2))
+
+
+def test_residuals_share_one_loop_algebra(sphere2, torus, monkeypatch):
+    built = []
+    init = LoopAlgebra.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LoopAlgebra, "__init__", counting)
+    nonzero = 0
+    for cc in (sphere2, torus):
+        # the ledger's conventions, and a rejected reading that leaves
+        # nonzero residuals
+        for conv in (DEFAULT, DEFAULT.flip("t_word_sign")):
+            built.clear()
+            census, alone = {}, {}
+            residuals = dict(t_residuals(cc, conv, census=census))
+            assert len(residuals) > 1 and len(built) == 1
+            # each residual and the census are those of t_residual alone
+            for cell, r in residuals.items():
+                assert t_residual(cc, cell, conv, census=alone) == r
+                nonzero += bool(r)
+            assert alone == census
+            assert len(built) == 1 + len(residuals)
+    assert nonzero
 
 
 def test_comparison_map_works_unnormalized_too(sphere2):

@@ -1,3 +1,6 @@
+from itertools import combinations
+from random import Random
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -191,6 +194,78 @@ def test_from_basis_skips_degrees_without_a_successor():
     assert set(c.diffs) == {2}
     assert c.diff(2) == IntMatrix.from_rows([[2]])
     assert homology(c)[3] == HomologySummary(3, 0, (2,))
+
+
+def _simplex_faces(cell):
+    return {cell[:j] + cell[j + 1:]: (-1) ** j for j in range(len(cell))}
+
+
+def _simplex_bases(vertices):
+    """Every face of the simplex on ``vertices`` (n-cells in degree -n)."""
+    return {-n: ["".join(c) for c in combinations(vertices, n + 1)]
+            for n in range(len(vertices))}
+
+
+def _outcome(build):
+    try:
+        c = build()
+    except ValueError as e:
+        return str(e)
+    return c.dims, c.diffs
+
+
+def test_restrict_matches_from_basis_on_the_sub_basis():
+    bases = _simplex_bases("abcde")
+    whole = FreeComplex.from_basis(bases, _simplex_faces)
+    rng = Random(0)
+    closed = errors = 0
+    for trial in range(300):
+        if trial % 2:  # a subcomplex: a cell and all of its faces
+            cell = rng.choice(bases[-rng.randrange(5)])
+            kept = {"".join(c) for n in range(1, len(cell) + 1)
+                    for c in combinations(cell, n)}
+        else:  # an arbitrary subset, seldom closed
+            kept = {x for xs in bases.values() for x in xs
+                    if rng.random() < 0.6}
+        sub = {n: [x for x in xs if x in kept] for n, xs in bases.items()
+               if rng.random() < 0.9}
+        for xs in sub.values():
+            rng.shuffle(xs)  # any order of the kept elements
+        want = _outcome(lambda: FreeComplex.from_basis(sub, _simplex_faces))
+        assert _outcome(lambda: whole.restrict(sub)) == want, sub
+        if isinstance(want, str):
+            errors += 1
+        else:
+            closed += 1
+    assert closed > 50 and errors > 50
+
+
+def test_restrict_names_the_first_offender_in_order():
+    # the same offender as from_basis: the first kept column, then the
+    # first output in the rule's order
+    bases = {0: ["x", "y"], 1: ["p", "q", "r"]}
+    rule = {"x": {"r": 1, "q": 2}, "y": {"p": 1, "q": -1}}.get
+    whole = FreeComplex.from_basis(bases, rule)
+    for sub in ({0: ["x", "y"], 1: ["p"]}, {0: ["y", "x"], 1: ["p"]},
+                {0: ["x"], 1: ["p", "q"]}, {0: ["y"], 1: ["q"]}):
+        with pytest.raises(ValueError) as got:
+            whole.restrict(sub)
+        with pytest.raises(ValueError) as want:
+            FreeComplex.from_basis(sub, rule)
+        assert str(got.value) == str(want.value)
+    assert whole.restrict({0: ["y"], 1: ["q", "p"]}).diff(0) == \
+        IntMatrix.from_rows([[-1], [1]])
+
+
+def test_restrict_needs_a_sub_basis_of_a_built_complex():
+    whole = FreeComplex.from_basis({0: ["u"], 1: ["v"]}, lambda x: {"v": 1})
+    with pytest.raises(ValueError, match="'w' is not in the basis of "
+                                         "degree 1"):
+        whole.restrict({0: ["u"], 1: ["w"]})
+    with pytest.raises(ValueError, match="degree 2 is not a degree"):
+        whole.restrict({2: []})
+    with pytest.raises(ValueError, match="built by from_basis"):
+        FreeComplex({0: 1}, {}).restrict({0: []})
 
 
 def test_chain_map_identity_and_sign():

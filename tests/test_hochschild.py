@@ -13,6 +13,7 @@ from loopchains.hochschild import (
 
 from oracle_classical import classical_b_squared, classical_cyclic_b, rev
 from loopchains import hochschild
+from loopchains.exactalg import FreeComplex
 from oracle_words import (bucketed_hh_truncated, bucketed_layers,
                           per_special_cyclic_words, signkoszul_hochschild_b)
 
@@ -413,6 +414,7 @@ def _cyclic_word_cases():
         yield (f"CircleWordAlgebra(strict={strict})",
                CircleWordAlgebra(strict=strict), range(5))
     yield "UncappedBasis", UncappedBasis(), range(5)
+    yield "LighterSource", LighterSource(), range(5)
 
 
 class UncappedBasis(TableDGA):
@@ -439,6 +441,68 @@ def test_cyclic_words_match_the_per_special_reference():
                 assert cyclic_words(algebra, cap, degree=degree) == \
                     [w for w, n in zip(want, degrees) if n == degree], \
                     (label, cap, degree)
+            # degree windows: every degree in them, in the same order
+            windows = [range(n - 1, n + 2) for n in sorted(set(degrees))]
+            windows += [range(min(degrees, default=0) - 1,
+                              max(degrees, default=0) + 2),
+                        range(-1, 4, 2), range(6, 9), range(0, 0)]
+            for window in windows:
+                assert cyclic_words(algebra, cap, degree=window) == \
+                    [w for w, n in zip(want, degrees) if n in window], \
+                    (label, cap, window)
+
+
+class CountingBasis(TableDGA):
+    """random_dga(3), counting its basis calls."""
+
+    def __init__(self):
+        dga = random_dga(3)
+        super().__init__(dga.degrees, dga.product, dga.differential)
+        self.basis_calls = 0
+
+    def basis(self, max_weight=None):
+        self.basis_calls += 1
+        return super().basis(max_weight)
+
+
+def test_hh_truncated_enumerates_once(monkeypatch):
+    calls = []
+    enumerate_ = hochschild.cyclic_words
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("degree"))
+        return enumerate_(*args, **kwargs)
+
+    monkeypatch.setattr(hochschild, "cyclic_words", counting)
+    for degree in range(-2, 3):
+        for cap in range(4):
+            calls.clear()
+            algebra = CountingBasis()
+            hh_truncated(algebra, degree, cap)
+            assert calls == [range(degree - 1, degree + 2)]
+            assert algebra.basis_calls == 1
+
+
+class LighterSource(TableDGA):
+    """u differentiates into the heavier v: a cap of 2 holds both, and a
+    cap of 1 holds u without its boundary, so a cap-2 complex can be
+    closed while its lower cap is not."""
+
+    def __init__(self):
+        super().__init__({"u": 0, "v": 1}, {}, {"u": {"v": 1}},
+                         weights={"u": 1, "v": 2})
+
+
+def test_a_lower_cap_that_is_not_a_subcomplex_is_an_error():
+    algebra = LighterSource()
+    FreeComplex.from_basis(bucketed_layers(algebra, 1, 2), lambda w:
+                           hochschild_b(algebra, w))  # the cap is closed
+    with pytest.raises(ValueError) as got:
+        hh_truncated(algebra, 1, 2)
+    with pytest.raises(ValueError) as want:
+        bucketed_hh_truncated(algebra, 1, 2)
+    assert str(got.value) == str(want.value)
+    assert "('u',) in degree 0 maps to ('v',)" in str(got.value)
 
 
 def test_a_negative_weight_cap_is_refused():
