@@ -168,6 +168,22 @@ class Workspace:
             self.algebra(name, conv), 0, max_weight,
             arity=conv.hochschild_arity))
 
+    def stage_one_words(self):
+        """The 2-sphere model's loop words up to weight 3 and twenty seeded
+        (algebra, word) pairs over each random_dga(0..2), which stage one
+        checks under every assignment.  Neither depends on the conventions
+        nor, by its internal seed, on --seed."""
+        def build():
+            rng = random.Random(0)
+            seeded = []
+            for alg in map(random_dga, range(3)):
+                basis = alg.basis(3)
+                seeded += [(alg, tuple(rng.choice(basis)
+                                       for _ in range(rng.randint(1, 3))))
+                           for _ in range(20)]
+            return loop_words(self.collapsed("boundary_delta3"), 3), seeded
+        return self._memo(("stage one words",), build)
+
     def sweep(self):
         """The sign-identity sweep the signs suite and the report share."""
         return self._memo(("sweep",), lambda: sweep_identity(4, (-2, 2)))
@@ -225,22 +241,17 @@ def _certify_stage_one(ws: Workspace, conv: Conventions):
         return "tetrahedron face census"
     if word_boundary(sphere, (T12, T123), conv) != LEIBNIZ_CENSUS:
         return "two-letter product rule census"
-    for word in loop_words(sphere, 3, conv):
+    sphere_words, seeded_words = ws.stage_one_words()
+    for word in sphere_words:
         if dga_differential(sphere, word_boundary(sphere, word, conv), conv):
             return "d^2 != 0 at " + format_word(word)
     if hochschild_b(SQUARE_ZERO, ("u",),
                     arity=conv.hochschild_arity) != WRAP_IMAGE:
         return "unit wrap image"
-    rng = random.Random(0)  # internal seed: resolution must not depend on --seed
-    for seed in range(3):
-        alg = random_dga(seed)
-        basis = alg.basis(3)
-        for _ in range(20):
-            word = tuple(rng.choice(basis)
-                         for _ in range(rng.randint(1, 3)))
-            once = hochschild_b(alg, word, arity=conv.hochschild_arity)
-            if hochschild_b_vector(alg, once, arity=conv.hochschild_arity):
-                return "b^2 != 0 on a seeded word"
+    for alg, word in seeded_words:
+        once = hochschild_b(alg, word, arity=conv.hochschild_arity)
+        if hochschild_b_vector(alg, once, arity=conv.hochschild_arity):
+            return "b^2 != 0 on a seeded word"
     if _t_refuted(sphere, conv):
         return "comparison map fails on the 2-sphere model"
     if _t_refuted(ball, conv):
@@ -851,10 +862,7 @@ def _cmd_cobar(args):
 def _cmd_t_map(args):
     conv = _conv_for_paths(args.fixtures)
     cc = collapse(load_complex(args.fixture))
-    kwargs = {}
-    if args.max_weight is not None:
-        kwargs["max_weight"] = args.max_weight
-    v = verify_T_chain_map(cc, conv, **kwargs)
+    v = verify_T_chain_map(cc, conv, max_weight=args.max_weight)
     ok = v.ok and v.corners_balanced
     bad = sum(1 for r in v.residuals.values() if r)
     sys.stdout.write(

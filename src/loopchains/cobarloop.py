@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from itertools import combinations, islice
 
 from .conventions import Conventions, DEFAULT
-from .exactalg import FreeComplex
+from .exactalg import FreeComplex, _axpy
 from .hochschild import _Memo, _add, _check_cap, bounded_words, hochschild_b
 from .simpcx import CollapsedComplex
 
@@ -84,16 +84,9 @@ def letter_degree(letter) -> int:
 
 
 def letter_weight(letter) -> int:
-    kind = letter[0]
-    if kind == "unit":
-        return 0
-    if kind == "tau":
-        return len(letter[1]) - 1
-    if kind == "pi2":
-        return (len(letter[1]) - 1) + (len(letter[2]) - 1) - 1
-    if kind == "pi3":
-        return sum(len(v) - 1 for v in letter[1:]) - 1
-    raise ValueError(f"unknown letter kind {kind!r}")
+    """The edges along its paths, less one for a pair or corner letter:
+    1 - degree for tau and corner letters, -degree for the others."""
+    return (letter[0] in ("tau", "pi3")) - letter_degree(letter)
 
 
 def word_degree(word) -> int:
@@ -115,9 +108,7 @@ def mu2(x2, x1, conv: Conventions = DEFAULT):
 
 
 def _product(x2, x1, conv):
-    if conv.mu2_order == "path":
-        return normalize_word(x1 + x2)
-    return normalize_word(x2 + x1)
+    return normalize_word(x1 + x2 if conv.mu2_order == "path" else x2 + x1)
 
 
 # -- boundaries ---------------------------------------------------------------
@@ -200,11 +191,12 @@ def letter_boundary(cc, letter, conv: Conventions = DEFAULT) -> dict:
 
 
 def _letter_entry(cc, letter, conv):
-    """A letter's boundary terms, as an immutable tuple, and whether it
-    flips the parity of the Leibniz prefix exponent."""
-    terms = tuple(letter_boundary(cc, letter, conv).items())
+    """A letter's boundary terms as tuples, with their signs and negated,
+    and the parity (0 or 1) it adds to the Leibniz prefix exponent."""
+    plus = tuple(letter_boundary(cc, letter, conv).items())
+    minus = tuple((t, -c) for t, c in plus)
     parity = letter_degree(letter) + (conv.leibniz_prefix == "reduced")
-    return terms, parity % 2 == 1
+    return plus, minus, parity % 2
 
 
 # The letter table of the most recent (complex, conventions) pair,
@@ -221,7 +213,8 @@ def word_boundary(cc, word, conv: Conventions = DEFAULT) -> dict:
 
     The terms of the letter in slot i carry the sign (-1)^e, where e is
     the degree of the prefix word[:i], plus its length under the reduced
-    prefix convention; e is kept as a running parity.
+    prefix convention; e is kept as a running parity, which picks the
+    letter's terms with that sign out of its table entry.
     """
     global _table
     table_cc, table_conv, entries, free = _table
@@ -232,34 +225,43 @@ def word_boundary(cc, word, conv: Conventions = DEFAULT) -> dict:
         return {}
     has_unit = UNIT_LETTER in word
     out = {}
-    odd = False
+    odd = 0
     for i, letter in enumerate(word):
         entry = entries.get(letter)
         if entry is None:
             entry = entries[letter] = _letter_entry(cc, letter, conv)
             if not entry[0]:
                 free.add(letter)
-        terms, flips = entry
+        terms = entry[odd]
         if terms:
             head, tail = word[:i], word[i + 1:]
             for t, c in terms:
                 w = head + t + tail
                 if has_unit:
                     w = normalize_word(w)
-                _add(out, w, -c if odd else c)
-        if flips:
-            odd = not odd
+                c += out.get(w, 0)
+                if c:
+                    out[w] = c
+                else:
+                    del out[w]
+        odd ^= entry[2]
     return out
 
 
 def dga_differential(cc, vector, conv: Conventions = DEFAULT) -> dict:
     """The differential on a vector (or single word) of the loop dga."""
+    if not vector:
+        return {}
     if isinstance(vector, tuple):
         vector = {vector: 1}
     out = {}
     for word, c in vector.items():
-        for w, cc2 in word_boundary(cc, word, conv).items():
-            _add(out, w, c * cc2)
+        for w, c2 in word_boundary(cc, word, conv).items():
+            c2 = out.get(w, 0) + c * c2
+            if c2:
+                out[w] = c2
+            else:
+                out.pop(w, None)
     return out
 
 
@@ -299,12 +301,9 @@ class LoopAlgebra:
         return {_product(x2, x1, self.conv): sign}
 
     def letters(self):
-        out = []
         top = self.cc.source.dimension()
-        for dim in range(1, top + 1):
-            for cell in self.cc.cells(dim=dim):
-                out.append(("tau", cell))
-        return out
+        return [("tau", cell) for dim in range(1, top + 1)
+                for cell in self.cc.cells(dim=dim)]
 
     def basis(self, max_weight: int):
         """All nonempty tau words of weight <= max_weight, sorted."""
@@ -329,7 +328,9 @@ def loop_words(cc, max_weight: int, conv: Conventions = DEFAULT):
     """Every word of the weight-capped loop dga, the unit included,
     sorted."""
     _check_cap(max_weight)
-    return [()] + LoopAlgebra(cc, conv).basis(max_weight)
+    words = LoopAlgebra(cc, conv).basis(max_weight)
+    words.insert(0, ())
+    return words
 
 
 def based_loop_complex(cc, max_weight: int,
@@ -463,8 +464,7 @@ def _t_residual(algebra, cell, normalize, census) -> dict:
                     census[t] = (plus, minus - c2)
             _add(out, t, c2)
     for face, cf in cc.boundary(cell).items():
-        for w, c in adams_T(cc, face, conv, normalize=normalize).items():
-            _add(out, w, -cf * c)
+        _axpy(out, adams_T(cc, face, conv, normalize=normalize), -cf)
     return out
 
 

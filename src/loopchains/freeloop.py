@@ -27,12 +27,9 @@ split signs.  Both packages verify; mixing them does not.
 from dataclasses import dataclass
 
 from .conventions import DEFAULT, Conventions
+from .exactalg import _axpy
 from .hochschild import (_add, _check_cap, bounded_words, hochschild_b,
                          hochschild_b_vector)
-
-
-def _sign(axis):
-    return 1 if axis == "plus" else -1
 
 
 def generator_degree(alg, gen) -> int:
@@ -58,28 +55,21 @@ def normalize(alg, chain, conv: Conventions = DEFAULT) -> dict:
     work = list(chain.items())
     while work:
         gen, c = work.pop()
-        if gen[0] == "iota":
-            _add(out, gen, c)
+        if gen[0] == "wedge" and len(gen[2]) != 1:
+            _, w1, w2 = gen
+            if w2:  # else a constant cargo loop: a degenerate cube
+                u, v = w2[:1], w2[1:]
+                e1, e2 = _split_exponents(conv, alg.degree(w1),
+                                          alg.degree(u), alg.degree(v))
+                work.append((("wedge", w1 + u, v), -c if e1 else c))
+                work.append((("wedge", v + w1, u), -c if e2 else c))
             continue
-        _, w1, w2 = gen
-        if not w2:  # constant cargo loop: degenerate cube
-            continue
-        if len(w2) == 1:
-            _add(out, gen, c)
-            continue
-        u, v = w2[:1], w2[1:]
-        e1, e2 = _split_exponents(conv, alg.degree(w1), alg.degree(u),
-                                  alg.degree(v))
-        work.append((("wedge", w1 + u, v), c * (-1) ** e1))
-        work.append((("wedge", v + w1, u), c * (-1) ** e2))
+        c += out.get(gen, 0)
+        if c:
+            out[gen] = c
+        else:
+            out.pop(gen, None)
     return out
-
-
-def _concat(alg, w1, w2):
-    cat = getattr(alg, "concat", None)
-    if cat is not None:
-        return cat(w1, w2)
-    return w1 + w2
 
 
 def loop_boundary(alg, chain, conv: Conventions = DEFAULT) -> dict:
@@ -92,6 +82,11 @@ def loop_boundary(alg, chain, conv: Conventions = DEFAULT) -> dict:
     package compatible with the comparison map; the four ``wedge_sign``
     axes multiply one group each, so any flipped axis is detectable.
     """
+    in_g = conv.iota_twist == "in_g"
+    concat = getattr(alg, "concat", tuple.__add__)
+    axes = [1 if axis == "plus" else -1
+            for axis in (conv.wedge_sign_left, conv.wedge_sign_right,
+                         conv.wedge_sign_cat, conv.wedge_sign_swap)]
     out = {}
     for gen, c in chain.items():
         if gen[0] == "iota":
@@ -100,27 +95,17 @@ def loop_boundary(alg, chain, conv: Conventions = DEFAULT) -> dict:
             continue
         _, w1, w2 = gen
         p, q = alg.degree(w1) % 2, alg.degree(w2) % 2
-        if conv.iota_twist == "in_g":
-            left, right = 1, (-1) ** p
-            cat = (-1) ** ((p + q) % 2)
-            swap = -((-1) ** ((p + q + p * q) % 2))
-        else:
-            left, right = (-1) ** q, 1
-            cat = (-1) ** ((p + q + p * q) % 2)
-            swap = -((-1) ** ((p + q) % 2))
-        left *= _sign(conv.wedge_sign_left)
-        right *= _sign(conv.wedge_sign_right)
-        cat *= _sign(conv.wedge_sign_cat)
-        swap *= _sign(conv.wedge_sign_swap)
+        # the base sign exponents of the left, right, cat and swap groups
+        base = (0, p, p ^ q, 1 ^ (p | q)) if in_g else (q, 0, p | q, 1 ^ p ^ q)
+        left, right, cat, swap = [-a if e else a for a, e in zip(axes, base)]
         raw = {}
         for w, cw in alg.mu1(w1).items():
             _add(raw, ("wedge", w, w2), cw * left)
         for w, cw in alg.mu1(w2).items():
             _add(raw, ("wedge", w1, w), cw * right)
-        _add(raw, ("iota", _concat(alg, w1, w2)), cat)
-        _add(raw, ("iota", _concat(alg, w2, w1)), swap)
-        for g, cg in normalize(alg, raw, conv).items():
-            _add(out, g, c * cg)
+        _add(raw, ("iota", concat(w1, w2)), cat)
+        _add(raw, ("iota", concat(w2, w1)), swap)
+        _axpy(out, normalize(alg, raw, conv), c)
     return out
 
 
@@ -133,17 +118,15 @@ def goodwillie_G(alg, words, conv: Conventions = DEFAULT) -> dict:
     """
     if isinstance(words, tuple):
         words = {words: 1}
-    out = {}
+    in_g = conv.iota_twist == "in_g"
+    out = {}  # distinct words give distinct generators: nothing to add up
     for word, c in words.items():
         if len(word) == 1:
-            _add(out, ("iota", word[0]),
-                 c * (-1) ** (alg.degree(word[0]) % 2))
+            out[("iota", word[0])] = -c if alg.degree(word[0]) % 2 else c
         elif len(word) == 2:
             a2, a1 = word
-            tw = 0
-            if conv.iota_twist == "in_g":
-                tw = (alg.degree(a2) * alg.degree(a1)) % 2
-            _add(out, ("wedge", a2, a1), -c * (-1) ** tw)
+            twisted = in_g and alg.degree(a2) * alg.degree(a1) % 2
+            out[("wedge", a2, a1)] = c if twisted else -c
     return normalize(alg, out, conv)
 
 
@@ -159,9 +142,7 @@ def g_residual(alg, word, conv: Conventions = DEFAULT) -> dict:
     res = goodwillie_G(alg, hochschild_b(alg, word,
                                          arity=conv.hochschild_arity), conv)
     s = (-1) ** (conv.g_parity_s % 2)
-    for g, c in loop_boundary(alg, goodwillie_G(alg, word, conv),
-                              conv).items():
-        _add(res, g, -s * c)
+    _axpy(res, loop_boundary(alg, goodwillie_G(alg, word, conv), conv), -s)
     return res
 
 

@@ -36,7 +36,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from random import Random
 
-from .exactalg import FreeComplex, HomologySummary, homology as _homology
+from .exactalg import (FreeComplex, HomologySummary, _axpy,
+                       homology as _homology)
 from .signkoszul import bullet_exponent
 
 
@@ -99,25 +100,25 @@ def hochschild_b(algebra, word, coeff=1, *, arity="argument_count",
         run.append(run[-1] + algebra.degree(x) + 1)
 
     def emit(prefix_word, vector, suffix_word, exponent):
-        sgn = -1 if exponent % 2 else 1
+        signed = -coeff if exponent % 2 else coeff
         for element, c in vector.items():
             w = prefix_word + (element,) + suffix_word
             if normalize and is_degenerate(algebra, w):
                 continue
-            _add(out, w, coeff * sgn * c)
+            c = out.get(w, 0) + signed * c
+            if c:
+                out[w] = c
+            else:
+                out.pop(w, None)
 
     # inner terms: mu_j eats slots i+1 .. i+j, 1 <= i+j < d; the sign
     # is maltese(1, i)
-    for i in range(0, d):
-        for j in (1, 2):
-            if not 1 <= i + j < d:
-                continue
-            prefix = word[:d - i - j]
-            suffix = word[d - i:]
-            if j == 1:
-                emit(prefix, algebra.mu1(a(i + 1)), suffix, run[i])
-            else:
-                emit(prefix, algebra.mu2(a(i + 2), a(i + 1)), suffix, run[i])
+    for i in range(d - 1):
+        suffix = word[d - i:]
+        emit(word[:d - i - 1], algebra.mu1(a(i + 1)), suffix, run[i])
+        if i + 2 < d:
+            emit(word[:d - i - 2], algebra.mu2(a(i + 2), a(i + 1)), suffix,
+                 run[i])
 
     # wrap terms: the product swallows a_d together with a_i..a_1, and
     # the skipped slots a_{i+j}..a_{i+1} become the tail of the output;
@@ -148,8 +149,7 @@ def hochschild_b(algebra, word, coeff=1, *, arity="argument_count",
 def hochschild_b_vector(algebra, vector, **kw):
     out = {}
     for word, c in vector.items():
-        for w, cc in hochschild_b(algebra, word, c, **kw).items():
-            _add(out, w, cc)
+        _axpy(out, hochschild_b(algebra, word, c, **kw), 1)
     return out
 
 
@@ -364,8 +364,7 @@ def cc_of_morphism(morphism: Morphism, word, coeff=1, *, normalize=True) -> dict
 def cc_of_morphism_vector(morphism: Morphism, vector, **kw) -> dict:
     out = {}
     for word, c in vector.items():
-        for w, cc in cc_of_morphism(morphism, word, c, **kw).items():
-            _add(out, w, cc)
+        _axpy(out, cc_of_morphism(morphism, word, c, **kw), 1)
     return out
 
 
@@ -389,9 +388,12 @@ def bounded_words(letters, weight, max_weight: int,
     extensions, and the extensions by an earlier letter before those by
     a later one.  Given sorted letters, the words come out sorted.  Each
     letter's weight is looked up once, into a table that lists, for
-    every room left under the cap, the letters that fit.  Every weight
-    must be >= 1, which keeps the set finite; a negative cap yields
-    nothing.
+    every room left under the cap, the letters that fit.  A node whose
+    children are all leaves (its length is one short of ``max_len``, or
+    its room is below twice the lightest weight) yields them at once as
+    a batch, in the same order, instead of pushing each on the stack.
+    Every weight must be >= 1, which keeps the set finite; a negative
+    cap yields nothing.
     """
     weighted = [(x, weight(x)) for x in letters]
     if any(w < 1 for _, w in weighted):
@@ -403,12 +405,17 @@ def bounded_words(letters, weight, max_weight: int,
     # last letter first, so that the stack pops the first letter next
     fits = [[((x,), room - w) for x, w in reversed(weighted) if w <= room]
             for room in range(max_weight + 1)]
+    leaves = [[x for x, _ in reversed(children)] for children in fits]
+    # below this room, no child of a node has room for a letter
+    leafy = 2 * min((w for _, w in weighted), default=max_weight + 1)
     stack = [((), max_weight)]
     while stack:
         word, room = stack.pop()
         yield word
-        if len(word) < max_len:
+        if len(word) + 1 < max_len and room >= leafy:
             stack.extend([(word + x, left) for x, left in fits[room]])
+        elif len(word) < max_len:
+            yield from map(word.__add__, leaves[room])
 
 
 def _check_cap(max_weight: int) -> None:

@@ -1,4 +1,4 @@
-"""Reference versions of five word routines, written the plain way.
+"""Reference versions of eight word routines, written the plain way.
 
 ``leibniz_word_boundary`` extends the letter boundary to words by
 recomputing every letter's boundary and every prefix degree at each
@@ -9,12 +9,18 @@ takes every sign of the cyclic bar differential from its own signkoszul
 call, summing the degrees of each run again.  ``sorted_basis`` sorts
 every bounded word instead of trusting the enumeration order.
 ``bucketed_hh_truncated`` enumerates every cyclic word at the cap and
-buckets the three degrees it needs, with no length bound.  All five are
-slow on purpose; the tests compare the fast routines against them.
+buckets the three degrees it needs, with no length bound.
+``dict_normalize``, ``dict_loop_boundary`` and ``dict_goodwillie_G`` are
+the free-loop normal form, boundary and comparison map with every term
+added through ``_add`` and every sign taken as a power of -1 where it is
+used.  All eight are slow on purpose; the tests compare the fast
+routines against them, the free-loop ones down to the insertion order of
+the dicts they return.
 """
 
 from loopchains.cobarloop import letter_boundary, normalize_word, word_degree
 from loopchains.exactalg import FreeComplex, HomologySummary, homology
+from loopchains.freeloop import _split_exponents
 from loopchains.hochschild import (TruncatedHomology, _add, bounded_words,
                                    cyclic_words, hochschild_b, is_degenerate,
                                    word_weight)
@@ -143,3 +149,86 @@ def signkoszul_hochschild_b(algebra, word, coeff=1, *,
                     continue
                 emit((), product, tail, sgn)
     return out
+
+
+def dict_normalize(alg, chain, conv):
+    out = {}
+    work = list(chain.items())
+    while work:
+        gen, c = work.pop()
+        if gen[0] == "iota":
+            _add(out, gen, c)
+            continue
+        _, w1, w2 = gen
+        if not w2:  # constant cargo loop: degenerate cube
+            continue
+        if len(w2) == 1:
+            _add(out, gen, c)
+            continue
+        u, v = w2[:1], w2[1:]
+        e1, e2 = _split_exponents(conv, alg.degree(w1), alg.degree(u),
+                                  alg.degree(v))
+        work.append((("wedge", w1 + u, v), c * (-1) ** e1))
+        work.append((("wedge", v + w1, u), c * (-1) ** e2))
+    return out
+
+
+def _concat(alg, w1, w2):
+    cat = getattr(alg, "concat", None)
+    if cat is not None:
+        return cat(w1, w2)
+    return w1 + w2
+
+
+def _axis_sign(axis):
+    return 1 if axis == "plus" else -1
+
+
+def dict_loop_boundary(alg, chain, conv):
+    out = {}
+    for gen, c in chain.items():
+        if gen[0] == "iota":
+            for w, cw in alg.mu1(gen[1]).items():
+                _add(out, ("iota", w), c * cw)
+            continue
+        _, w1, w2 = gen
+        p, q = alg.degree(w1) % 2, alg.degree(w2) % 2
+        if conv.iota_twist == "in_g":
+            left, right = 1, (-1) ** p
+            cat = (-1) ** ((p + q) % 2)
+            swap = -((-1) ** ((p + q + p * q) % 2))
+        else:
+            left, right = (-1) ** q, 1
+            cat = (-1) ** ((p + q + p * q) % 2)
+            swap = -((-1) ** ((p + q) % 2))
+        left *= _axis_sign(conv.wedge_sign_left)
+        right *= _axis_sign(conv.wedge_sign_right)
+        cat *= _axis_sign(conv.wedge_sign_cat)
+        swap *= _axis_sign(conv.wedge_sign_swap)
+        raw = {}
+        for w, cw in alg.mu1(w1).items():
+            _add(raw, ("wedge", w, w2), cw * left)
+        for w, cw in alg.mu1(w2).items():
+            _add(raw, ("wedge", w1, w), cw * right)
+        _add(raw, ("iota", _concat(alg, w1, w2)), cat)
+        _add(raw, ("iota", _concat(alg, w2, w1)), swap)
+        for g, cg in dict_normalize(alg, raw, conv).items():
+            _add(out, g, c * cg)
+    return out
+
+
+def dict_goodwillie_G(alg, words, conv):
+    if isinstance(words, tuple):
+        words = {words: 1}
+    out = {}
+    for word, c in words.items():
+        if len(word) == 1:
+            _add(out, ("iota", word[0]),
+                 c * (-1) ** (alg.degree(word[0]) % 2))
+        elif len(word) == 2:
+            a2, a1 = word
+            tw = 0
+            if conv.iota_twist == "in_g":
+                tw = (alg.degree(a2) * alg.degree(a1)) % 2
+            _add(out, ("wedge", a2, a1), -c * (-1) ** tw)
+    return dict_normalize(alg, out, conv)

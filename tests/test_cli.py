@@ -233,6 +233,21 @@ def test_certifiers_give_the_reasons_of_the_full_verifiers(monkeypatch):
             "chain condition fails over the 2-sphere algebra"} <= reasons
 
 
+def test_stage_one_builds_its_words_once_per_workspace(monkeypatch):
+    # the loop words and seeded words stage one checks do not depend on
+    # the conventions; 32 of the 128 assignments reach the first of them
+    calls = []
+    for name in ("loop_words", "random_dga"):
+        def counting(*args, real=getattr(cli, name), name=name):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(cli, name, counting)
+    conv, _ = resolve_conventions(FIXTURES)
+    assert conv == DEFAULT
+    assert sorted(calls) == ["loop_words"] + ["random_dga"] * 3
+
+
 def test_sweep_rejects_domain_errors_and_lets_other_errors_through():
     fixed = {name: getattr(DEFAULT, name) for name in STAGE_ONE}
     wanted = {name: getattr(DEFAULT, name) for name in STAGE_TWO}

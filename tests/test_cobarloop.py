@@ -16,7 +16,7 @@ from loopchains.cobarloop import (
 )
 from loopchains.conventions import CHOICES, DEFAULT
 from loopchains.exactalg import homology, validate_complex
-from loopchains.hochschild import cyclic_words, hochschild_b
+from loopchains.hochschild import _add, cyclic_words, hochschild_b
 from loopchains.simpcx import SimplicialComplex, collapse, load_complex
 
 from oracle_words import leibniz_word_boundary, sorted_basis
@@ -364,6 +364,45 @@ def test_word_boundary_caches_no_failure_and_hands_out_fresh_dicts(sphere2):
     for word in ((T12, q), (q, T12)):
         with pytest.raises(BoundaryUndefinedError, match="corner"):
             word_boundary(sphere2, word)
+
+
+def _leibniz_vector(cc, vector, conv):
+    """The Leibniz reference extended linearly to a vector."""
+    out = {}
+    for word, c in vector.items():
+        for w, c2 in leibniz_word_boundary(cc, word, conv).items():
+            _add(out, w, c * c2)
+    return out
+
+
+@pytest.mark.parametrize("conv", (DEFAULT, DEFAULT.flip("leibniz_prefix")))
+def test_dga_differential_matches_the_leibniz_reference_twice(sphere2, conv):
+    # d and d.d against the reference; under the flipped prefix d.d does
+    # not vanish on words with two letters that split, such as T123.T123,
+    # so both sides have terms to agree on
+    words = LoopAlgebra(sphere2).basis(4)
+    rng = Random(11)
+    # the unit term of the edge pair letter P comes out of either slot of
+    # P.P, with opposite signs under the ledger: those terms cancel
+    P = ("pi2", (1, 2), (2, 1))
+    assert ((P,) in word_boundary(sphere2, (P, P), conv)) == (conv != DEFAULT)
+    vectors = [{}, {(): 3}, {(T12, T123): -2}, {(P, P): 1, (T123, P): -1}]
+    vectors += [{w: rng.choice((-2, -1, 1, 3)) for w in rng.sample(words, 4)}
+                for _ in range(30)]
+    # the boundary of a word: under the ledger its own terms cancel
+    vectors += [word_boundary(sphere2, w, conv) for w in words[::3]]
+    dd_terms = 0
+    for vector in vectors:
+        once = dga_differential(sphere2, vector, conv)
+        assert once == _leibniz_vector(sphere2, vector, conv)
+        twice = dga_differential(sphere2, once, conv)
+        assert twice == _leibniz_vector(sphere2, once, conv)
+        dd_terms += len(twice)
+    assert (dd_terms == 0) == (conv == DEFAULT)
+    # a single word passes as a tuple, the unit word among them
+    for word in ((), (T12,), (T12, T123), (P, P), words[-1]):
+        assert dga_differential(sphere2, word, conv) == \
+            leibniz_word_boundary(sphere2, word, conv)
 
 
 # -- the comparison map --------------------------------------------------------

@@ -14,7 +14,8 @@ from loopchains.freeloop import (
 from loopchains.hochschild import bounded_words, hochschild_b
 from loopchains.simpcx import collapse, load_complex
 
-from oracle_words import sorted_basis
+from oracle_words import (dict_goodwillie_G, dict_loop_boundary,
+                          dict_normalize, sorted_basis)
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -243,6 +244,58 @@ def test_residual_generator_matches_the_verifier(axis):
         failing += len(v.failures)
     # both twist packages verify (see test_both_twist_packages_verify)
     assert (failing == 0) == (axis in (None, "iota_twist"))
+
+
+def _in_order(chain):
+    return list(chain.items())
+
+
+@pytest.mark.parametrize("conv", (DEFAULT, IN_BOUNDARY))
+def test_G_path_matches_the_dict_oracle_on_every_rp2_word(conv):
+    # every word G is checked on, in both twist packages; the dicts must
+    # agree down to their insertion order
+    alg = LoopAlgebra(collapse(load_complex(FIXTURES / "rp2.json")), conv)
+    count = 0
+    for word in bounded_words(alg.basis(3), alg.weight, 3, 2):
+        word = word or (alg.unit(),)
+        image = goodwillie_G(alg, word, conv)
+        assert _in_order(image) == \
+            _in_order(dict_goodwillie_G(alg, word, conv))
+        assert _in_order(loop_boundary(alg, image, conv)) == \
+            _in_order(dict_loop_boundary(alg, image, conv))
+        b = hochschild_b(alg, word, arity=conv.hochschild_arity)
+        assert _in_order(goodwillie_G(alg, b, conv)) == \
+            _in_order(dict_goodwillie_G(alg, b, conv))
+        count += 1
+    assert count == 3621
+
+
+@pytest.mark.parametrize("axis", (None,) + G_AXES)
+def test_G_path_matches_the_dict_oracle_on_seeded_wedges(sphere_alg, axis):
+    # wedges whose cargo is one or two basis words and whose first slot
+    # is a basis word or empty, summed into chains whose terms can
+    # cancel, under the ledger and each single flip of a free-loop entry
+    conv = DEFAULT if axis is None else DEFAULT.flip(axis)
+    rng = Random(3)
+    slots = sphere_alg.basis(3)
+    for _ in range(60):
+        chain = {}
+        for _ in range(rng.randint(1, 3)):
+            w1 = rng.choice(slots + [()])
+            w2 = rng.choice(slots) + rng.choice(((), rng.choice(slots)))
+            chain[("wedge", w1, w2)] = rng.choice((-2, -1, 1, 2))
+        chain[("iota", rng.choice(slots))] = rng.choice((-1, 1))
+        normal = normalize(sphere_alg, chain, conv)
+        assert _in_order(normal) == \
+            _in_order(dict_normalize(sphere_alg, chain, conv))
+        for gens in (chain, normal):
+            assert _in_order(loop_boundary(sphere_alg, gens, conv)) == \
+                _in_order(dict_loop_boundary(sphere_alg, gens, conv))
+        words = {gen[1:]: c for gen, c in normal.items()
+                 if gen[0] == "wedge" and gen[1]}
+        words.update({(w,): 1 for w in slots[:5]})
+        assert _in_order(goodwillie_G(sphere_alg, words, conv)) == \
+            _in_order(dict_goodwillie_G(sphere_alg, words, conv))
 
 
 def test_a_negative_weight_cap_is_refused(circle_alg):

@@ -1,4 +1,4 @@
-from itertools import product as iproduct
+from itertools import islice, product as iproduct
 from random import Random
 
 import pytest
@@ -331,10 +331,40 @@ def test_bounded_words_match_brute_force(weights):
             assert got == sorted(got, key=lambda w: [position[x] for x in w])
 
 
+@settings(deadline=None, max_examples=150)
+@given(st.dictionaries(st.sampled_from("abcdefg"), st.integers(1, 4),
+                       max_size=4).flatmap(
+           lambda weights: st.tuples(st.just(weights),
+                                     st.permutations(sorted(weights)))),
+       st.integers(-1, 6), st.one_of(st.none(), st.integers(0, 4)))
+def test_bounded_words_come_in_exact_preorder(drawn, max_weight, max_len):
+    # preorder over the letters as given is the order of their position
+    # lists: a word before its extensions, an earlier letter first
+    weights, letters = drawn
+    position = {x: i for i, x in enumerate(letters)}
+    got = list(bounded_words(letters, weights.get, max_weight, max_len))
+    assert got == sorted(brute_force_words(weights, max_weight, max_len),
+                         key=lambda w: [position[x] for x in w])
+
+
 def test_bounded_words_is_lazy():
     words = bounded_words(["a", "b"], lambda x: 1, 40)
     assert next(words) == ()
     assert len(next(words)) == 1
+
+
+def test_bounded_words_is_lazy_at_leafy_nodes():
+    # every child of the root is a leaf under max_len 1
+    words = bounded_words(["a", "b"], lambda x: 1, 40, max_len=1)
+    assert next(words) == ()
+    assert list(words) == [("a",), ("b",)]
+    # a^39 is the first node with room for one letter only; the words
+    # after its batch still come one at a time out of 2^41 - 1
+    head = list(islice(bounded_words(["a", "b"], lambda x: 1, 40), 45))
+    a, b = ("a",), ("b",)
+    assert head[:41] == [a * n for n in range(41)]
+    assert head[41:] == [a * 39 + b, a * 38 + b, a * 38 + b + a,
+                         a * 38 + b + b]
 
 
 def test_weight_zero_letter_is_rejected():
