@@ -25,7 +25,9 @@ On top of the representation:
   above and probed through every breakpoint only where refuted;
 * a comparison of the homology of the span of a finite face-closed cube
   family against the homology after dividing out concatenation and
-  transposition relations.
+  transposition relations: this module enumerates the relations and
+  matches cubes to generators up to map equality, and
+  exactalg.quotient_homology does the lattice algebra.
 
 Exactness dictates one representational rule used throughout: a sampled
 construction is trusted only when every grid cell of the result maps onto a
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-from .exactalg import FreeComplex, IntMatrix, homology, smith_normal_form
+from .exactalg import FreeComplex, homology, quotient_homology
 from .simpcx import ParseError, _positive_grading, parse_complex
 
 ZERO = Fraction(0)
@@ -979,14 +981,11 @@ class QuotientComparison:
 
     @property
     def agree(self) -> bool:
-        zero = (0, ())
-        for n in set(self.plain) | set(self.quotient):
-            p = self.plain.get(n)
-            q = self.quotient.get(n)
-            if ((p.rank, p.torsion) if p else zero) != \
-                    ((q.rank, q.torsion) if q else zero):
-                return False
-        return True
+        """The same groups in every degree, a missing degree being zero."""
+        def groups(h):
+            return {n: (s.rank, s.torsion) for n, s in h.items()
+                    if s.rank or s.torsion}
+        return groups(self.plain) == groups(self.quotient)
 
 
 def _find_generator(cube, gens, index):
@@ -1002,18 +1001,19 @@ def _find_generator(cube, gens, index):
     return None
 
 
-def quotient_homology_compare(family, *, level=HALF) -> QuotientComparison:
+def quotient_homology_compare(family) -> QuotientComparison:
     """Compare the homology of the chain complex spanned by a face-closed
     cube family with the homology after dividing out the concatenation and
     transposition relations among its members.
 
     Relations enumerated (never discovered): for every ordered fitting pair
     of same-dimension nondegenerate members, first + second minus their
-    concatenation at ``level``; for every member of dimension 2 and up and
-    every adjacent axis pair, the member plus its transposition.  Derived
-    cubes that are not already members extend the quotient-side basis, along
-    with their faces.  The quotient homology is read off the mapping cone of
-    the inclusion of the relation lattice, so torsion is respected.
+    concatenation at the constant level 1/2; for every member and adjacent
+    axis pair, the member plus its transposition.  Derived cubes that match
+    no generator as maps extend the basis, along with their faces.  The
+    complex on all generators is built once: the span is its restriction
+    to the members, and exactalg.quotient_homology divides out the
+    relations, so torsion is respected.
     """
     cubes = list(family.cubes) if isinstance(family, CubeFamily) else list(family)
     if not cubes:
@@ -1022,39 +1022,32 @@ def quotient_homology_compare(family, *, level=HALF) -> QuotientComparison:
         raise GeometryError("family mixes targets")
     if len({c.ambient for c in cubes}) > 1:
         raise GeometryError("family mixes ambient dimensions")
-    members = []
-    for c in cubes:
-        if not c.is_degenerate and c not in members:
-            members.append(c)
+    members = list(dict.fromkeys(c for c in cubes if not c.is_degenerate))
     if not members:
         raise ValueError("family has no nondegenerate cubes")
-    # the generators by dimension, every dimension up to the top listed so
-    # that from_basis asks for the faces of every cube; members first,
-    # derived cubes appended as the relations resolve them
+    # the generators by dimension, every dimension up to the top listed;
+    # members first, derived cubes appended as the relations resolve them
     top = max(c.dim for c in members)
-    gens = {n: [] for n in range(top + 1)}
-    index = {n: {} for n in gens}
-    for c in members:
-        index[c.dim][c] = len(gens[c.dim])
-        gens[c.dim].append(c)
-    by_dim = {n: list(gs) for n, gs in gens.items()}
+    by_dim = {n: [c for c in members if c.dim == n] for n in range(top + 1)}
+    gens = {n: list(gs) for n, gs in by_dim.items()}
+    index = {n: {c: j for j, c in enumerate(gs)} for n, gs in gens.items()}
 
     def faces(cube):
-        # the boundary of a generator as {position one dimension down: coeff}
-        n = cube.dim
+        # the one face rule: each nondegenerate face, matched to a generator
+        # one dimension down, with sign (-1)**(k + eps)
+        gs, ix = gens[cube.dim - 1], index[cube.dim - 1]
         out = {}
         for k, eps, f in _signed_faces(cube):
-            j = _find_generator(f, gens[n - 1], index[n - 1])
+            j = _find_generator(f, gs, ix)
             if j is None:
                 raise ValueError(f"family not face-closed: face {k}({eps}) of a "
-                                 f"{n}-cube has no match")
-            out[j] = out.get(j, 0) + (-1) ** (k + eps)
+                                 f"{cube.dim}-cube has no match")
+            out[gs[j]] = out.get(gs[j], 0) + (-1) ** (k + eps)
         return out
 
-    plain = FreeComplex.from_basis(
-        {-n: gens[n] for n in gens},
-        lambda c: {gens[c.dim - 1][j]: v for j, v in faces(c).items()})
-    plain_h = _positive_grading(homology(plain))
+    for n in range(1, top + 1):  # the members, before a relation adds a face
+        for c in by_dim[n]:
+            faces(c)
 
     def resolve(cube):
         gs, ix = gens[cube.dim], index[cube.dim]
@@ -1064,87 +1057,36 @@ def quotient_homology_compare(family, *, level=HALF) -> QuotientComparison:
             gs.append(cube)
             for _, _, f in _signed_faces(cube):
                 resolve(f)
-        return j
+        return gs[j]
 
     def relation(*terms):
         vec = {}
         for cube, coeff in terms:
-            j = resolve(cube)
-            vec[j] = vec.get(j, 0) + coeff
+            if not cube.is_degenerate:  # zero in the normalized chains
+                g = resolve(cube)
+                vec[g] = vec.get(g, 0) + coeff
         return vec
 
     relations = {}
     concat_count = 0
     transpose_count = 0
     for n in range(1, top + 1):
-        for a in by_dim[n]:
-            for b in by_dim[n]:
-                if not fits(a, b):
-                    continue
-                cat = concat_f(a, b, level)
-                terms = [(a, 1), (b, 1)]
-                if not cat.is_degenerate:
-                    terms.append((cat, -1))
-                relations.setdefault(n, []).append(relation(*terms))
+        rels = relations[-n] = []
+        for a, b in product(by_dim[n], repeat=2):
+            if fits(a, b):
+                rels.append(relation((a, 1), (b, 1), (concat_f(a, b, HALF), -1)))
                 concat_count += 1
-        if n >= 2:
-            for m in by_dim[n]:
-                for k in range(1, n):
-                    relations.setdefault(n, []).append(
-                        relation((m, 1), (transpose(m, k), 1)))
-                    transpose_count += 1
+        for m in by_dim[n]:
+            for k in range(1, n):
+                rels.append(relation((m, 1), (transpose(m, k), 1)))
+                transpose_count += 1
 
-    # the relation lattice R_n from the Smith form U M V = D of the relation
-    # matrix M: its basis is the nonzero columns of M V, and a chain y has
-    # coordinates (U y)_i / d_i in it when every division is exact and U y
-    # vanishes past the rank
-    lattice = {}
-    forms = {}
-    for n, vecs in relations.items():
-        m = IntMatrix(len(gens[n]), len(vecs))
-        for col, vec in enumerate(vecs):
-            for j, coeff in vec.items():
-                m[j, col] = coeff
-        s = forms[n] = smith_normal_form(m)
-        image = m @ s.right
-        lattice[n] = [image.column(i) for i in range(s.rank)]
-
-    def coordinates(n, y):
-        s = forms.get(n)
-        uy = s.left.apply(y) if s else y
-        d = s.diagonal[:s.rank] if s else ()
-        if any(uy[len(d):]) or any(x % di for x, di in zip(uy, d)):
-            raise ValueError("relations are not closed under the boundary")
-        return [x // di for x, di in zip(uy, d)]
-
-    # mapping cone of the relation inclusion: Cone_n = C_n (+) R_{n-1},
-    # d(c, r) = (dc + r, -dr); its homology is the quotient's
-    def cone_boundary(x):
-        if x[0] == "c":
-            cube = x[1]
-            return {("c", gens[cube.dim - 1][j]): v for j, v in faces(cube).items()}
-        _, n, i = x
-        r = lattice[n][i]
-        out = {("c", gens[n][j]): v for j, v in enumerate(r) if v}
-        dr = [0] * len(gens[n - 1])
-        for j, v in enumerate(r):
-            if v:
-                for jj, w in faces(gens[n][j]).items():
-                    dr[jj] += v * w
-        for ii, v in enumerate(coordinates(n - 1, dr)):
-            out[("r", n - 1, ii)] = -v
-        return out
-
-    cone = FreeComplex.from_basis(
-        {-n: [("c", c) for c in gens.get(n, [])]
-             + [("r", n - 1, i) for i in range(len(lattice.get(n - 1, [])))]
-         for n in range(top + 2)},
-        cone_boundary)
-    quot_h = _positive_grading(homology(cone))
-
-    return QuotientComparison(plain=plain_h, quotient=quot_h,
-                              concat_relations=concat_count,
-                              transpose_relations=transpose_count)
+    whole = FreeComplex.from_basis({-n: gens[n] for n in gens}, faces)
+    plain = whole.restrict({-n: by_dim[n] for n in by_dim})
+    return QuotientComparison(
+        plain=_positive_grading(homology(plain)),
+        quotient=_positive_grading(quotient_homology(whole, relations)),
+        concat_relations=concat_count, transpose_relations=transpose_count)
 
 
 @dataclass(frozen=True)

@@ -708,7 +708,7 @@ SUITES = {s.name: s for s in (
     Suite("boxquot", _suite_boxquot, frozenset({
         "boxquot.face", "boxquot.transpose", "boxquot.concat_f",
         "boxquot.box_slash", "boxquot.box_dot",
-        "boxquot.quotient_homology_compare"})),
+        "boxquot.quotient_homology_compare", "exactalg.quotient_homology"})),
 )}
 
 

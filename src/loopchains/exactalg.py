@@ -1,11 +1,14 @@
 """Exact integer linear algebra over Z.
 
 Smith normal form, free (co)chain complexes, integral homology with
-torsion, and chain map verification.  Everything is exact: entries are
-Python ints, there is no floating point anywhere.  Every complex in
-the package is assembled by one constructor, FreeComplex.from_basis,
-from a graded basis and a boundary rule, or restricted from one so
-built to a sub-basis.
+torsion, the homology of a quotient by a subcomplex, and chain map
+verification.  Everything is exact: entries are Python ints, there is
+no floating point anywhere.  Every complex in the package is assembled
+by one constructor, FreeComplex.from_basis, from a graded basis and a
+boundary rule, or read out of the matrices of one so built: restricted
+to a sub-basis, or divided by the lattice its relations span, through
+a mapping cone whose lattice bases and coordinates come from the Smith
+form with transforms.
 
 The Smith normal form is one sparse elimination kernel.  Its pivots are
 the +-1 entries first, cheapest by Markowitz cost, then the entries of
@@ -594,6 +597,66 @@ def homology(c: FreeComplex) -> dict:
                         if d > 1)
         out[n] = HomologySummary(degree=n, rank=free, torsion=torsion)
     return out
+
+
+def _lattice(m: IntMatrix):
+    """A basis of the lattice spanned by the columns of ``m``, and the
+    coordinates of a vector in it, None for a vector outside it.
+
+    From U M V = D: the basis is the nonzero columns of M V, and y has
+    coordinates (U y)_i / d_i when each division is exact and U y
+    vanishes past the rank.
+    """
+    s = smith_normal_form(m)
+    image = m @ s.right
+    d = s.diagonal[:s.rank]
+
+    def coordinates(y):
+        uy = s.left.apply(y)
+        if any(uy[len(d):]) or any(x % di for x, di in zip(uy, d)):
+            return None
+        return [x // di for x, di in zip(uy, d)]
+
+    return [image.column(i) for i in range(s.rank)], coordinates
+
+
+def quotient_homology(c: FreeComplex, relations: dict) -> dict:
+    """Integral homology of C / R, for R spanned by ``relations``: degree
+    n -> vectors {basis element: coeff} over the basis ``c`` was built on.
+
+    R must be closed under the differential, or this raises ValueError.
+    C / R can have torsion where C has none, so its homology is read off
+    the mapping cone of R -> C, on a lattice basis of each R^n, with the
+    boundary built into ``c``: Cone^n = C^n + R^(n+1), d(x, r) =
+    (dx + r, -dr).  The result is ``homology`` of the cone, so it lists
+    every degree where C^n or R^(n+1) is nonzero.
+    """
+    basis, coordinates = {}, {}
+    for n in sorted(set(c.dims) | set(relations)):
+        index = {x: i for i, x in enumerate(c.bases.get(n, ()))}
+        vectors = relations.get(n, ())
+        m = IntMatrix(c.dim(n), len(vectors))
+        for col, vec in enumerate(vectors):
+            for x, v in vec.items():
+                if x not in index:
+                    raise ValueError(f"{x!r} is not in the basis of degree {n}")
+                m[index[x], col] = v
+        basis[n], coordinates[n] = _lattice(m)
+    dims = {n: c.dim(n) + len(basis.get(n + 1, ()))
+            for n in set(c.dims) | {n - 1 for n in basis}}
+    diffs = {}
+    for n in dims:
+        m = diffs[n] = IntMatrix(dims.get(n + 1, 0), dims[n], c.diff(n).entries)
+        for i, r in enumerate(basis.get(n + 1, ())):
+            dr = c.diff(n + 1).apply(r)  # empty when C^(n+2) is
+            coords = coordinates[n + 2](dr) if dr else []
+            if coords is None:
+                raise ValueError("relations are not closed under the boundary")
+            col = c.dim(n) + i
+            m.entries.update({(j, col): v for j, v in enumerate(r) if v})
+            m.entries.update({(c.dim(n + 1) + k, col): -v
+                              for k, v in enumerate(coords) if v})
+    return homology(FreeComplex(dims, diffs))
 
 
 def chain_map_check(f: dict, source: FreeComplex, target: FreeComplex,

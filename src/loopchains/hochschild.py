@@ -240,7 +240,7 @@ class TableDGA:
         return True
 
 
-def random_dga(seed: int, max_generators: int = 5) -> TableDGA:
+def random_dga(seed: int) -> TableDGA:
     """A random layered quiver dga: exact by construction.
 
     Vertices sit on a line; short edges (one step) carry random degrees
@@ -255,19 +255,14 @@ def random_dga(seed: int, max_generators: int = 5) -> TableDGA:
     """
     rng = Random(seed)
     v = rng.choice((3, 4))
-    gens = {}
     degrees = {}
     # short edges i -> i+1
     for i in range(v - 1):
         name = f"e{i}{i + 1}"
-        gens[name] = (i, i + 1)
         degrees[name] = rng.randint(-2, 1)
-    # a few long edges i -> i+2
+    # long edges i -> i+2
     for i in range(v - 2):
-        if len(gens) >= max_generators:
-            break
         name = f"e{i}{i + 2}"
-        gens[name] = (i, i + 2)
         a = degrees[f"e{i}{i + 1}"]
         b = degrees[f"e{i + 1}{i + 2}"]
         degrees[name] = a + b - 1  # so the two-step path is one higher
@@ -275,8 +270,6 @@ def random_dga(seed: int, max_generators: int = 5) -> TableDGA:
     differential = {}
     for i in range(v - 2):
         long = f"e{i}{i + 2}"
-        if long not in gens:
-            continue
         lam = rng.choice((-2, -1, 1, 2))
         # d(long) = lam * (short_i . short_{i+1}): realized by making the
         # two-step product land on a fresh degree-matched target

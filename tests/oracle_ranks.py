@@ -3,10 +3,13 @@ elimination over Q (with Fraction) and over Z/p, reading the matrix
 densely and sharing nothing with the Smith normal form kernel.
 
 Over Q the rank is the number of nonzero elementary divisors; over Z/p
-it is the number of elementary divisors not divisible by p.
+it is the number of elementary divisors not divisible by p.  The rank
+of a quotient complex's homology over Q is read off such ranks too.
 """
 
 from fractions import Fraction
+
+from loopchains.exactalg import IntMatrix
 
 
 def rank_q(m):
@@ -40,3 +43,33 @@ def rank_p(m, p):
                 mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[rank])]
         rank += 1
     return rank
+
+
+def quotient_ranks_q(c, relations):
+    """Rational ranks of H(C / R), degree by degree over the degrees of C,
+    for R spanned by ``relations`` ({degree: [{basis element: coeff}]}):
+
+        dim C^n - rank R^n - rank dbar_n - rank dbar_(n-1),
+
+    where dbar_n : C^n / R^n -> C^(n+1) / R^(n+1) has rank
+    rank [d_n | R^(n+1)] - rank R^(n+1).  Only rank_q eliminates.
+    """
+    def with_relations(n, left):
+        # the columns of ``left`` (rows indexed by the basis of degree n),
+        # then one column per relation of degree n
+        index = {x: i for i, x in enumerate(c.bases.get(n, ()))}
+        m = IntMatrix(c.dim(n), left.cols + len(relations.get(n, ())),
+                      left.entries)
+        for j, vec in enumerate(relations.get(n, ()), left.cols):
+            for x, v in vec.items():
+                m[index[x], j] = v
+        return m
+
+    def rank_r(n):
+        return rank_q(with_relations(n, IntMatrix(c.dim(n), 0)))
+
+    def rank_dbar(n):
+        return rank_q(with_relations(n + 1, c.diff(n))) - rank_r(n + 1)
+
+    return {n: c.dim(n) - rank_r(n) - rank_dbar(n) - rank_dbar(n - 1)
+            for n in c.dims}

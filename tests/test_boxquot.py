@@ -757,6 +757,43 @@ def test_relations_must_be_closed_under_the_boundary():
         quotient_homology_compare(face_closure([a, b]))
 
 
+def test_member_faces_are_checked_before_any_relation():
+    # the same family with face 2(0) of a dropped has two faults: that
+    # face has no match, and the relations are not closed.  The face is
+    # also a face of a*b, so a relation enumerated first would add it back
+    a = PLCube(((0, 1), (0, 1)), {(0, 0): (0, 0), (1, 0): (1, 0),
+                                  (0, 1): (0, 0), (1, 1): (1, 1)})
+    b = PLCube(((0, 1), (0, 1)), {(0, 0): (0, 0), (1, 0): (1, 1),
+                                  (0, 1): (0, 1), (1, 1): (1, 1)})
+    dropped = face(a, 2, 0)
+    assert pl_equal(face(concat_f(a, b, F(1, 2)), 2, 0), dropped)
+    family = [c for c in face_closure([a, b]) if not pl_equal(c, dropped)]
+    with pytest.raises(ValueError, match=r"family not face-closed: face "
+                                         r"2\(0\) of a 2-cube has no match"):
+        quotient_homology_compare(family)
+    # members are taken in dimension order: a 1-cube's missing face first
+    family = [c for c in family if c != face(dropped, 1, 0)]
+    with pytest.raises(ValueError, match=r"face 1\(0\) of a 1-cube"):
+        quotient_homology_compare(family)
+
+
+def test_a_concatenation_matches_its_alias_on_a_coarser_grid():
+    # concatenating 0->1/2 and 1/2->1 at 1/2 gives the segment 0->1 as a
+    # map, on the grid (0, 1/2, 1).  Matched by map equality, the relation
+    # kills the loop of the three segments; matched by data alone, the
+    # concatenation would be a new generator and H_1 = Z would survive
+    points = [PLCube.constant(0, (x,)) for x in (0, F(1, 2), 1)]
+    segments = [PLCube(((0, 1),), {(0,): (lo,), (1,): (hi,)})
+                for lo, hi in ((0, F(1, 2)), (F(1, 2), 1), (0, 1))]
+    cat = concat_f(segments[0], segments[1], F(1, 2))
+    assert cat != segments[2] and pl_equal(cat, segments[2])
+    cmp = quotient_homology_compare(points + segments)
+    assert cmp.concat_relations == 1 and cmp.transpose_relations == 0
+    assert table(cmp.plain) == {0: (1, ()), 1: (1, ())}
+    assert table(cmp.quotient) == {0: (1, ()), 1: (0, ()), 2: (0, ())}
+    assert not cmp.agree
+
+
 def test_shipped_families_satisfy_the_transposition_cancellation():
     for name in ("point_cubes.json", "circle_cubes.json",
                  "figure_eight_cubes.json"):

@@ -48,7 +48,7 @@ def test_verify_all_passes_at_seed_7():
     for name in ("ledger", "signs", "cobar", "t_chain_map", "hochschild",
                  "freeloop", "s1", "boxquot"):
         assert f"{name}: pass" in out
-    assert "coverage: pass (37 operations)" in out
+    assert "coverage: pass (38 operations)" in out
 
 
 def test_unknown_subcommand_exits_2():
@@ -433,8 +433,8 @@ def test_suite_covers_are_public_callables_claimed_once():
         for op in suite.covers:
             assert op not in claimed, f"{op} claimed twice"
             claimed[op] = suite.name
-    assert len(claimed) == 37
-    assert _coverage_problems() == ([], 37)
+    assert len(claimed) == 38
+    assert _coverage_problems() == ([], 38)
 
 
 def test_every_module_contributes_operations():
@@ -470,4 +470,4 @@ def test_coverage_audit_rejects_a_renamed_cover_and_a_silent_module(monkeypatch)
     problems, count = _coverage_problems()
     assert problems == ["boxquot.box_dots: no such operation",
                         "cli: no operation covered"]
-    assert count == 36
+    assert count == 37

@@ -1,4 +1,5 @@
 from itertools import combinations
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -13,12 +14,17 @@ from loopchains.exactalg import (
     chain_map_check,
     det,
     homology,
+    quotient_homology,
     rank,
     smith_normal_form,
     validate_complex,
 )
+from loopchains.simpcx import chain_complex, load_complex
 
-from oracle_ranks import rank_p, rank_q
+from oracle_ranks import quotient_ranks_q, rank_p, rank_q
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+COMPLEXES = ("s1_3", "boundary_delta3", "torus_7", "rp2")
 
 
 # frozen Smith normal form examples, worked by hand
@@ -266,6 +272,67 @@ def test_restrict_needs_a_sub_basis_of_a_built_complex():
         whole.restrict({2: []})
     with pytest.raises(ValueError, match="built by from_basis"):
         FreeComplex({0: 1}, {}).restrict({0: []})
+
+
+def _fixture_complex(name):
+    return chain_complex(load_complex(FIXTURES / f"{name}.json"))
+
+
+def _table(summaries):
+    return {n: (s.rank, s.torsion) for n, s in summaries.items()}
+
+
+def _closed_relations(c, rng, count):
+    # ``count`` seeded chains v, each with its boundary d v: a subcomplex
+    relations = {}
+    for _ in range(count):
+        n = rng.choice(sorted(c.dims))
+        cells = rng.sample(c.bases[n], min(3, c.dim(n)))
+        v = {x: rng.choice((-2, -1, 1, 2, 3)) for x in cells}
+        dv = c.diff(n).apply([v.get(x, 0) for x in c.bases[n]])
+        relations.setdefault(n, []).append(v)
+        if any(dv):
+            relations.setdefault(n + 1, []).append(
+                {y: k for y, k in zip(c.bases[n + 1], dv) if k})
+    return relations
+
+
+@pytest.mark.parametrize("name", COMPLEXES)
+def test_quotient_homology_ranks_against_the_rational_oracle(name):
+    c = _fixture_complex(name)
+    rng = Random(f"quotient {name}")
+    for count in (1, 1, 2, 3, 5, 8):
+        relations = _closed_relations(c, rng, count)
+        got = quotient_homology(c, relations)
+        want = quotient_ranks_q(c, relations)
+        assert set(c.dims) <= set(got)
+        assert {n: s.rank for n, s in got.items()} == \
+            {n: want.get(n, 0) for n in got}, relations
+
+
+@pytest.mark.parametrize("name", COMPLEXES)
+def test_quotient_homology_by_nothing_or_everything(name):
+    c = _fixture_complex(name)
+    assert quotient_homology(c, {}) == homology(c)
+    everything = {n: [{x: 1} for x in c.bases[n]] for n in c.dims}
+    assert set(_table(quotient_homology(c, everything)).values()) == {(0, ())}
+
+
+def test_quotient_homology_keeps_torsion_of_a_one_cell_relation():
+    c = FreeComplex.from_basis({0: ["x"]}, lambda x: {})
+    assert _table(quotient_homology(c, {0: [{"x": 2}]})) == \
+        {-1: (0, ()), 0: (0, (2,))}
+
+
+def test_quotient_homology_needs_a_subcomplex_over_the_basis():
+    c = _fixture_complex("s1_3")
+    edge = c.bases[-1][0]
+    with pytest.raises(ValueError,
+                       match="relations are not closed under the boundary"):
+        quotient_homology(c, {-1: [{edge: 1}]})
+    with pytest.raises(ValueError, match=r"\(9,\) is not in the basis of "
+                                         r"degree 0"):
+        quotient_homology(c, {0: [{(9,): 1}]})
 
 
 def test_chain_map_identity_and_sign():
