@@ -39,9 +39,9 @@ and say so when they refuse.
 
 import json
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from typing import NamedTuple
 
 from .exactalg import FreeComplex, homology, quotient_homology
 from .simpcx import ParseError, _positive_grading, parse_complex
@@ -507,8 +507,7 @@ def boundary(x) -> CubicalChain:
     return CubicalChain(acc)
 
 
-@dataclass(frozen=True)
-class EqualityVerdict:
+class EqualityVerdict(NamedTuple):
     equal: bool
     witness: tuple         # a point where the maps differ, or None
 
@@ -784,8 +783,7 @@ def _shrink(pt, k, center=HALF):
     return tuple(body)
 
 
-@dataclass(frozen=True)
-class HomotopyCertificate:
+class HomotopyCertificate(NamedTuple):
     ok: bool
     checks: tuple          # names of the identities probed
     failures: tuple        # (name, witness point) pairs
@@ -969,8 +967,7 @@ def transpose_cancellation(cube: PLCube, k: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class QuotientComparison:
+class QuotientComparison(NamedTuple):
     """Homology of the span of a family next to the homology of the span
     divided by its concatenation and transposition relations, both graded
     positively."""
@@ -1089,8 +1086,7 @@ def quotient_homology_compare(family) -> QuotientComparison:
         concat_relations=concat_count, transpose_relations=transpose_count)
 
 
-@dataclass(frozen=True)
-class CubeFamily:
+class CubeFamily(NamedTuple):
     """A named, realized cube family as carried by fixtures."""
     name: str
     realization: Realization

@@ -17,6 +17,7 @@ import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from .boxquot import (PLCube, box_dot, box_slash, concat_f, face, fits,
                       load_cube_family, pl_equal, quotient_homology_compare,
@@ -132,15 +133,13 @@ class ResolutionError(RuntimeError):
     """The convention search did not end with exactly one survivor."""
 
 
-@dataclass
 class Workspace:
     """Fixture directory plus caches for the derived objects the suites
     and the report share, each built once.  The solid 3-simplex "ball3"
     is built inline: it needs no fixture."""
 
-    fixtures: Path
-
-    def __post_init__(self):
+    def __init__(self, fixtures: Path):
+        self.fixtures = fixtures
         self._cache = {("complex", "ball3"): SimplicialComplex(
             "solid 3-simplex", (0, 1, 2, 3), ((0, 1, 2, 3),))}
 
@@ -336,8 +335,7 @@ def resolve_conventions(fixtures):
 
 # -- suites ------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     lines: tuple
     failures: int

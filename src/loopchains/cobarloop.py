@@ -23,8 +23,8 @@ in, so the resolution harness can flip entries one at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, islice
+from typing import NamedTuple
 
 from .conventions import Conventions, DEFAULT
 from .exactalg import FreeComplex, _axpy
@@ -192,11 +192,12 @@ def letter_boundary(cc, letter, conv: Conventions = DEFAULT) -> dict:
 
 def _letter_entry(cc, letter, conv):
     """A letter's boundary terms as tuples, with their signs and negated,
-    and the parity (0 or 1) it adds to the Leibniz prefix exponent."""
+    the parity (0 or 1) it adds to the Leibniz prefix exponent, and
+    whether it is the unit letter."""
     plus = tuple(letter_boundary(cc, letter, conv).items())
     minus = tuple((t, -c) for t, c in plus)
     parity = letter_degree(letter) + (conv.leibniz_prefix == "reduced")
-    return plus, minus, parity % 2
+    return plus, minus, parity % 2, letter == UNIT_LETTER
 
 
 # The letter table of the most recent (complex, conventions) pair,
@@ -214,7 +215,9 @@ def word_boundary(cc, word, conv: Conventions = DEFAULT) -> dict:
     The terms of the letter in slot i carry the sign (-1)^e, where e is
     the degree of the prefix word[:i], plus its length under the reduced
     prefix convention; e is kept as a running parity, which picks the
-    letter's terms with that sign out of its table entry.
+    letter's terms with that sign out of its table entry.  The unit
+    letter has no terms; when the loop meets it, the unit is dropped
+    from the output words at the end.
     """
     global _table
     table_cc, table_conv, entries, free = _table
@@ -223,9 +226,9 @@ def word_boundary(cc, word, conv: Conventions = DEFAULT) -> dict:
         _table = (cc, conv, entries, free)
     if free.issuperset(word):
         return {}
-    has_unit = UNIT_LETTER in word
     out = {}
     odd = 0
+    has_unit = False
     for i, letter in enumerate(word):
         entry = entries.get(letter)
         if entry is None:
@@ -237,14 +240,18 @@ def word_boundary(cc, word, conv: Conventions = DEFAULT) -> dict:
             head, tail = word[:i], word[i + 1:]
             for t, c in terms:
                 w = head + t + tail
-                if has_unit:
-                    w = normalize_word(w)
                 c += out.get(w, 0)
                 if c:
                     out[w] = c
                 else:
                     del out[w]
+        elif entry[3]:
+            has_unit = True
         odd ^= entry[2]
+    if has_unit:
+        out, raw = {}, out
+        for w, c in raw.items():
+            _add(out, normalize_word(w), c)
     return out
 
 
@@ -314,8 +321,7 @@ class LoopAlgebra:
 
 # -- the loop complex, materialized -------------------------------------------
 
-@dataclass(frozen=True)
-class LoopComplexModel:
+class LoopComplexModel(NamedTuple):
     complex: FreeComplex
     words_by_degree: dict  # degree -> sorted list of words
     max_weight: int
@@ -426,8 +432,7 @@ def adams_T(cc, cell, conv: Conventions = DEFAULT, *,
     return out
 
 
-@dataclass(frozen=True)
-class TVerification:
+class TVerification(NamedTuple):
     ok: bool
     cells: tuple
     residuals: dict      # cell -> residual vector, nonzero entries only

@@ -23,9 +23,9 @@ complexes produced elsewhere in this package are large and very sparse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import gcd
+from typing import NamedTuple
 
 
 class ShapeError(ValueError):
@@ -193,8 +193,7 @@ def det(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-@dataclass(frozen=True)
-class SmithForm:
+class SmithForm(NamedTuple):
     """U @ M @ V == D with U, V unimodular and D diagonal.
 
     ``diagonal`` lists the nonnegative diagonal entries d_1 | d_2 | ...
@@ -402,8 +401,7 @@ def rank(m: IntMatrix) -> int:
     return smith_normal_form(m, transforms=False).rank
 
 
-@dataclass(frozen=True)
-class HomologySummary:
+class HomologySummary(NamedTuple):
     """H^degree = Z^rank + sum of Z/t for t in torsion (divisibility order)."""
     degree: int
     rank: int
@@ -417,8 +415,7 @@ class HomologySummary:
         return " + ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
-class ComplexVerdict:
+class ComplexVerdict(NamedTuple):
     """Outcome of an identity check on a complex or a chain map.
 
     ``ok`` is False exactly when the identity fails somewhere, and then
@@ -605,8 +602,11 @@ def _lattice(m: IntMatrix):
 
     From U M V = D: the basis is the nonzero columns of M V, and y has
     coordinates (U y)_i / d_i when each division is exact and U y
-    vanishes past the rank.
+    vanishes past the rank.  Without columns the lattice is zero: no
+    Smith form is taken, and only the zero vector has coordinates, [].
     """
+    if not m.cols:
+        return [], lambda y: None if any(y) else []
     s = smith_normal_form(m)
     image = m @ s.right
     d = s.diagonal[:s.rank]

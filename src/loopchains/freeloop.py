@@ -24,7 +24,7 @@ twist of the two-slot case lives is a bookkeeping choice (the
 split signs.  Both packages verify; mixing them does not.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .conventions import DEFAULT, Conventions
 from .exactalg import _axpy
@@ -130,8 +130,7 @@ def goodwillie_G(alg, words, conv: Conventions = DEFAULT) -> dict:
     return normalize(alg, out, conv)
 
 
-@dataclass(frozen=True)
-class GVerification:
+class GVerification(NamedTuple):
     ok: bool
     words_checked: int
     failures: dict  # word -> nonzero residual chain
@@ -286,8 +285,7 @@ def basepoint_degree(alg, chain) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class S1Report:
+class S1Report(NamedTuple):
     strict: bool
     sigma_included: bool
     sigma_matches_wrap: bool

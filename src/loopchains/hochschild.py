@@ -32,9 +32,9 @@ finite table algebras below both do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from random import Random
+from typing import NamedTuple
 
 from .exactalg import (FreeComplex, HomologySummary, _axpy,
                        homology as _homology)
@@ -363,8 +363,7 @@ def cc_of_morphism_vector(morphism: Morphism, vector, **kw) -> dict:
 
 # -- truncated homology -------------------------------------------------------
 
-@dataclass(frozen=True)
-class TruncatedHomology:
+class TruncatedHomology(NamedTuple):
     degree: int
     max_weight: int
     summary: HomologySummary

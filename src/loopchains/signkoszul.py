@@ -24,16 +24,15 @@ r < d2, and the caller owns the interpretation of failures elsewhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 
 class ConstraintError(ValueError):
     """A sign formula was asked for outside its domain."""
 
 
-@dataclass(frozen=True)
-class SignParams:
+class SignParams(NamedTuple):
     """Inputs for sign_value.  Unused fields stay None.
 
     degrees is always required; which of d1, d2, r, k, i, j matter
@@ -166,8 +165,7 @@ def koszul_permutation_sign(degrees, perm) -> int:
     return total % 2
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     degrees: tuple
     d1: int
     r: int
@@ -217,8 +215,7 @@ def homotopy_identity_check(degrees, d1: int, r: int) -> IdentityReport:
                           lhs=lhs % 2, rhs=rhs % 2)
 
 
-@dataclass(frozen=True)
-class IdentitySweep:
+class IdentitySweep(NamedTuple):
     total: int
     failures: tuple          # (degrees, d1, r) triples that failed
     failing_combos: tuple    # sorted distinct (d, d1, r)

@@ -15,8 +15,8 @@ positive degree, and the test suite holds them to that.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .exactalg import FreeComplex, HomologySummary, homology as _complex_homology
 
@@ -25,8 +25,7 @@ class ParseError(ValueError):
     """Malformed complex document.  The message names the location."""
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+class SimplicialComplex(NamedTuple):
     name: str
     vertices: tuple
     facets: tuple
@@ -147,8 +146,7 @@ def spanning_tree(sc: SimplicialComplex):
     return tree
 
 
-@dataclass(frozen=True)
-class CollapsedComplex:
+class CollapsedComplex(NamedTuple):
     """A complex with a spanning tree collapsed to the basepoint.
 
     Cells: the single basepoint in dimension 0, every non-tree edge in

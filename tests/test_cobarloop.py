@@ -336,6 +336,19 @@ def test_word_boundary_matches_the_leibniz_reference(letter_pool, data):
                 leibniz_word_boundary(cc, word, conv)
 
 
+def test_word_boundary_drops_the_unit_wherever_it_sits(sphere2):
+    # the unit at the start, in the middle, at the end and twice, beside
+    # boundary-bearing letters; each output word is unit-free and the
+    # terms agree with the Leibniz reference, which normalizes each one
+    for conv in BOUNDARY_CONVENTIONS:
+        for word in ((UNIT_LETTER, T123), (T123, UNIT_LETTER, T12),
+                     (T12, T123, UNIT_LETTER),
+                     (UNIT_LETTER, T123, UNIT_LETTER, T123)):
+            got = word_boundary(sphere2, word, conv)
+            assert got and got == leibniz_word_boundary(sphere2, word, conv)
+            assert all(UNIT_LETTER not in w for w in got)
+
+
 def test_word_boundary_caches_no_failure_and_hands_out_fresh_dicts(sphere2):
     q = ("pi3", (0, 1), (1, 2), (2, 1, 0))
     for word in ((q,), (T12, q), (T123, q, T12)):

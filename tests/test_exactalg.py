@@ -5,6 +5,7 @@ from random import Random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from loopchains import exactalg
 from loopchains.exactalg import (
     ComplexVerdict,
     FreeComplex,
@@ -316,6 +317,34 @@ def test_quotient_homology_by_nothing_or_everything(name):
     assert quotient_homology(c, {}) == homology(c)
     everything = {n: [{x: 1} for x in c.bases[n]] for n in c.dims}
     assert set(_table(quotient_homology(c, everything)).values()) == {(0, ())}
+
+
+@pytest.mark.parametrize("name", COMPLEXES)
+def test_quotient_homology_takes_smith_forms_only_where_relations_are(
+        name, monkeypatch):
+    # a degree without relations has the zero lattice: no Smith form is
+    # taken there, and the homology still agrees with the rational
+    # oracle, and with homology(c) when every degree's list is empty
+    c = _fixture_complex(name)
+    calls = []
+    snf = exactalg.smith_normal_form
+
+    def recording(m, *, transforms=True):
+        if transforms:
+            calls.append((m.rows, m.cols))
+        return snf(m, transforms=transforms)
+
+    monkeypatch.setattr(exactalg, "smith_normal_form", recording)
+    assert quotient_homology(c, {n: [] for n in c.dims}) == homology(c)
+    assert calls == []
+    top = max(c.dims)
+    relations = {top: [{c.bases[top][0]: 2}]}  # a cycle: nothing above
+    got = quotient_homology(c, relations)
+    assert calls == [(c.dim(top), 1)]
+    want = quotient_ranks_q(c, relations)
+    assert {n: s.rank for n, s in got.items()} == \
+        {n: want.get(n, 0) for n in got}
+    assert got[top].torsion == (2,)
 
 
 def test_quotient_homology_keeps_torsion_of_a_one_cell_relation():
