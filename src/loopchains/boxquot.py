@@ -8,10 +8,11 @@ and fit conditions are decided, not sampled.  The homotopy certificates
 below are exact too, and both collapse homotopies are decided on all of
 [0, 1]^n by a finite set of points: the corners for the shrink-to-center
 identities (box_dot), the vertices of the clamp arrangement for the
-sum-clamp identities (box_slash).  The probe grid runs only for an
-identity that set refutes, to find its witness; an identity whose maps
-differ on an axis the component reads although its values agree there
-stays a probe sample.
+sum-clamp identities (box_slash).  That decision reads no cube value, so
+one verdict serves all cubes with the same family parameters and live
+axes.  The probe grid runs only for an identity that set refutes, to find
+its witness; an identity whose maps differ on an axis the component reads
+although its values agree there stays a probe sample.
 
 On top of the representation:
 
@@ -167,6 +168,7 @@ class Realization:
                 simplices.update(combinations(f, r))
         # big simplices first: covers() usually hits a facet
         self._simplices = sorted(simplices, key=lambda s: (-len(s), s))
+        self._frames = {}
 
     def covers(self, points) -> bool:
         """Whether a single closed simplex contains every given point."""
@@ -179,13 +181,18 @@ class Realization:
         return False
 
     def _barycentric(self, simplex, point):
-        verts = [self.coordinates[v] for v in simplex]
-        rows = [[verts[j][d] for j in range(len(verts))] for d in range(self.ambient)]
-        rows.append([ONE] * len(verts))
-        sol = _solve_linear(rows, list(point) + [ONE])
-        if sol is None or any(x < 0 for x in sol):
-            return None
-        return sol
+        # I-part of reduced [A | I], A = vertices over a 1-row: m solve rows, then hull
+        m, n = len(simplex), self.ambient
+        if simplex not in self._frames:
+            rows = [[(*self.coordinates[v], ONE)[d] for v in simplex]
+                    + [ZERO] * d + [ONE] + [ZERO] * (n - d) for d in range(n + 1)]
+            _row_reduce(rows, m)
+            self._frames[simplex] = [r[m:] for r in rows]
+        x, frame = (*point, ONE), self._frames[simplex]
+        if any(sum(a * b for a, b in zip(row, x)) for row in frame[m:]):
+            return None  # off the affine hull
+        sol = tuple(sum(a * b for a, b in zip(row, x)) for row in frame[:m])
+        return None if any(c < 0 for c in sol) else sol
 
     def _key(self):
         return (self.complex, tuple(sorted(self.coordinates.items())))
@@ -793,6 +800,7 @@ class HomotopyCertificate(NamedTuple):
 
 
 _STOCK = (ZERO, Fraction(1, 3), HALF, Fraction(3, 4), ONE)
+_decided = {}  # decide-step verdicts, see _certify
 
 
 def _probe_axes(dim, *cubes):
@@ -814,7 +822,7 @@ def _agree_in_cube(p, q, live) -> bool:
             and all(p[a] == q[a] for a in live))
 
 
-def _certify(identities, axes, decide) -> HomotopyCertificate:
+def _certify(family, identities, axes, decide) -> HomotopyCertificate:
     """Decide identities (name, component, phi, psi): the component must
     take one value at phi(t) and psi(t) for every t in [0, 1]^n.  A Kuhn
     interpolation does not depend on an axis its lattice values do not
@@ -836,15 +844,20 @@ def _certify(identities, axes, decide) -> HomotopyCertificate:
     there.  Otherwise the grid is walked, and the first t where the
     values differ, or where either point leaves the unit cube, is the
     failure witness; an identity whose maps differ on a live axis while
-    its values agree there passes as a probe sample, not a decision."""
+    its values agree there passes as a probe sample, not a decision.  The
+    decide step reads no value of the component, so its verdict is kept
+    by (family parameters, index, dimension, live axes) and shared."""
     checks = []
     failures = []
-    for name, component, phi, psi in identities:
+    for index, (name, component, phi, psi) in enumerate(identities):
         checks.append(name)
-        dead = component.degenerate_axes()
-        live = [a for a in range(component.dim) if a + 1 not in dead]
-        if all(_agree_in_cube(phi(t), psi(t), live)
-               for t in product(decide, repeat=component.dim)):
+        live = tuple(a for a in range(component.dim)
+                     if a + 1 not in component.degenerate_axes())
+        key = (family, index, component.dim, live)
+        if key not in _decided:
+            _decided[key] = all(_agree_in_cube(phi(t), psi(t), live)
+                                for t in product(decide, repeat=component.dim))
+        if _decided[key]:
             continue
         for t in product(*axes[:component.dim]):
             p, q = phi(t), psi(t)
@@ -901,7 +914,8 @@ def box_slash(cube: PLCube, level, *, clamp_threshold=1) -> HomotopyCertificate:
                            lambda t, k=k, e=eps: _clampsum(_insert(t, k, e), thr),
                            lambda t, k=k, e=eps: _insert(_clampsum(t, thr), k, e)))
     components = ((cube, "cube"), (level, "level")) if i >= 2 else ((cube, "cube"),)
-    return _certify([(name.format(side), component, phi, psi)
+    return _certify(("box_slash", i, thr),
+                    [(name.format(side), component, phi, psi)
                      for component, side in components
                      for name, phi, psi in family],
                     _probe_axes(i, cube, level),
@@ -951,7 +965,7 @@ def box_dot(cube: PLCube, k: int, *, center=HALF) -> HomotopyCertificate:
                                lambda t, j=j, e=eps: _shrink(_insert(t, j, e), k, c),
                                lambda t, j=j, e=eps, kk=shifted:
                                _insert(_shrink(t, kk, c), j, e)))
-    return _certify(identities, _probe_axes(i, cube), (ZERO, ONE))
+    return _certify(("box_dot", i, k, c), identities, _probe_axes(i, cube), (ZERO, ONE))
 
 
 def transpose_cancellation(cube: PLCube, k: int) -> bool:

@@ -37,9 +37,9 @@ from .exactalg import (IntMatrix, chain_map_check,
 from .freeloop import (CircleWordAlgebra, basepoint_degree, g_residuals,
                        goodwillie_G, loop_boundary, normalize, s1_example,
                        verify_G_chain_map)
-from .hochschild import (TableDGA, cc_degree, cc_of_morphism, hh_truncated,
-                         hochschild_b, hochschild_b_vector, identity_morphism,
-                         random_dga, word_degree)
+from .hochschild import (TableDGA, _Memo, cc_degree, cc_of_morphism,
+                         hh_truncated, hochschild_b, hochschild_b_vector,
+                         identity_morphism, random_dga, word_degree)
 from .signkoszul import (SignParams, homotopy_identity_check,
                          koszul_permutation_sign, sign_value, sweep_identity)
 from .simpcx import (SimplicialComplex, chain_complex, collapse,
@@ -157,8 +157,14 @@ class Workspace:
                           lambda: collapse(self.complex(name)))
 
     def algebra(self, name, conv):
-        return self._memo(("algebra", name, conv),
-                          lambda: LoopAlgebra(self.collapsed(name), conv))
+        """A fixture's loop algebra per assignment; all share conv-free tables."""
+        def build():
+            alg = LoopAlgebra(self.collapsed(name), conv)
+            alg._degrees, alg._weights, bases = self._memo(("tables", name), lambda: (
+                alg._degrees, alg._weights, _Memo(alg.basis)))
+            alg.basis = lambda max_weight: list(bases[max_weight])
+            return alg
+        return self._memo(("algebra", name, conv), build)
 
     def hh(self, name, conv, max_weight):
         """Degree-0 truncated cyclic homology of a fixture's loop algebra,

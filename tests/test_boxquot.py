@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from loopchains import boxquot
 from loopchains.boxquot import (
     AdmissibilityError,
     CubeFamily,
@@ -14,6 +15,7 @@ from loopchains.boxquot import (
     GeometryError,
     PLCube,
     Realization,
+    _affinely_independent,
     boundary,
     box_dot,
     box_slash,
@@ -33,6 +35,7 @@ from loopchains.boxquot import (
     transpose_cancellation,
 )
 from loopchains.simpcx import ParseError, parse_complex
+from oracle_geometry import solved_barycentric
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -155,6 +158,57 @@ def test_target_containment_is_checked():
     PLCube(((0, 1),), {(0,): (0, 0), (1,): (F(1, 2), F(1, 2))}, real)
     with pytest.raises(GeometryError, match="leaves the target"):
         PLCube(((0, 1),), {(0,): (0, 0), (1,): (2, 0)}, real)
+
+
+def test_barycentric_frames_match_the_per_point_solve():
+    # seeded points of every shipped realization and of a full triangle:
+    # vertices, points on faces (some coordinate 0), interior points,
+    # points outside (some coordinate negative) and, where the ambient
+    # dimension exceeds the simplex's, points off its affine hull
+    rng = random.Random(73)
+    reals = [load_cube_family(FIXTURES / f"{name}.json").realization
+             for name in ("point_cubes", "circle_cubes", "figure_eight_cubes")]
+    reals.append(triangle_realization())
+    kinds = dict.fromkeys(("vertex", "face", "interior", "outside", "off hull"),
+                          0)
+    for real in reals:
+        for simplex in real._simplices:
+            verts = [real.coordinates[v] for v in simplex]
+            m = len(verts)
+
+            def at(lam):
+                return tuple(sum(l * v[d] for l, v in zip(lam, verts))
+                             for d in range(real.ambient))
+
+            points = [(at([F(j == i) for j in range(m)]), "vertex")
+                      for i in range(m)]
+            for _ in range(6):
+                raw = [F(rng.randint(1, 9)) for _ in range(m)]
+                lam = [x / sum(raw) for x in raw]
+                points.append((at(lam), "interior" if m > 1 else "vertex"))
+                if m > 1:
+                    dead = rng.sample(range(m), rng.randint(1, m - 1))
+                    zeroed = [0 if j in dead else x for j, x in enumerate(raw)]
+                    points.append((at([x / sum(zeroed) for x in zeroed]),
+                                   "face"))
+                    out = raw[:]
+                    out[rng.randrange(m)] = F(-rng.randint(1, 9))
+                    if sum(out):
+                        points.append((at([x / sum(out) for x in out]),
+                                       "outside"))
+                if m <= real.ambient:
+                    shift = tuple(F(rng.randint(-4, 4), rng.randint(1, 3))
+                                  for _ in range(real.ambient))
+                    p = tuple(a + b for a, b in zip(at(lam), shift))
+                    if _affinely_independent(verts + [p]):
+                        points.append((p, "off hull"))
+            for point, kind in points:
+                want = solved_barycentric(real, simplex, point)
+                assert real._barycentric(simplex, point) == want, (
+                    real, simplex, point)
+                assert (want is None) == (kind in ("outside", "off hull"))
+                kinds[kind] += 1
+    assert all(kinds.values()), kinds
 
 
 # -- faces, transpositions, boundary -----------------------------------------
@@ -489,6 +543,7 @@ def test_box_dot_center_control_fails_exactly_the_one_face():
 
 
 def test_a_passing_certificate_evaluates_no_cube(monkeypatch):
+    monkeypatch.setattr(boxquot, "_decided", {})  # decide every identity
     calls = []
     real_eval = PLCube.eval
     monkeypatch.setattr(PLCube, "eval",
@@ -590,9 +645,10 @@ def assert_matches_oracle(cert, identities, axes, values):
     assert cert.ok == (not oracle)
 
 
-def test_certificates_match_the_full_evaluation_oracle():
-    # every identity is evaluated on both sides at every probe point, so a
-    # certificate that skips evaluating a point it may not skip shows here
+def oracle_cases():
+    """(tag, certificate call, identities, probe grid, evaluation memo)
+    for every certificate the oracle test checks; the tag is the center
+    or threshold of the call."""
     # the decision sets show here as well: centers outside [0, 1] push
     # the face identities out of the cube, which the corners must refute
     # and the grid must witness, and the thresholds put thr and thr - 1
@@ -609,36 +665,53 @@ def test_certificates_match_the_full_evaluation_oracle():
             cases.append((cube, random_level(rng, dim - 1)))
     centers = (F(1, 2), F(1, 3), F(0), F(1), F(2, 3), F(3, 2), F(-1, 2))
     thresholds = (F(1), F(3, 4), F(7, 5), F(0), F(1, 3), F(2), F(5, 2), F(-1))
-    failing = set()
+    out = []
     for cube, level in cases:
         values = {}
         for thr in thresholds:
-            cert = box_slash(cube, level, clamp_threshold=thr)
-            assert_matches_oracle(cert, slash_identities(cube, level, thr),
-                                  probe_grid(cube.dim, cube, level), values)
-            failing |= {(thr, name) for name, _ in cert.failures}
+            out.append((thr, lambda c=cube, l=level, t=thr:
+                        box_slash(c, l, clamp_threshold=t),
+                        slash_identities(cube, level, thr),
+                        probe_grid(cube.dim, cube, level), values))
         for k in range(1, cube.dim):
             for c in centers:
-                cert = box_dot(cube, k, center=c)
-                assert_matches_oracle(cert, dot_identities(cube, k, c),
-                                      probe_grid(cube.dim, cube), values)
-                failing |= {(c, name) for name, _ in cert.failures}
+                out.append((c, lambda cb=cube, k=k, c=c:
+                            box_dot(cb, k, center=c),
+                            dot_identities(cube, k, c),
+                            probe_grid(cube.dim, cube), values))
     # one 4-cube, at its middle axis pair, so that faces lie on both sides
     cube4, values = random_cube(rng, 4), {}
     for c in centers:
-        assert_matches_oracle(box_dot(cube4, 2, center=c),
-                              dot_identities(cube4, 2, c),
-                              probe_grid(4, cube4), values)
+        out.append((c, lambda c=c: box_dot(cube4, 2, center=c),
+                    dot_identities(cube4, 2, c), probe_grid(4, cube4), values))
     # a cube that ignores axes 1 and 2: the one face lands on it at any
     # center in [0, 1], and a center outside pulls it out of the cube
     flat, values = ignoring(rng, 3, {1, 2}), {}
     assert flat.degenerate_axes() == (1, 2)
-    for c, fails in ((F(1, 3), False), (F(3, 2), True)):
-        cert = box_dot(flat, 1, center=c)
-        assert_matches_oracle(cert, dot_identities(flat, 1, c),
-                              probe_grid(3, flat), values)
-        assert ("one face lands on the center-degenerate cube"
-                in dict(cert.failures)) == fails
+    for c in (F(1, 3), F(3, 2)):
+        out.append((("flat", c), lambda c=c: box_dot(flat, 1, center=c),
+                    dot_identities(flat, 1, c), probe_grid(3, flat), values))
+    return out
+
+
+def test_certificates_match_the_full_evaluation_oracle(monkeypatch):
+    # every identity is evaluated on both sides at every probe point, so a
+    # certificate that skips evaluating a point it may not skip shows here;
+    # the cases run first with an empty decide-step memo and then again,
+    # warm, in reverse order, which must change no certificate
+    monkeypatch.setattr(boxquot, "_decided", {})
+    cases = oracle_cases()
+    cold = [call() for _, call, _, _, _ in cases]
+    warm = [call() for _, call, _, _, _ in reversed(cases)][::-1]
+    assert warm == cold
+    failing = set()
+    for cert, (tag, _, identities, axes, values) in zip(cold, cases):
+        assert_matches_oracle(cert, identities, axes, values)
+        failing |= {(tag, name) for name, _ in cert.failures}
+    # the flat cube's one face fails only at the center outside [0, 1]
+    one_face = "one face lands on the center-degenerate cube"
+    assert (("flat", F(1, 3)), one_face) not in failing
+    assert (("flat", F(3, 2)), one_face) in failing
     # the negative controls all fired: threshold, center, varying level
     assert (F(3, 4), "zero face restores the cube") in failing
     assert (F(7, 5), "one face is degenerate (cube side)") in failing
@@ -647,6 +720,7 @@ def test_certificates_match_the_full_evaluation_oracle():
     assert (F(3, 2), "face 3(0) commutes") in failing
     assert (F(-1, 2), "face 3(1) commutes") in failing
     # the witness is the first grid point that leaves the cube
+    cube3 = PLCube.from_function(((0, 1),) * 3, lambda p: p)
     assert ("face 3(0) commutes", (F(0), F(0), F(3, 4))) in \
         box_dot(cube3, 1, center=F(3, 2)).failures
 

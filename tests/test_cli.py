@@ -4,18 +4,21 @@ resolution harness, and the coverage cross-check."""
 import contextlib
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from loopchains import cli
+from loopchains import boxquot, cli
 from loopchains.cli import (STAGE_ONE, STAGE_TWO, SUITES, ResolutionError,
                             Workspace, _coverage_problems, _sweep_stage,
                             certify_assignment, main, resolve_conventions)
-from loopchains.cobarloop import (BoundaryUndefinedError, TruncationError,
-                                  verify_T_chain_map)
+from loopchains.cobarloop import (BoundaryUndefinedError, LoopAlgebra,
+                                  TruncationError, verify_T_chain_map)
 from loopchains.conventions import CHOICES, DEFAULT, parse_ledger, serialize_ledger
 from loopchains.freeloop import verify_G_chain_map
 
@@ -248,6 +251,30 @@ def test_stage_one_builds_its_words_once_per_workspace(monkeypatch):
     assert sorted(calls) == ["loop_words"] + ["random_dga"] * 3
 
 
+def test_stage_two_reads_each_basis_once_per_workspace(monkeypatch):
+    # the basis does not depend on the conventions, so the per-assignment
+    # algebras of a fixture share it: stage one's loop words read the
+    # 2-sphere model's once, and stage two each fixture's once
+    calls = []
+    real = LoopAlgebra.basis
+
+    def counting(self, max_weight):
+        calls.append((self.cc.source.name, max_weight))
+        return real(self, max_weight)
+
+    monkeypatch.setattr(LoopAlgebra, "basis", counting)
+    conv, _ = resolve_conventions(FIXTURES)
+    assert conv == DEFAULT
+    assert sorted(calls) == [("boundary of the 3-simplex", 3)] * 2 + [
+        ("circle on three vertices", 3)]
+    ws = Workspace(FIXTURES)
+    other = replace(DEFAULT, iota_twist="in_boundary")
+    first, second = ws.algebra("s1_3", DEFAULT), ws.algebra("s1_3", other)
+    assert second.conv == other and first.basis(3) == second.basis(3)
+    assert first._degrees is second._degrees
+    assert first._weights is second._weights
+
+
 def test_sweep_rejects_domain_errors_and_lets_other_errors_through():
     fixed = {name: getattr(DEFAULT, name) for name in STAGE_ONE}
     wanted = {name: getattr(DEFAULT, name) for name in STAGE_TWO}
@@ -357,6 +384,44 @@ def test_report_computes_each_circle_rank_once(monkeypatch):
     assert code == 0
     assert out == (GOLDEN / "report-seed7.json").read_text()
     assert sorted(calls) == [(0, 1), (0, 2), (0, 3)]
+
+
+def test_report_decides_each_cube_identity_once(monkeypatch):
+    # a decide-step verdict is keyed by (family, index, component
+    # dimension, live axes); one report fills each key once, and a
+    # second report in the same process fills none
+    filled = []
+
+    class Recording(dict):
+        def __setitem__(self, key, value):
+            filled.append(key)
+            super().__setitem__(key, value)
+
+    monkeypatch.setattr(boxquot, "_decided", Recording())
+    code, out, _ = fx("report", "--seed", "7")
+    assert code == 0
+    assert out == (GOLDEN / "report-seed7.tsv").read_text()
+    assert len(filled) == len(set(filled)) == 36
+    code, out, _ = fx("report", "--format", "json")
+    assert out == (GOLDEN / "report-seed7.json").read_text()
+    assert len(filled) == 36
+
+
+def test_reports_in_one_process_match_fresh_processes():
+    # the certificate memo and word_boundary's letter table outlive a
+    # command; a report after others in this process must still read
+    # byte for byte as one run alone
+    runs = [("3", "tsv"), ("13", "json"), ("13", "tsv"), ("3", "json")]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    for seed, fmt in runs:
+        argv = ["--fixtures", str(FIXTURES), "report", "--seed", seed,
+                "--format", fmt]
+        fresh = subprocess.run([sys.executable, "-m", "loopchains.cli", *argv],
+                               env=env, capture_output=True, text=True,
+                               check=True, timeout=120)
+        code, out, _ = run_cli(*argv)
+        assert code == 0
+        assert out == fresh.stdout, (seed, fmt)
 
 
 def test_report_on_empty_fixture_directory(tmp_path):
