@@ -253,8 +253,6 @@ class PLCube:
                 raise GeometryError(
                     f"axis {a + 1}: breakpoints must increase strictly from 0 to 1")
             bps.append(ax)
-        self.breakpoints = tuple(bps)
-        self.dim = len(bps)
         items = values.items() if hasattr(values, "items") else values
         vals = {}
         for idx, p in items:
@@ -262,7 +260,7 @@ class PLCube:
             for x in idx:
                 _require_int(f"index entry of lattice point {idx}", x)
             vals[idx] = tuple(_frac(x) for x in p)
-        expected = set(product(*(range(len(ax)) for ax in self.breakpoints)))
+        expected = set(product(*(range(len(ax)) for ax in bps)))
         if set(vals) != expected:
             missing = sorted(expected - set(vals))
             if missing:
@@ -272,15 +270,31 @@ class PLCube:
         lens = {len(p) for p in vals.values()}
         if len(lens) != 1:
             raise GeometryError("values must share one ambient dimension")
-        self.ambient = lens.pop()
-        if self.ambient == 0:
+        ambient = lens.pop()
+        if ambient == 0:
             raise GeometryError("ambient dimension must be at least 1")
-        self._values = vals
-        self.target = target
-        self._degaxes = None
+        self._fill(tuple(bps), vals, ambient, target)
         if target is not None:
             self._check_target(target)
-        self._hash = hash((self.breakpoints, tuple(sorted(vals.items()))))
+
+    @classmethod
+    def _unchecked(cls, breakpoints, values, ambient, target) -> "PLCube":
+        """A cube from data that needs no validation: a face or a
+        transposition of a valid cube.  Each Kuhn simplex of a face is a
+        face of one of the parent's, and an axis swap permutes the Kuhn
+        simplices of every cell, so the image stays in the target."""
+        cube = cls.__new__(cls)
+        cube._fill(breakpoints, values, ambient, target)
+        return cube
+
+    def _fill(self, breakpoints, values, ambient, target):
+        self.breakpoints = breakpoints
+        self.dim = len(breakpoints)
+        self.ambient = ambient
+        self._values = values
+        self.target = target
+        self._degaxes = None
+        self._hash = hash((breakpoints, tuple(sorted(values.items()))))
 
     @classmethod
     def constant(cls, dim, point, target=None) -> "PLCube":
@@ -300,6 +314,10 @@ class PLCube:
         return cls(bps, vals, target)
 
     def _check_target(self, target):
+        if self.ambient != target.ambient:
+            raise GeometryError(
+                f"cube values lie in R^{self.ambient} but the target complex "
+                f"is realized in R^{target.ambient}")
         for base in self._cells():
             corners = list(product(*((j, j + 1) for j in base)))
             if target.covers([self._values[i] for i in corners]):
@@ -417,7 +435,7 @@ def face(cube: PLCube, k: int, eps: int) -> PLCube:
     bps = cube.breakpoints[:a] + cube.breakpoints[a + 1:]
     vals = {idx[:a] + idx[a + 1:]: p
             for idx, p in cube._values.items() if idx[a] == slot}
-    return PLCube(bps, vals, cube.target)
+    return PLCube._unchecked(bps, vals, cube.ambient, cube.target)
 
 
 def transpose(cube: PLCube, k: int) -> PLCube:
@@ -435,7 +453,7 @@ def transpose(cube: PLCube, k: int) -> PLCube:
         swapped = list(idx)
         swapped[a], swapped[a + 1] = swapped[a + 1], swapped[a]
         vals[tuple(swapped)] = p
-    return PLCube(tuple(bps), vals, cube.target)
+    return PLCube._unchecked(tuple(bps), vals, cube.ambient, cube.target)
 
 
 class CubicalChain:

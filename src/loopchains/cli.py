@@ -24,11 +24,11 @@ from .boxquot import (PLCube, box_dot, box_slash, concat_f, face, fits,
                       random_cube, random_level, serialize_cube_family, split,
                       transpose, transpose_cancellation)
 from .cobarloop import (BoundaryUndefinedError, LoopAlgebra, TruncationError,
-                        adams_T, based_loop_complex, dga_differential,
-                        format_cyclic_word, format_word, letter_boundary,
-                        letter_degree, loop_words, pi2_boundary, t_residual,
-                        t_residuals, tau_boundary, verify_T_chain_map,
-                        word_boundary)
+                        TVerification, adams_T, based_loop_complex,
+                        dga_differential, format_cyclic_word, format_word,
+                        letter_boundary, letter_degree, loop_words,
+                        pi2_boundary, t_residual, t_residuals, tau_boundary,
+                        verify_T_chain_map, word_boundary)
 from .conventions import (CHOICES, DEFAULT, Conventions, LedgerError,
                           parse_ledger, serialize_ledger, validate)
 from .exactalg import (IntMatrix, chain_map_check,
@@ -173,6 +173,13 @@ class Workspace:
             self.algebra(name, conv), 0, max_weight,
             arity=conv.hochschild_arity))
 
+    def t_verification(self, name, conv):
+        """verify_T_chain_map on a fixture, which the T suite shares with
+        the convention sweep: a survivor's completed residual loop (see
+        _t_refuted) serves every assignment with its stage-one entries."""
+        return self._memo(_t_key(name, conv),
+                          lambda: verify_T_chain_map(self.collapsed(name), conv))
+
     def stage_one_words(self):
         """The 2-sphere model's loop words up to weight 3 and twenty seeded
         (algebra, word) pairs over each random_dga(0..2), which stage one
@@ -218,6 +225,12 @@ STAGE_TWO = tuple(f.name for f in fields(Conventions)
 STAGE_ONE = tuple(f.name for f in fields(Conventions)
                   if f.name not in STAGE_TWO)
 
+
+def _t_key(name, conv):
+    # T reads only the stage-one entries
+    return "T", name, tuple(getattr(conv, entry) for entry in STAGE_ONE)
+
+
 # The certifiers decide "not verify_T_chain_map(...).ok" and "not
 # verify_G_chain_map(...).ok" at the first nonzero residual: a refuted
 # assignment's reason is fixed by its first failing check, so the cells
@@ -225,12 +238,30 @@ STAGE_ONE = tuple(f.name for f in fields(Conventions)
 # runs every check to the end.
 
 
-def _t_refuted(cc, conv):
-    census = {}
-    if any(r for _, r in t_residuals(cc, conv, census=census)):
-        return True
-    # every residual vanished, so the corner census is complete
-    return any(p != m for p, m in census.values())
+def _t_refuted(ws, name, conv):
+    cells, census = [], {}
+    for cell, r in t_residuals(ws.collapsed(name), conv, census=census):
+        if r:
+            return True
+        cells.append(cell)
+    # every residual vanished, so the corner census is complete and this
+    # is verify_T_chain_map's verdict, which the T suite reads back
+    v = TVerification(ok=all(p == m for p, m in census.values()),
+                      cells=tuple(cells), residuals={}, corner_census=census)
+    ws._cache[_t_key(name, conv)] = v
+    return not v.ok
+
+
+def _arity_refuted(ws, arity):
+    """The stage-one checks that read only the Hochschild arity, which
+    _certify_stage_one decides once per arity per Workspace."""
+    if hochschild_b(SQUARE_ZERO, ("u",), arity=arity) != WRAP_IMAGE:
+        return "unit wrap image"
+    for alg, word in ws.stage_one_words()[1]:
+        once = hochschild_b(alg, word, arity=arity)
+        if hochschild_b_vector(alg, once, arity=arity):
+            return "b^2 != 0 on a seeded word"
+    return None
 
 
 def _g_refuted(alg, conv):
@@ -246,20 +277,16 @@ def _certify_stage_one(ws: Workspace, conv: Conventions):
         return "tetrahedron face census"
     if word_boundary(sphere, (T12, T123), conv) != LEIBNIZ_CENSUS:
         return "two-letter product rule census"
-    sphere_words, seeded_words = ws.stage_one_words()
-    for word in sphere_words:
+    for word in ws.stage_one_words()[0]:
         if dga_differential(sphere, word_boundary(sphere, word, conv), conv):
             return "d^2 != 0 at " + format_word(word)
-    if hochschild_b(SQUARE_ZERO, ("u",),
-                    arity=conv.hochschild_arity) != WRAP_IMAGE:
-        return "unit wrap image"
-    for alg, word in seeded_words:
-        once = hochschild_b(alg, word, arity=conv.hochschild_arity)
-        if hochschild_b_vector(alg, once, arity=conv.hochschild_arity):
-            return "b^2 != 0 on a seeded word"
-    if _t_refuted(sphere, conv):
+    arity = conv.hochschild_arity
+    reason = ws._memo(("arity checks", arity), lambda: _arity_refuted(ws, arity))
+    if reason:
+        return reason
+    if _t_refuted(ws, "boundary_delta3", conv):
         return "comparison map fails on the 2-sphere model"
-    if _t_refuted(ball, conv):
+    if _t_refuted(ws, "ball3", conv):
         return "comparison map fails on the solid simplex"
     return None
 
@@ -523,7 +550,7 @@ def _suite_t_chain_map(ws, conv, seed):
     ck = Checker()
     for name, corners in (("s1_3", 0), ("boundary_delta3", 12), ("ball3", 24),
                           ("torus_7", 42)):
-        v = verify_T_chain_map(ws.collapsed(name), conv)
+        v = ws.t_verification(name, conv)
         bad = sum(1 for r in v.residuals.values() if r)
         ck.check(f"{name}: boundary residual vanishes on every cell", v.ok,
                  f"{bad} cells fail")

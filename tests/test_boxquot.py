@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction as F
 from itertools import product
 from pathlib import Path
@@ -261,6 +262,47 @@ def test_double_transpose_is_identity_and_symmetric_cube_is_fixed():
     assert transpose(sym, 1) == sym
     with pytest.raises(GeometryError, match="out of range for transposition"):
         transpose(sym, 2)
+
+
+def derived_cubes(cube):
+    """Every iterated face of the cube, down to its points, and every
+    transposition of it and of its faces, each once."""
+    seen, todo = set(), [cube]
+    while todo:
+        c = todo.pop()
+        for d in ([face(c, k, eps) for k in range(1, c.dim + 1) for eps in (0, 1)]
+                  + [transpose(c, k) for k in range(1, c.dim)]):
+            if d not in seen:
+                seen.add(d)
+                todo.append(d)
+    return seen
+
+
+def test_faces_and_transpositions_match_the_validating_constructor():
+    # face and transpose skip validation and the target check; the same
+    # data through the validating constructor must be accepted, compare
+    # equal and hash alike
+    cubes = [c for name in ("point_cubes", "circle_cubes", "figure_eight_cubes")
+             for c in load_cube_family(FIXTURES / f"{name}.json").cubes]
+    # a triangle holding every value random_cube draws
+    cx = parse_complex(json.dumps({"name": "big triangle", "vertices": [0, 1, 2],
+                                   "facets": [[0, 1, 2]]}))
+    big = Realization(cx, {0: (-20, -20), 1: (40, -20), 2: (-20, 40)})
+    rng = random.Random(41)
+    for dim in (1, 2, 3, 4):
+        for target in (None, big):
+            c = random_cube(rng, dim)
+            cubes.append(PLCube(c.breakpoints, c.lattice(), target))
+    checked = Counter()
+    for cube in cubes:
+        for d in derived_cubes(cube):
+            v = PLCube(d.breakpoints, d.lattice(), d.target)
+            assert d == v and hash(d) == hash(v)
+            assert (d.dim, d.ambient) == (v.dim, v.ambient)
+            assert d.degenerate_axes() == v.degenerate_axes()
+            checked[d.dim, d.target is not None] += 1
+    assert all(checked[dim, True] and checked[dim, False]
+               for dim in range(5)), checked
 
 
 @pytest.mark.parametrize("call, message", [
@@ -918,6 +960,12 @@ def test_cube_family_parse_errors_name_locations():
             parse_cube_family(json.dumps(broken))
         assert str(caught.value) == ("coordinates: vertex 0 must be a list of "
                                      f"rationals, got {point!r}")
+    broken = json.loads(text)
+    broken["cubes"][0]["values"][0][1].append("0")
+    with pytest.raises(ParseError) as caught:
+        parse_cube_family(json.dumps(broken))
+    assert str(caught.value) == ("cubes[0] (pt0): cube values lie in R^3 but "
+                                 "the target complex is realized in R^2")
     broken = json.loads(text)
     broken["cubes"][2]["values"][0][1][0] = True
     with pytest.raises(ParseError, match=r"cubes\[2\] \(arc-a\): not a "

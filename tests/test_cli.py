@@ -222,8 +222,13 @@ def test_certifiers_give_the_reasons_of_the_full_verifiers(monkeypatch):
     monkeypatch.undo()
     assert [len(seen) for seen in built.values()] == [128, 64]
 
-    monkeypatch.setattr(cli, "_t_refuted",
-                        lambda cc, conv: not verify_T_chain_map(cc, conv).ok)
+    # a fresh Workspace, so no verdict the sweep kept is read back, and
+    # the arity-only checks decided anew for every assignment
+    ws = Workspace(FIXTURES)
+    monkeypatch.setattr(cli, "_t_refuted", lambda ws, name, conv: not (
+        verify_T_chain_map(ws.collapsed(name), conv).ok))
+    monkeypatch.setattr(cli, "_arity_refuted", lambda ws, arity,
+                        real=cli._arity_refuted: real(Workspace(FIXTURES), arity))
     monkeypatch.setattr(cli, "_g_refuted",
                         lambda alg, conv: not verify_G_chain_map(alg, conv).ok)
     for name, seen in built.items():
@@ -234,6 +239,70 @@ def test_certifiers_give_the_reasons_of_the_full_verifiers(monkeypatch):
             "comparison map fails on the solid simplex",
             "chain condition fails over the circle algebra",
             "chain condition fails over the 2-sphere algebra"} <= reasons
+
+
+T_FIXTURES = ("boundary_delta3", "ball3", "s1_3", "torus_7")
+
+
+def test_the_comparison_map_reads_no_stage_two_entry():
+    # the premise of keying a kept T verdict by the stage-one entries alone
+    ws = Workspace(FIXTURES)
+    for name in T_FIXTURES:
+        cc = ws.collapsed(name)
+        want = verify_T_chain_map(cc, DEFAULT)
+        assert want.ok and want.cells
+        for entry in STAGE_TWO:
+            assert verify_T_chain_map(cc, DEFAULT.flip(entry)) == want, (
+                name, entry)
+
+
+def test_the_sweep_keeps_the_survivors_full_t_verdicts():
+    ws = Workspace(FIXTURES)
+    resolve_conventions(ws)
+    for name in ("boundary_delta3", "ball3"):
+        kept = ws._cache[cli._t_key(name, DEFAULT)]
+        assert kept == verify_T_chain_map(ws.collapsed(name), DEFAULT)
+        # any stage-two entries read the same verdict
+        assert ws.t_verification(name, DEFAULT.flip("iota_twist")) is kept
+
+
+def test_report_decides_arity_checks_and_the_survivors_t_once(monkeypatch):
+    # the arity-only stage-one checks run once per arity, and T on the
+    # 2-sphere and the solid simplex once under the active stage-one
+    # entries: the sweep's survivor, which the T suite reads back.  Each
+    # report has a fresh Workspace and decides them all again.
+    arities, residual_loops, verified = [], [], []
+    real_arity, real_loop = cli._arity_refuted, cli.t_residuals
+    real_verify = cli.verify_T_chain_map
+
+    def arity_refuted(ws, arity):
+        arities.append(arity)
+        return real_arity(ws, arity)
+
+    def loop(cc, conv, **kwargs):
+        if all(getattr(conv, e) == getattr(DEFAULT, e) for e in STAGE_ONE):
+            residual_loops.append(cc.source.name)
+        return real_loop(cc, conv, **kwargs)
+
+    def verify(cc, conv, **kwargs):
+        verified.append(cc.source.name)
+        return real_verify(cc, conv, **kwargs)
+
+    monkeypatch.setattr(cli, "_arity_refuted", arity_refuted)
+    monkeypatch.setattr(cli, "t_residuals", loop)
+    monkeypatch.setattr(cli, "verify_T_chain_map", verify)
+    once = (["argument_count", "subscript"],
+            ["boundary of the 3-simplex", "solid 3-simplex"],
+            ["boundary of the 3-simplex", "circle on three vertices",
+             "seven vertex torus"])
+    for fmt in ("tsv", "json"):
+        code, out, _ = fx("report", "--format", fmt)
+        assert code == 0
+        assert out == (GOLDEN / f"report-seed7.{fmt}").read_text()
+        assert (sorted(arities), sorted(residual_loops), sorted(verified)) \
+            == once
+        for seen in (arities, residual_loops, verified):
+            seen.clear()
 
 
 def test_stage_one_builds_its_words_once_per_workspace(monkeypatch):
