@@ -277,9 +277,21 @@ def _certify_stage_one(ws: Workspace, conv: Conventions):
         return "tetrahedron face census"
     if word_boundary(sphere, (T12, T123), conv) != LEIBNIZ_CENSUS:
         return "two-letter product rule census"
-    for word in ws.stage_one_words()[0]:
-        if dga_differential(sphere, word_boundary(sphere, word, conv), conv):
-            return "d^2 != 0 at " + format_word(word)
+
+    def d2_refuted():
+        for word in ws.stage_one_words()[0]:
+            if dga_differential(sphere, word_boundary(sphere, word, conv), conv):
+                return "d^2 != 0 at " + format_word(word)
+        return None
+
+    # on these tau-only words, word_boundary and dga_differential read
+    # make_tau (tau_degeneracy), _product (mu2_order) and _letter_entry's
+    # parity (leibniz_prefix), and no other entry
+    d2_key = ("stage one d^2", conv.mu2_order, conv.leibniz_prefix,
+              conv.tau_degeneracy)
+    reason = ws._memo(d2_key, d2_refuted)
+    if reason:
+        return reason
     arity = conv.hochschild_arity
     reason = ws._memo(("arity checks", arity), lambda: _arity_refuted(ws, arity))
     if reason:

@@ -233,40 +233,51 @@ def sweep_identity(d_max: int = 4, degree_window=(-2, 2)) -> IdentitySweep:
 
     Covers every d <= d_max, every split 0 <= d1 <= d, every rotation
     0 <= r <= d2 (the boundary value r = d2 included deliberately), and
-    every degrees tuple with entries in the window.
+    every degrees tuple with entries in the window lo..hi.  A reversed
+    window or a negative d_max raises ConstraintError; d_max = 0 gives
+    the empty sweep.
 
     For fixed d, d1 and r every term of either side of the identity is an
     integer polynomial in the degrees: dagger, the per-block sums and the
     diamond and bullet exponents are sums and products of degrees with
     integer coefficients.  An integer polynomial read mod 2 takes the same
     value at x and y whenever x = y (mod 2) entrywise, so the verdict
-    depends only on the parity pattern of the degrees.  The tuples are
-    still visited in order, so failures keep their order, but the identity
-    is evaluated once per pattern and the verdict reused.
+    depends only on the parity pattern of the degrees.  For each d the
+    tuples are listed once, with their parity patterns in the same order;
+    each (d1, r) evaluates the identity once per distinct pattern (the
+    pattern itself serves as the degrees), counts the cases by the length
+    of the list, and lists as failures the tuples whose pattern failed,
+    in tuple order.
     """
     lo, hi = degree_window
+    if lo > hi:
+        raise ConstraintError(
+            f"sweep requires a window lo <= hi, got degree_window={degree_window}")
+    if d_max < 0:
+        raise ConstraintError(f"sweep requires d_max >= 0, got d_max={d_max}")
+    window = range(lo, hi + 1)
     failures = []
     total = boundary = interior = interior_fail = 0
     for d in range(1, d_max + 1):
+        tuples = list(product(window, repeat=d))
+        patterns = list(product([x & 1 for x in window], repeat=d))
+        distinct = set(patterns)
         for d1 in range(0, d + 1):
             d2 = d - d1
             for r in range(0, d2 + 1):
-                verdicts = {}  # parity pattern -> identity holds
-                for degrees in product(range(lo, hi + 1), repeat=d):
-                    pattern = tuple(x & 1 for x in degrees)
-                    equal = verdicts.get(pattern)
-                    if equal is None:
-                        equal = verdicts[pattern] = homotopy_identity_check(
-                            degrees, d1, r).equal
-                    total += 1
-                    if r == d2:
-                        boundary += 1
-                    else:
-                        interior += 1
-                    if not equal:
-                        failures.append((degrees, d1, r))
-                        if r < d2:
-                            interior_fail += 1
+                failed = {p for p in distinct
+                          if not homotopy_identity_check(p, d1, r).equal}
+                total += len(tuples)
+                if r == d2:
+                    boundary += len(tuples)
+                else:
+                    interior += len(tuples)
+                if failed:
+                    hits = [(degrees, d1, r) for degrees, pattern
+                            in zip(tuples, patterns) if pattern in failed]
+                    failures += hits
+                    if r < d2:
+                        interior_fail += len(hits)
     combos = tuple(sorted({(len(degs), d1, r) for degs, d1, r in failures}))
     return IdentitySweep(total=total, failures=tuple(failures),
                          failing_combos=combos, boundary_total=boundary,

@@ -3,6 +3,7 @@ resolution harness, and the coverage cross-check."""
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import shutil
@@ -18,7 +19,8 @@ from loopchains.cli import (STAGE_ONE, STAGE_TWO, SUITES, ResolutionError,
                             Workspace, _coverage_problems, _sweep_stage,
                             certify_assignment, main, resolve_conventions)
 from loopchains.cobarloop import (BoundaryUndefinedError, LoopAlgebra,
-                                  TruncationError, verify_T_chain_map)
+                                  TruncationError, dga_differential,
+                                  verify_T_chain_map, word_boundary)
 from loopchains.conventions import CHOICES, DEFAULT, parse_ledger, serialize_ledger
 from loopchains.freeloop import verify_G_chain_map
 
@@ -318,6 +320,50 @@ def test_stage_one_builds_its_words_once_per_workspace(monkeypatch):
     conv, _ = resolve_conventions(FIXTURES)
     assert conv == DEFAULT
     assert sorted(calls) == ["loop_words"] + ["random_dga"] * 3
+
+
+D2_ENTRIES = ("mu2_order", "leibniz_prefix", "tau_degeneracy")
+
+
+def test_the_stage_one_d2_check_reads_three_entries(monkeypatch):
+    # the premise of keying stage one's d^2 verdict by three entries: on
+    # the 68 words, flipping any other entry moves no boundary and no d^2
+    ws = Workspace(FIXTURES)
+    sphere = ws.collapsed("boundary_delta3")
+    words = ws.stage_one_words()[0]
+    assert len(words) == 68
+
+    def passes(conv):
+        return [(b, dga_differential(sphere, b, conv)) for b in
+                (word_boundary(sphere, w, conv) for w in words)]
+
+    seen = []
+    for values in itertools.product(*(CHOICES[e][0] for e in D2_ENTRIES)):
+        base = replace(DEFAULT, **dict(zip(D2_ENTRIES, values)))
+        want = passes(base)
+        for entry in CHOICES:
+            if entry not in D2_ENTRIES:
+                assert passes(base.flip(entry)) == want, (values, entry)
+        if want not in seen:
+            seen.append(want)
+    # mu2_order and leibniz_prefix move the boundaries, and d^2 vanishes
+    # under all eight assignments of the three
+    assert len(seen) == 4
+    assert not any(d2 for want in seen for _, d2 in want)
+
+    # so a fresh Workspace decides the pass once per key that reaches it:
+    # 2 keys of 68 words, where each of the 32 assignments ran it before
+    calls = []
+
+    def counting(cc, vector, conv, real=cli.dga_differential):
+        calls.append(conv)
+        return real(cc, vector, conv)
+
+    monkeypatch.setattr(cli, "dga_differential", counting)
+    assert resolve_conventions(Workspace(FIXTURES)) == (DEFAULT, (
+        "stage one: 1 of 128 assignments certified",
+        "stage two: 1 of 64 assignments certified"))
+    assert len(calls) == 136
 
 
 def test_stage_two_reads_each_basis_once_per_workspace(monkeypatch):

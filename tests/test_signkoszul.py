@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -152,10 +154,24 @@ def test_sweep_frozen_counts():
 
 @pytest.mark.parametrize("d_max, window", [
     (4, (-2, 2)), (3, (-3, 3)), (5, (-1, 1)), (3, (1, 1)), (3, (2, 2)),
+    (4, (0, 1)), (4, (-1, 2)), (3, (-3, -3)), (0, (-2, 2)), (1, (-2, 2)),
 ])
 def test_sweep_equals_the_per_tuple_oracle(d_max, window):
     assert sweep_identity(d_max, window) == \
         per_tuple_sweep_identity(d_max, window)
+
+
+@pytest.mark.parametrize("d_max, window, named", [
+    (3, (2, 1), "degree_window=(2, 1)"), (-1, (-2, 2), "d_max=-1"),
+])
+def test_sweep_refuses_a_reversed_window_or_a_negative_arity(d_max, window,
+                                                             named):
+    with pytest.raises(ConstraintError, match=re.escape(named)):
+        sweep_identity(d_max, window)
+
+
+def test_sweep_of_arity_zero_is_empty():
+    assert sweep_identity(0, (-2, 2)) == (0, (), (), 0, 0, 0)
 
 
 @settings(max_examples=200, deadline=None)
