@@ -205,28 +205,35 @@ def _letter_entry(cc, letter, conv):
 # the number of conventions a sweep tries.  Beside it, the set of the
 # letters met so far whose boundary has no terms (edge letters and the
 # unit): a word made of these alone has no boundary.  A letter whose
-# boundary raises gets no entry.
+# boundary raises gets no entry.  word_boundary and dga_differential
+# check the pair once per call and hand the table to _leibniz_into;
+# only _new_table replaces it.
 _table = (None, None, {}, set())
 
 
-def word_boundary(cc, word, conv: Conventions = DEFAULT) -> dict:
-    """Leibniz extension of the letter boundary to words.
-
-    The terms of the letter in slot i carry the sign (-1)^e, where e is
-    the degree of the prefix word[:i], plus its length under the reduced
-    prefix convention; e is kept as a running parity, which picks the
-    letter's terms with that sign out of its table entry.  The unit
-    letter has no terms; when the loop meets it, the unit is dropped
-    from the output words at the end.
-    """
+def _new_table(cc, conv):
+    """Make an empty table current; return its entries and free set."""
     global _table
-    table_cc, table_conv, entries, free = _table
-    if table_cc is not cc or table_conv is not conv:
-        entries, free = {}, set()
-        _table = (cc, conv, entries, free)
-    if free.issuperset(word):
-        return {}
-    out = {}
+    _table = (cc, conv, {}, set())
+    return _table[2:]
+
+
+def _leibniz_into(out, word, scale, cc, conv, entries, free) -> bool:
+    """Add scale * d(word) into out, term by term, and say whether the
+    word holds the unit letter.
+
+    The Leibniz loop of word_boundary and dga_differential.  The terms
+    of the letter in slot i carry the sign (-1)^e, where e is the degree
+    of the prefix word[:i], plus its length under the reduced prefix
+    convention; e is kept as a running parity, which picks the letter's
+    terms with that sign out of its table entry.  The first letter to add
+    terms to an empty out stores them without lookups: a letter's terms
+    are distinct words, so none of them can meet another.  A zero scale
+    adds nothing, but the letters are still looked up, so a corner letter
+    raises wherever it sits.  The unit letter has no terms and stays in
+    the output words; the caller drops it from them once, after all its
+    adding, which is valid because dropping it is linear.
+    """
     odd = 0
     has_unit = False
     for i, letter in enumerate(word):
@@ -236,40 +243,73 @@ def word_boundary(cc, word, conv: Conventions = DEFAULT) -> dict:
             if not entry[0]:
                 free.add(letter)
         terms = entry[odd]
-        if terms:
+        if terms and scale:
             head, tail = word[:i], word[i + 1:]
-            for t, c in terms:
-                w = head + t + tail
-                c += out.get(w, 0)
-                if c:
-                    out[w] = c
-                else:
-                    del out[w]
+            if out:
+                for t, c in terms:
+                    w = head + t + tail
+                    c = c * scale + out.get(w, 0)
+                    if c:
+                        out[w] = c
+                    else:
+                        del out[w]
+            else:
+                for t, c in terms:
+                    out[head + t + tail] = c * scale
         elif entry[3]:
             has_unit = True
         odd ^= entry[2]
-    if has_unit:
-        out, raw = {}, out
-        for w, c in raw.items():
-            _add(out, normalize_word(w), c)
+    return has_unit
+
+
+def _drop_units(raw) -> dict:
+    """raw with the unit letter dropped from every word."""
+    out = {}
+    for w, c in raw.items():
+        _add(out, normalize_word(w), c)
+    return out
+
+
+def word_boundary(cc, word, conv: Conventions = DEFAULT) -> dict:
+    """Leibniz extension of the letter boundary to words.
+
+    A word of letters the table knows to be boundary-free has no
+    boundary, and returns at once; any other word goes through the
+    Leibniz loop that dga_differential shares (_leibniz_into).
+    """
+    table_cc, table_conv, entries, free = _table
+    if table_cc is not cc or table_conv is not conv:
+        entries, free = _new_table(cc, conv)
+    if free.issuperset(word):
+        return {}
+    out = {}
+    if _leibniz_into(out, word, 1, cc, conv, entries, free):
+        return _drop_units(out)
     return out
 
 
 def dga_differential(cc, vector, conv: Conventions = DEFAULT) -> dict:
-    """The differential on a vector (or single word) of the loop dga."""
+    """The differential on a vector (or single word) of the loop dga.
+
+    Every word that is not boundary-free adds its boundary, times its
+    coefficient, straight into one output dict, through the Leibniz loop
+    word_boundary shares: no dict per word, and the unit is dropped from
+    the output words once, at the end.
+    """
     if not vector:
         return {}
     if isinstance(vector, tuple):
         vector = {vector: 1}
+    table_cc, table_conv, entries, free = _table
+    if table_cc is not cc or table_conv is not conv:
+        entries, free = _new_table(cc, conv)
     out = {}
+    has_unit = False
     for word, c in vector.items():
-        for w, c2 in word_boundary(cc, word, conv).items():
-            c2 = out.get(w, 0) + c * c2
-            if c2:
-                out[w] = c2
-            else:
-                out.pop(w, None)
-    return out
+        if not free.issuperset(word) \
+                and _leibniz_into(out, word, c, cc, conv, entries, free):
+            has_unit = True
+    return _drop_units(out) if has_unit else out
 
 
 # -- the loop dga as a hochschild algebra -------------------------------------

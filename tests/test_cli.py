@@ -9,6 +9,7 @@ import os
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,7 +22,8 @@ from loopchains.cli import (STAGE_ONE, STAGE_TWO, SUITES, ResolutionError,
 from loopchains.cobarloop import (BoundaryUndefinedError, LoopAlgebra,
                                   TruncationError, dga_differential,
                                   verify_T_chain_map, word_boundary)
-from loopchains.conventions import CHOICES, DEFAULT, parse_ledger, serialize_ledger
+from loopchains.conventions import (CHOICES, DEFAULT, Conventions, parse_ledger,
+                                   serialize_ledger)
 from loopchains.freeloop import verify_G_chain_map
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -320,6 +322,41 @@ def test_stage_one_builds_its_words_once_per_workspace(monkeypatch):
     conv, _ = resolve_conventions(FIXTURES)
     assert conv == DEFAULT
     assert sorted(calls) == ["loop_words"] + ["random_dga"] * 3
+
+
+def _first_reasons(ws, axes, fixed, certify):
+    """How many assignments of the axes, over the fixed entries, each
+    first failing reason (None for a survivor) ends."""
+    reasons = Counter()
+    for values in itertools.product(*(CHOICES[a][0] for a in axes)):
+        conv = Conventions(**{**fixed, **dict(zip(axes, values))})
+        reasons[certify(ws, conv)] += 1
+    return reasons
+
+
+def test_first_failing_reasons_of_both_stages():
+    # the first failing check of every assignment, as the sweep meets
+    # them: stage one under the placeholder stage-two entries, stage two
+    # with stage one pinned to its survivor.  Stage one's d^2 step, b^2
+    # on the seeded words and the one-slot image spot end no assignment
+    ws = Workspace(FIXTURES)
+    placeholder = {name: CHOICES[name][0][0] for name in STAGE_TWO}
+    assert _first_reasons(ws, STAGE_ONE, placeholder,
+                          cli._certify_stage_one) == {
+        "tetrahedron face census": 64,
+        "two-letter product rule census": 32,
+        "unit wrap image": 16,
+        "comparison map fails on the 2-sphere model": 14,
+        "comparison map fails on the solid simplex": 1,
+        None: 1,
+    }
+    pinned = {name: getattr(DEFAULT, name) for name in STAGE_ONE}
+    assert _first_reasons(ws, STAGE_TWO, pinned, cli._certify_stage_two) == {
+        "two-slot image spot": 32,
+        "chain condition fails over the circle algebra": 16,
+        "chain condition fails over the 2-sphere algebra": 15,
+        None: 1,
+    }
 
 
 D2_ENTRIES = ("mu2_order", "leibniz_prefix", "tau_degeneracy")

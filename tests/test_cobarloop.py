@@ -330,10 +330,23 @@ def test_word_boundary_matches_the_leibniz_reference(letter_pool, data):
         min_size=1, max_size=3))
     pairs = data.draw(st.permutations(
         [(cc, conv) for cc in complexes for conv in BOUNDARY_CONVENTIONS]))
+    # dga_differential runs the same Leibniz loop on the words as one
+    # vector, first or last under each pair, so it meets the table both
+    # freshly switched and as word_boundary left it
+    vector = dict(zip(words, data.draw(st.lists(
+        st.sampled_from((0, -2, -1, 1, 3)), min_size=len(words),
+        max_size=len(words)))))
+    vector_first = data.draw(st.booleans())
     for cc, conv in pairs:
+        if vector_first:
+            assert dga_differential(cc, vector, conv) == \
+                _leibniz_vector(cc, vector, conv)
         for word in words:
             assert word_boundary(cc, word, conv) == \
                 leibniz_word_boundary(cc, word, conv)
+        if not vector_first:
+            assert dga_differential(cc, vector, conv) == \
+                _leibniz_vector(cc, vector, conv)
 
 
 def test_word_boundary_drops_the_unit_wherever_it_sits(sphere2):
@@ -386,6 +399,42 @@ def _leibniz_vector(cc, vector, conv):
         for w, c2 in leibniz_word_boundary(cc, word, conv).items():
             _add(out, w, c * c2)
     return out
+
+
+def test_dga_differential_keeps_no_zero_coefficient(sphere2):
+    # the Leibniz loop adds every word's terms into one dict, and the
+    # first letter to add terms fills it without lookups: a zero
+    # coefficient, terms that cancel across words and units dropped only
+    # at the end must still leave no zero entry
+    U = UNIT_LETTER
+    vectors = [
+        {(T123,): 0},
+        {(T123,): 0, (T12, T123): 2},
+        {(T12, T123): 2, (T123, T123): 0, (T123,): -1},
+        # two words with opposite boundaries, the second through a unit
+        {(T123,): 1, (U, T123): -1},
+        {(T12, T123): 3, (T12, U, T123): -3, (T123,): 1},
+        # units in several entries, beside each other's terms
+        {(U, T123): 1, (T123, U): 2, (T12, U, T123, U): -1, (T123, T12): 1},
+    ]
+    for conv in BOUNDARY_CONVENTIONS:
+        # a boundary: under the ledger its words' boundaries cancel
+        for vector in vectors + [word_boundary(sphere2, (T123, T123), conv)]:
+            got = dga_differential(sphere2, vector, conv)
+            assert got == _leibniz_vector(sphere2, vector, conv)
+            assert 0 not in got.values()
+            assert all(U not in w for w in got)
+    assert dga_differential(sphere2, {(T123,): 1, (U, T123): -1}) == {}
+    boundary = word_boundary(sphere2, (T123, T123))
+    assert len(boundary) > 1 and dga_differential(sphere2, boundary) == {}
+    # a corner letter in the middle of a vector raises, whatever its
+    # coefficient, and gets no table entry
+    q = ("pi3", (0, 1), (1, 2), (2, 1, 0))
+    for c in (1, 0):
+        with pytest.raises(BoundaryUndefinedError, match="corner"):
+            dga_differential(sphere2, {(T123,): 1, (T12, q): c, (T23,): 1})
+        assert cobarloop._table[0] is sphere2
+        assert q not in cobarloop._table[2]
 
 
 @pytest.mark.parametrize("conv", (DEFAULT, DEFAULT.flip("leibniz_prefix")))
