@@ -74,7 +74,6 @@ BALL_CENSUS = {
 LEIBNIZ_CENSUS = {(T12, T13): -1, (T12, T12, ("tau", (2, 3))): 1}
 WRAP_IMAGE = {("v",): -1}
 SPOT_PAIR = {("wedge", (T123,), (Q012,)): 1}
-SPOT_IOTA = {("iota", (T123,)): -1}
 
 PI2_SPOT = {
     (("tau", (0, 1, 2)), ("tau", (2, 1, 0))): -1,
@@ -180,22 +179,6 @@ class Workspace:
         return self._memo(_t_key(name, conv),
                           lambda: verify_T_chain_map(self.collapsed(name), conv))
 
-    def stage_one_words(self):
-        """The 2-sphere model's loop words up to weight 3 and twenty seeded
-        (algebra, word) pairs over each random_dga(0..2), which stage one
-        checks under every assignment.  Neither depends on the conventions
-        nor, by its internal seed, on --seed."""
-        def build():
-            rng = random.Random(0)
-            seeded = []
-            for alg in map(random_dga, range(3)):
-                basis = alg.basis(3)
-                seeded += [(alg, tuple(rng.choice(basis)
-                                       for _ in range(rng.randint(1, 3))))
-                           for _ in range(20)]
-            return loop_words(self.collapsed("boundary_delta3"), 3), seeded
-        return self._memo(("stage one words",), build)
-
     def sweep(self):
         """The sign-identity sweep the signs suite and the report share."""
         return self._memo(("sweep",), lambda: sweep_identity(4, (-2, 2)))
@@ -252,50 +235,25 @@ def _t_refuted(ws, name, conv):
     return not v.ok
 
 
-def _arity_refuted(ws, arity):
-    """The stage-one checks that read only the Hochschild arity, which
-    _certify_stage_one decides once per arity per Workspace."""
-    if hochschild_b(SQUARE_ZERO, ("u",), arity=arity) != WRAP_IMAGE:
-        return "unit wrap image"
-    for alg, word in ws.stage_one_words()[1]:
-        once = hochschild_b(alg, word, arity=arity)
-        if hochschild_b_vector(alg, once, arity=arity):
-            return "b^2 != 0 on a seeded word"
-    return None
-
-
 def _g_refuted(alg, conv):
     return any(r for _, r in g_residuals(alg, conv))
 
 
 def _certify_stage_one(ws: Workspace, conv: Conventions):
     """First failing stage-one check, or None.  Stage one pins every entry
-    visible to the loop differential, the cyclic boundary, and T."""
+    visible to the loop differential, the cyclic boundary, and T, by
+    checking in turn the tetrahedron face census, the two-letter
+    product rule census, the cyclic boundary's unit wrap image, and T on
+    the 2-sphere model and on the solid simplex."""
     sphere = ws.collapsed("boundary_delta3")
     ball = ws.collapsed("ball3")
     if tau_boundary(ball, (0, 1, 2, 3), conv) != BALL_CENSUS:
         return "tetrahedron face census"
     if word_boundary(sphere, (T12, T123), conv) != LEIBNIZ_CENSUS:
         return "two-letter product rule census"
-
-    def d2_refuted():
-        for word in ws.stage_one_words()[0]:
-            if dga_differential(sphere, word_boundary(sphere, word, conv), conv):
-                return "d^2 != 0 at " + format_word(word)
-        return None
-
-    # on these tau-only words, word_boundary and dga_differential read
-    # make_tau (tau_degeneracy), _product (mu2_order) and _letter_entry's
-    # parity (leibniz_prefix), and no other entry
-    d2_key = ("stage one d^2", conv.mu2_order, conv.leibniz_prefix,
-              conv.tau_degeneracy)
-    reason = ws._memo(d2_key, d2_refuted)
-    if reason:
-        return reason
-    arity = conv.hochschild_arity
-    reason = ws._memo(("arity checks", arity), lambda: _arity_refuted(ws, arity))
-    if reason:
-        return reason
+    if hochschild_b(SQUARE_ZERO, ("u",),
+                    arity=conv.hochschild_arity) != WRAP_IMAGE:
+        return "unit wrap image"
     if _t_refuted(ws, "boundary_delta3", conv):
         return "comparison map fails on the 2-sphere model"
     if _t_refuted(ws, "ball3", conv):
@@ -305,13 +263,13 @@ def _certify_stage_one(ws: Workspace, conv: Conventions):
 
 def _certify_stage_two(ws: Workspace, conv: Conventions):
     """First failing stage-two check, or None.  Stage two pins the wedge
-    and inclusion entries against G with stage one already certified."""
+    and inclusion entries against G with stage one already certified, by
+    checking in turn G's two-slot image spot and G's chain condition over
+    the circle and the 2-sphere algebras."""
     circle_alg = ws.algebra("s1_3", conv)
     sphere_alg = ws.algebra("boundary_delta3", conv)
     if goodwillie_G(sphere_alg, ((T123,), (Q012,)), conv) != SPOT_PAIR:
         return "two-slot image spot"
-    if goodwillie_G(sphere_alg, ((T123,),), conv) != SPOT_IOTA:
-        return "one-slot image spot"
     if _g_refuted(circle_alg, conv):
         return "chain condition fails over the circle algebra"
     if _g_refuted(sphere_alg, conv):
@@ -320,10 +278,11 @@ def _certify_stage_two(ws: Workspace, conv: Conventions):
 
 
 def certify_assignment(fixtures, conv: Conventions):
-    """Run every certifying check for a full assignment.
+    """Run the certifying checks of both stages for a full assignment.
 
-    Returns None when all of them pass, else a one-line reason.  Split out
-    so single-entry mutations of a resolved ledger can be probed directly.
+    Returns None when all of them pass, else the first failing check's
+    one-line reason.  Split out so single-entry mutations of a resolved
+    ledger can be probed directly.
     """
     ws = fixtures if isinstance(fixtures, Workspace) else Workspace(Path(fixtures))
     return _certify_stage_one(ws, conv) or _certify_stage_two(ws, conv)
@@ -361,8 +320,12 @@ def resolve_conventions(fixtures):
     assignment together with a short log.
 
     Stage one sweeps the seven entries visible to the loop differential and
-    the comparison map T (2^7 assignments).  Stage two sweeps the six wedge
-    and inclusion entries against G with stage one pinned (2^6).  Anything
+    the comparison map T (2^7 assignments) through two boundary censuses,
+    the unit wrap image and T.  Stage two sweeps the six wedge and
+    inclusion entries against G with stage one pinned (2^6), through G's
+    two-slot image spot and its chain condition.  An assignment's reason
+    is its first failing check, so each check runs only on the
+    assignments every earlier check passed.  Anything
     other than exactly one survivor per stage raises ResolutionError, for
     zero survivors with the full per-assignment failure list attached.
     """

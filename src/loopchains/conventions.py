@@ -124,8 +124,11 @@ def parse_ledger(text: str) -> Conventions:
                 value = int(value)
             except ValueError:
                 raise LedgerError(f"line {lineno}: {name} must be an integer")
+        if value not in allowed:
+            raise LedgerError(
+                f"line {lineno}: {name}: {value!r} not one of {allowed}")
         values[name] = value
     missing = [name for name in CHOICES if name not in values]
     if missing:
         raise LedgerError(f"missing entries: {', '.join(missing)}")
-    return validate(Conventions(**values))
+    return Conventions(**values)

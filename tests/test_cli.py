@@ -20,10 +20,9 @@ from loopchains.cli import (STAGE_ONE, STAGE_TWO, SUITES, ResolutionError,
                             Workspace, _coverage_problems, _sweep_stage,
                             certify_assignment, main, resolve_conventions)
 from loopchains.cobarloop import (BoundaryUndefinedError, LoopAlgebra,
-                                  TruncationError, dga_differential,
-                                  verify_T_chain_map, word_boundary)
-from loopchains.conventions import (CHOICES, DEFAULT, Conventions, parse_ledger,
-                                   serialize_ledger)
+                                  TruncationError, verify_T_chain_map)
+from loopchains.conventions import (CHOICES, DEFAULT, Conventions, LedgerError,
+                                   parse_ledger, serialize_ledger)
 from loopchains.freeloop import verify_G_chain_map
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -226,13 +225,10 @@ def test_certifiers_give_the_reasons_of_the_full_verifiers(monkeypatch):
     monkeypatch.undo()
     assert [len(seen) for seen in built.values()] == [128, 64]
 
-    # a fresh Workspace, so no verdict the sweep kept is read back, and
-    # the arity-only checks decided anew for every assignment
+    # a fresh Workspace, so no verdict the sweep kept is read back
     ws = Workspace(FIXTURES)
     monkeypatch.setattr(cli, "_t_refuted", lambda ws, name, conv: not (
         verify_T_chain_map(ws.collapsed(name), conv).ok))
-    monkeypatch.setattr(cli, "_arity_refuted", lambda ws, arity,
-                        real=cli._arity_refuted: real(Workspace(FIXTURES), arity))
     monkeypatch.setattr(cli, "_g_refuted",
                         lambda alg, conv: not verify_G_chain_map(alg, conv).ok)
     for name, seen in built.items():
@@ -270,18 +266,12 @@ def test_the_sweep_keeps_the_survivors_full_t_verdicts():
         assert ws.t_verification(name, DEFAULT.flip("iota_twist")) is kept
 
 
-def test_report_decides_arity_checks_and_the_survivors_t_once(monkeypatch):
-    # the arity-only stage-one checks run once per arity, and T on the
-    # 2-sphere and the solid simplex once under the active stage-one
-    # entries: the sweep's survivor, which the T suite reads back.  Each
-    # report has a fresh Workspace and decides them all again.
-    arities, residual_loops, verified = [], [], []
-    real_arity, real_loop = cli._arity_refuted, cli.t_residuals
-    real_verify = cli.verify_T_chain_map
-
-    def arity_refuted(ws, arity):
-        arities.append(arity)
-        return real_arity(ws, arity)
+def test_report_decides_the_survivors_t_once(monkeypatch):
+    # T on the 2-sphere and the solid simplex runs once under the active
+    # stage-one entries: the sweep's survivor, which the T suite reads
+    # back.  Each report has a fresh Workspace and decides them again.
+    residual_loops, verified = [], []
+    real_loop, real_verify = cli.t_residuals, cli.verify_T_chain_map
 
     def loop(cc, conv, **kwargs):
         if all(getattr(conv, e) == getattr(DEFAULT, e) for e in STAGE_ONE):
@@ -292,36 +282,34 @@ def test_report_decides_arity_checks_and_the_survivors_t_once(monkeypatch):
         verified.append(cc.source.name)
         return real_verify(cc, conv, **kwargs)
 
-    monkeypatch.setattr(cli, "_arity_refuted", arity_refuted)
     monkeypatch.setattr(cli, "t_residuals", loop)
     monkeypatch.setattr(cli, "verify_T_chain_map", verify)
-    once = (["argument_count", "subscript"],
-            ["boundary of the 3-simplex", "solid 3-simplex"],
+    once = (["boundary of the 3-simplex", "solid 3-simplex"],
             ["boundary of the 3-simplex", "circle on three vertices",
              "seven vertex torus"])
     for fmt in ("tsv", "json"):
         code, out, _ = fx("report", "--format", fmt)
         assert code == 0
         assert out == (GOLDEN / f"report-seed7.{fmt}").read_text()
-        assert (sorted(arities), sorted(residual_loops), sorted(verified)) \
-            == once
-        for seen in (arities, residual_loops, verified):
+        assert (sorted(residual_loops), sorted(verified)) == once
+        for seen in (residual_loops, verified):
             seen.clear()
 
 
-def test_stage_one_builds_its_words_once_per_workspace(monkeypatch):
-    # the loop words and seeded words stage one checks do not depend on
-    # the conventions; 32 of the 128 assignments reach the first of them
+def test_resolution_enumerates_no_words_and_takes_no_d2(monkeypatch):
+    # the sweep checks a few pinned spots, T and G; d^2 on the loop words
+    # and b^2 on seeded words are the cobar and hochschild suites' checks
     calls = []
-    for name in ("loop_words", "random_dga"):
+    for name in ("loop_words", "random_dga", "dga_differential"):
         def counting(*args, real=getattr(cli, name), name=name):
             calls.append(name)
             return real(*args)
 
         monkeypatch.setattr(cli, name, counting)
-    conv, _ = resolve_conventions(FIXTURES)
-    assert conv == DEFAULT
-    assert sorted(calls) == ["loop_words"] + ["random_dga"] * 3
+    assert resolve_conventions(FIXTURES) == (DEFAULT, (
+        "stage one: 1 of 128 assignments certified",
+        "stage two: 1 of 64 assignments certified"))
+    assert calls == []
 
 
 def _first_reasons(ws, axes, fixed, certify):
@@ -337,8 +325,8 @@ def _first_reasons(ws, axes, fixed, certify):
 def test_first_failing_reasons_of_both_stages():
     # the first failing check of every assignment, as the sweep meets
     # them: stage one under the placeholder stage-two entries, stage two
-    # with stage one pinned to its survivor.  Stage one's d^2 step, b^2
-    # on the seeded words and the one-slot image spot end no assignment
+    # with stage one pinned to its survivor.  Every check the sweep runs
+    # ends at least one assignment
     ws = Workspace(FIXTURES)
     placeholder = {name: CHOICES[name][0][0] for name in STAGE_TWO}
     assert _first_reasons(ws, STAGE_ONE, placeholder,
@@ -359,54 +347,9 @@ def test_first_failing_reasons_of_both_stages():
     }
 
 
-D2_ENTRIES = ("mu2_order", "leibniz_prefix", "tau_degeneracy")
-
-
-def test_the_stage_one_d2_check_reads_three_entries(monkeypatch):
-    # the premise of keying stage one's d^2 verdict by three entries: on
-    # the 68 words, flipping any other entry moves no boundary and no d^2
-    ws = Workspace(FIXTURES)
-    sphere = ws.collapsed("boundary_delta3")
-    words = ws.stage_one_words()[0]
-    assert len(words) == 68
-
-    def passes(conv):
-        return [(b, dga_differential(sphere, b, conv)) for b in
-                (word_boundary(sphere, w, conv) for w in words)]
-
-    seen = []
-    for values in itertools.product(*(CHOICES[e][0] for e in D2_ENTRIES)):
-        base = replace(DEFAULT, **dict(zip(D2_ENTRIES, values)))
-        want = passes(base)
-        for entry in CHOICES:
-            if entry not in D2_ENTRIES:
-                assert passes(base.flip(entry)) == want, (values, entry)
-        if want not in seen:
-            seen.append(want)
-    # mu2_order and leibniz_prefix move the boundaries, and d^2 vanishes
-    # under all eight assignments of the three
-    assert len(seen) == 4
-    assert not any(d2 for want in seen for _, d2 in want)
-
-    # so a fresh Workspace decides the pass once per key that reaches it:
-    # 2 keys of 68 words, where each of the 32 assignments ran it before
-    calls = []
-
-    def counting(cc, vector, conv, real=cli.dga_differential):
-        calls.append(conv)
-        return real(cc, vector, conv)
-
-    monkeypatch.setattr(cli, "dga_differential", counting)
-    assert resolve_conventions(Workspace(FIXTURES)) == (DEFAULT, (
-        "stage one: 1 of 128 assignments certified",
-        "stage two: 1 of 64 assignments certified"))
-    assert len(calls) == 136
-
-
 def test_stage_two_reads_each_basis_once_per_workspace(monkeypatch):
     # the basis does not depend on the conventions, so the per-assignment
-    # algebras of a fixture share it: stage one's loop words read the
-    # 2-sphere model's once, and stage two each fixture's once
+    # algebras of a fixture share it: stage two reads each fixture's once
     calls = []
     real = LoopAlgebra.basis
 
@@ -417,8 +360,8 @@ def test_stage_two_reads_each_basis_once_per_workspace(monkeypatch):
     monkeypatch.setattr(LoopAlgebra, "basis", counting)
     conv, _ = resolve_conventions(FIXTURES)
     assert conv == DEFAULT
-    assert sorted(calls) == [("boundary of the 3-simplex", 3)] * 2 + [
-        ("circle on three vertices", 3)]
+    assert sorted(calls) == [("boundary of the 3-simplex", 3),
+                             ("circle on three vertices", 3)]
     ws = Workspace(FIXTURES)
     other = replace(DEFAULT, iota_twist="in_boundary")
     first, second = ws.algebra("s1_3", DEFAULT), ws.algebra("s1_3", other)
@@ -473,8 +416,23 @@ def test_unparseable_ledger_fails_verify(tmp_path):
     (fixtures / "conventions.ledger").write_text("mu2_order = upside_down\n")
     code, out, _ = run_cli("--fixtures", str(fixtures), "verify", "all")
     assert code == 1
-    assert "note:" in out
+    assert "note: conventions.ledger rejected: line 1: mu2_order" in out
     assert "ledger: FAIL" in out
+
+
+@pytest.mark.parametrize("entry, value, message", [
+    ("mu2_order", "paht",
+     "line 1: mu2_order: 'paht' not one of ('path', 'antipath')"),
+    ("g_parity_s", "2", "line 12: g_parity_s: 2 not one of (0, 1)"),
+    ("g_parity_s", "odd", "line 12: g_parity_s must be an integer"),
+])
+def test_parse_ledger_names_the_line_of_a_bad_value(entry, value, message):
+    lines = serialize_ledger(DEFAULT).splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith(entry))
+    lines[at] = f"{entry} = {value}"
+    with pytest.raises(LedgerError) as caught:
+        parse_ledger("\n".join(lines))
+    assert str(caught.value) == message
 
 
 def test_missing_ledger_is_noted_and_fails_only_the_ledger_suite(tmp_path):
