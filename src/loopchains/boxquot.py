@@ -45,7 +45,7 @@ from itertools import combinations, permutations, product
 from typing import NamedTuple
 
 from .exactalg import FreeComplex, homology, quotient_homology
-from .simpcx import ParseError, _positive_grading, parse_complex
+from .simpcx import ParseError, _decode, _positive_grading, parse_complex
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -1141,11 +1141,8 @@ def parse_cube_family(document) -> CubeFamily:
     values} tables with rationals written as 'p/q' strings.  Rejections name
     the offending location.
     """
-    cx = parse_complex(document)
-    if isinstance(document, (str, bytes)):
-        data = json.loads(document)
-    else:
-        data = document
+    data = _decode(document)
+    cx = parse_complex(data)
     coords = data.get("coordinates")
     if not isinstance(coords, dict):
         raise ParseError("coordinates: missing section")

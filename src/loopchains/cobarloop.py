@@ -473,7 +473,6 @@ def adams_T(cc, cell, conv: Conventions = DEFAULT, *,
 
 
 class TVerification(NamedTuple):
-    ok: bool
     cells: tuple
     residuals: dict      # cell -> residual vector, nonzero entries only
     corner_census: dict  # pi3-bearing word -> (plus count, minus count)
@@ -481,6 +480,10 @@ class TVerification(NamedTuple):
     @property
     def corners_balanced(self) -> bool:
         return all(p == m for p, m in self.corner_census.values())
+
+    @property
+    def ok(self) -> bool:
+        return not self.residuals and self.corners_balanced
 
 
 def t_residual(cc, cell, conv: Conventions = DEFAULT, *,
@@ -556,8 +559,7 @@ def verify_T_chain_map(cc, conv: Conventions = DEFAULT, *,
         cells.append(cell)
         if r:
             residuals[cell] = r
-    ok = not residuals and all(p == m for p, m in census.values())
-    return TVerification(ok=ok, cells=tuple(cells), residuals=residuals,
+    return TVerification(cells=tuple(cells), residuals=residuals,
                          corner_census=census)
 
 

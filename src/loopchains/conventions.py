@@ -7,6 +7,9 @@ by exhaustive enumeration and aborts unless the survivor is unique).
 Every consumer of a convention takes a Conventions value, so tests can
 flip one entry at a time and watch the right suite fail.
 
+Each Conventions field states its default, its other value and the suite
+that certifies it, once; CHOICES is read off the fields.
+
 Ledger file format, one entry per line:
 
     name = value  # certified-by: suite
@@ -14,45 +17,50 @@ Ledger file format, one entry per line:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
+
+
+def _axis(value, other, suite):
+    """A binary entry: its default, its other value, its certifying suite."""
+    return field(default=value, metadata={"other": other, "suite": suite})
 
 
 @dataclass(frozen=True)
 class Conventions:
     # product order: does mu2(x2, x1) traverse x1 first ("path") or x2
     # first ("antipath")
-    mu2_order: str = "path"
+    mu2_order: str = _axis("path", "antipath", "cobar")
     # Leibniz prefix signs extend the differential to words using the
     # ordinary degree of the prefix, or the reduced degree
-    leibniz_prefix: str = "ordinary"
+    leibniz_prefix: str = _axis("ordinary", "reduced", "cobar")
     # the arity of a cyclic product block is its argument count, not the
     # printed subscript (which is off by one in the source material)
-    hochschild_arity: str = "argument_count"
+    hochschild_arity: str = _axis("argument_count", "subscript", "hochschild")
     # a vertex sequence is degenerate when two cyclically adjacent labels
     # agree ("cyclic"); "linear" ignores the wrap-around pair
-    tau_degeneracy: str = "cyclic"
+    tau_degeneracy: str = _axis("cyclic", "linear", "t_chain_map")
     # sign of the second-factor split terms in the pair boundary:
     # "geometric" is the cube orientation count, "printed" the published
     # formula (they differ, and only "geometric" certifies)
-    pi2_bsplit_sign: str = "geometric"
+    pi2_bsplit_sign: str = _axis("geometric", "printed", "t_chain_map")
     # global sign of the word terms of the T map ("corrected" carries an
     # extra (-1)^(k+1) over "printed")
-    t_word_sign: str = "corrected"
+    t_word_sign: str = _axis("corrected", "printed", "t_chain_map")
     # global sign of the reversed pair terms of T ("corrected" is the
     # negative of "printed")
-    t_pair2_sign: str = "corrected"
+    t_pair2_sign: str = _axis("corrected", "printed", "t_chain_map")
     # multipliers on the four terms of the wedge boundary, relative to
     # the geometric baseline
-    wedge_sign_left: str = "plus"
-    wedge_sign_right: str = "plus"
-    wedge_sign_cat: str = "plus"
-    wedge_sign_swap: str = "plus"
+    wedge_sign_left: str = _axis("plus", "minus", "freeloop")
+    wedge_sign_right: str = _axis("plus", "minus", "freeloop")
+    wedge_sign_cat: str = _axis("plus", "minus", "freeloop")
+    wedge_sign_swap: str = _axis("plus", "minus", "freeloop")
     # global parity s in the chain map identity for G
-    g_parity_s: int = 0
+    g_parity_s: int = _axis(0, 1, "freeloop")
     # the degree twist lives in G itself ("in_g") or in the wedge
     # boundary and split signs ("in_boundary"); relabeling-equivalent,
     # but everything downstream fixes one choice
-    iota_twist: str = "in_g"
+    iota_twist: str = _axis("in_g", "in_boundary", "freeloop")
 
     def flip(self, name: str) -> "Conventions":
         """The same ledger with one binary entry toggled."""
@@ -62,21 +70,8 @@ class Conventions:
 
 
 # name -> ((value, other_value), certifying suite)
-CHOICES = {
-    "mu2_order": (("path", "antipath"), "cobar"),
-    "leibniz_prefix": (("ordinary", "reduced"), "cobar"),
-    "hochschild_arity": (("argument_count", "subscript"), "hochschild"),
-    "tau_degeneracy": (("cyclic", "linear"), "t_chain_map"),
-    "pi2_bsplit_sign": (("geometric", "printed"), "t_chain_map"),
-    "t_word_sign": (("corrected", "printed"), "t_chain_map"),
-    "t_pair2_sign": (("corrected", "printed"), "t_chain_map"),
-    "wedge_sign_left": (("plus", "minus"), "freeloop"),
-    "wedge_sign_right": (("plus", "minus"), "freeloop"),
-    "wedge_sign_cat": (("plus", "minus"), "freeloop"),
-    "wedge_sign_swap": (("plus", "minus"), "freeloop"),
-    "g_parity_s": ((0, 1), "freeloop"),
-    "iota_twist": (("in_g", "in_boundary"), "freeloop"),
-}
+CHOICES = {f.name: ((f.default, f.metadata["other"]), f.metadata["suite"])
+           for f in fields(Conventions)}
 
 DEFAULT = Conventions()
 
@@ -86,11 +81,11 @@ class LedgerError(ValueError):
 
 
 def validate(conv: Conventions) -> Conventions:
-    for f in fields(conv):
-        allowed = CHOICES[f.name][0]
-        if getattr(conv, f.name) not in allowed:
-            raise LedgerError(
-                f"{f.name}: {getattr(conv, f.name)!r} not one of {allowed}")
+    for name, (allowed, _) in CHOICES.items():
+        value = getattr(conv, name)
+        # True and 1.0 equal 1 but would not read back from a ledger
+        if value not in allowed or type(value) is not type(allowed[0]):
+            raise LedgerError(f"{name}: {value!r} not one of {allowed}")
     return conv
 
 

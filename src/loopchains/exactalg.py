@@ -631,6 +631,9 @@ def quotient_homology(c: FreeComplex, relations: dict) -> dict:
     (dx + r, -dr).  The result is ``homology`` of the cone, so it lists
     every degree where C^n or R^(n+1) is nonzero.
     """
+    if c.bases is None:
+        raise ValueError("only a complex built by from_basis can be "
+                         "divided by relations")
     basis, coordinates = {}, {}
     for n in sorted(set(c.dims) | set(relations)):
         index = {x: i for i, x in enumerate(c.bases.get(n, ()))}

@@ -3,8 +3,9 @@
 Conventions.  Elements carry an ordinary integer degree |x|; the reduced
 degree is |x| + 1.  A "degrees" tuple lists ordinary degrees positionally,
 1-based in all formulas: degrees[k-1] is |x_k|.  Every sign here is an
-integer exponent computed exactly in Z and reduced mod 2 at the very end;
-sign_value returns the parity (0 or 1), sign_exponent the raw integer.
+integer exponent computed exactly in Z and reduced mod 2 at the very end:
+each *_exponent function returns the raw integer, and its caller takes
+the parity.
 
 The named exponents:
 
@@ -30,39 +31,6 @@ from typing import NamedTuple
 
 class ConstraintError(ValueError):
     """A sign formula was asked for outside its domain."""
-
-
-class SignParams(NamedTuple):
-    """Inputs for sign_value.  Unused fields stay None.
-
-    degrees is always required; which of d1, d2, r, k, i, j matter
-    depends on the formula kind.  d is always len(degrees).
-    """
-    degrees: tuple
-    d1: int | None = None
-    d2: int | None = None
-    r: int | None = None
-    k: int | None = None
-    i: int | None = None
-    j: int | None = None
-
-    @property
-    def d(self) -> int:
-        return len(self.degrees)
-
-
-def _need(params: SignParams, kind: str, *names):
-    out = []
-    for name in names:
-        value = getattr(params, name)
-        if value is None:
-            raise ConstraintError(f"{kind} requires parameter {name}")
-        out.append(value)
-    return out
-
-
-def reduced(degree: int) -> int:
-    return degree + 1
 
 
 def maltese_exponent(degrees, i: int, j: int) -> int:
@@ -119,33 +87,6 @@ def bullet_exponent(degrees, i: int, j: int) -> int:
         raise ConstraintError(f"bullet requires 0 <= i <= j <= d={d}, got ({i}, {j})")
     m = lambda a, b: maltese_exponent(degrees, a, b) if a <= b else 0
     return m(1, i) * (1 + m(i + 1, d)) + m(j + 1, d - 1)
-
-
-def sign_exponent(kind: str, params: SignParams) -> int:
-    """Raw integer exponent for one of the named sign formulas."""
-    if kind == "dagger":
-        return dagger_exponent(params.degrees)
-    if kind == "maltese":
-        i, j = _need(params, kind, "i", "j")
-        return maltese_exponent(params.degrees, i, j)
-    if kind == "flat":
-        d1, d2 = _need(params, kind, "d1", "d2")
-        return flat_exponent(params.degrees, d1, d2)
-    if kind == "sharp":
-        k, d2 = _need(params, kind, "k", "d2")
-        return sharp_exponent(params.degrees, k, d2)
-    if kind == "diamond":
-        d1, r = _need(params, kind, "d1", "r")
-        return diamond_exponent(params.degrees, d1, r)
-    if kind == "bullet":
-        i, j = _need(params, kind, "i", "j")
-        return bullet_exponent(params.degrees, i, j)
-    raise ConstraintError(f"unknown sign kind {kind!r}")
-
-
-def sign_value(kind: str, params: SignParams) -> int:
-    """Parity (0 or 1) of the named exponent."""
-    return sign_exponent(kind, params) % 2
 
 
 def koszul_permutation_sign(degrees, perm) -> int:

@@ -46,17 +46,23 @@ class SimplicialComplex(NamedTuple):
         return max((len(f) - 1 for f in self.facets), default=0)
 
 
+def _decode(document):
+    """A JSON string decoded, or an already-decoded document as it is."""
+    if isinstance(document, (str, bytes)):
+        try:
+            return json.loads(document)
+        except json.JSONDecodeError as e:
+            raise ParseError(f"invalid JSON: {e}") from None
+    return document
+
+
 def parse_complex(document) -> SimplicialComplex:
     """Parse a JSON string or already-decoded dict into a complex.
 
     Every rejection names where the problem sits: which key, which facet
     index, which entry.
     """
-    if isinstance(document, (str, bytes)):
-        try:
-            document = json.loads(document)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"invalid JSON: {e}") from None
+    document = _decode(document)
     if not isinstance(document, dict):
         raise ParseError("document must be a JSON object")
     for key in ("name", "vertices", "facets"):

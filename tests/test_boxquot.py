@@ -97,13 +97,20 @@ def test_kuhn_interpolation_of_corner_data_is_min():
 
 def test_resampling_on_a_finer_grid_changes_the_map():
     # Kuhn data is not refinement-stable; pl_equal must detect it and hand
-    # back a point where the two interpolants genuinely differ
+    # back a point where the two interpolants genuinely differ.  min(u, v)
+    # on {0, 1/2, 1}^2 is the same map again, but dropping either 1/2
+    # changes it at (1/2, 1/2): no breakpoint of the finer grid can go
+    # alone, though both grids carry the map
     mn = PLCube(((0, 1), (0, 1)),
                 {(0, 0): (0,), (1, 0): (0,), (0, 1): (0,), (1, 1): (1,)})
-    res = PLCube.from_function(((0, F(1, 2), 1), (0, 1)), mn.eval)
-    verdict = pl_equal(mn, res)
-    assert not verdict.equal
-    assert mn.eval(verdict.witness) != res.eval(verdict.witness)
+    half = (0, F(1, 2), 1)
+    assert pl_equal(mn, PLCube.from_function((half, half), mn.eval)).equal
+    for grid in ((half, (0, 1)), ((0, 1), half)):
+        res = PLCube.from_function(grid, mn.eval)
+        verdict = pl_equal(mn, res)
+        assert not verdict.equal
+        assert verdict.witness == (F(1, 2), F(1, 2))
+        assert mn.eval(verdict.witness) != res.eval(verdict.witness)
 
 
 def test_pl_equal_accepts_an_affine_map_on_any_grid():
@@ -971,6 +978,18 @@ def test_cube_family_parse_errors_name_locations():
     with pytest.raises(ParseError, match=r"cubes\[2\] \(arc-a\): not a "
                                          r"rational value: True"):
         parse_cube_family(json.dumps(broken))
+
+
+def test_cube_family_text_is_decoded_once(monkeypatch):
+    text = (FIXTURES / "point_cubes.json").read_text()
+    calls, loads = [], json.loads
+    monkeypatch.setattr(json, "loads", lambda s: calls.append(s) or loads(s))
+    family = parse_cube_family(text)
+    monkeypatch.undo()
+    assert calls == [text]
+    assert family == parse_cube_family(json.loads(text))
+    with pytest.raises(ParseError, match="invalid JSON"):
+        parse_cube_family(text[:-2])
 
 
 def test_random_cube_is_deterministic():

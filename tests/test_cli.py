@@ -54,7 +54,7 @@ def test_verify_all_passes_at_seed_7():
     for name in ("ledger", "signs", "cobar", "t_chain_map", "hochschild",
                  "freeloop", "s1", "boxquot"):
         assert f"{name}: pass" in out
-    assert "coverage: pass (38 operations)" in out
+    assert "coverage: pass (43 operations)" in out
 
 
 def test_unknown_subcommand_exits_2():
@@ -435,6 +435,16 @@ def test_parse_ledger_names_the_line_of_a_bad_value(entry, value, message):
     assert str(caught.value) == message
 
 
+@pytest.mark.parametrize("value", (True, 1.0))
+def test_a_value_equal_to_an_allowed_one_but_of_another_type_is_refused(value):
+    # g_parity_s = True would be written out, then refused on reading back
+    with pytest.raises(LedgerError) as caught:
+        serialize_ledger(replace(DEFAULT, g_parity_s=value))
+    assert str(caught.value) == f"g_parity_s: {value!r} not one of (0, 1)"
+    odd = replace(DEFAULT, g_parity_s=1)
+    assert parse_ledger(serialize_ledger(odd)) == odd
+
+
 def test_missing_ledger_is_noted_and_fails_only_the_ledger_suite(tmp_path):
     fixtures = copy_fixtures(tmp_path)
     (fixtures / "conventions.ledger").unlink()
@@ -608,8 +618,8 @@ def test_suite_covers_are_public_callables_claimed_once():
         for op in suite.covers:
             assert op not in claimed, f"{op} claimed twice"
             claimed[op] = suite.name
-    assert len(claimed) == 38
-    assert _coverage_problems() == ([], 38)
+    assert len(claimed) == 43
+    assert _coverage_problems() == ([], 43)
 
 
 def test_every_module_contributes_operations():
@@ -645,4 +655,4 @@ def test_coverage_audit_rejects_a_renamed_cover_and_a_silent_module(monkeypatch)
     problems, count = _coverage_problems()
     assert problems == ["boxquot.box_dots: no such operation",
                         "cli: no operation covered"]
-    assert count == 37
+    assert count == 42

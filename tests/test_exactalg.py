@@ -364,6 +364,13 @@ def test_quotient_homology_needs_a_subcomplex_over_the_basis():
         quotient_homology(c, {0: [{(9,): 1}]})
 
 
+def test_quotient_homology_needs_a_complex_built_from_a_basis():
+    c = FreeComplex({0: 1, 1: 1}, {0: IntMatrix.from_rows([[2]])})
+    with pytest.raises(ValueError, match="only a complex built by from_basis "
+                                         "can be divided by relations"):
+        quotient_homology(c, {})
+
+
 def test_chain_map_identity_and_sign():
     d0 = IntMatrix.from_rows([[3]])
     c = FreeComplex({0: 1, 1: 1}, {0: d0})

@@ -19,7 +19,7 @@ from loopchains.cobarloop import LoopComplexModel, TVerification
 from loopchains.exactalg import ComplexVerdict, HomologySummary, SmithForm
 from loopchains.freeloop import GVerification, S1Report
 from loopchains.hochschild import TruncatedHomology
-from loopchains.signkoszul import IdentityReport, IdentitySweep, SignParams
+from loopchains.signkoszul import IdentityReport, IdentitySweep
 from loopchains.simpcx import CollapsedComplex, SimplicialComplex
 
 EDGE = SimplicialComplex("edge", (0, 1), ((0, 1),))
@@ -32,9 +32,6 @@ RECORDS = (
      "ComplexVerdict(ok=True, first_failing_degree=None, message='')"),
     (SmithForm((1, 2, 0), None, None),
      "SmithForm(diagonal=(1, 2, 0), left=None, right=None)"),
-    (SignParams(degrees=(1, -1), r=0),
-     "SignParams(degrees=(1, -1), d1=None, d2=None, r=0, k=None, i=None, "
-     "j=None)"),
     (IdentityReport((0, 1), 1, 0, 1, 0),
      "IdentityReport(degrees=(0, 1), d1=1, r=0, lhs=1, rhs=0)"),
     (IdentitySweep(4, (), (), 1, 3, 0),
@@ -58,9 +55,8 @@ RECORDS = (
     (S1Report(False, True, True, True, 1),
      "S1Report(strict=False, sigma_included=True, sigma_matches_wrap=True, "
      "chain_closed=True, winding=1)"),
-    (TVerification(True, ((0, 1),), {}, {}),
-     "TVerification(ok=True, cells=((0, 1),), residuals={}, "
-     "corner_census={})"),
+    (TVerification(((0, 1),), {}, {}),
+     "TVerification(cells=((0, 1),), residuals={}, corner_census={})"),
     (TruncatedHomology(0, 2, HomologySummary(0, 1, ()), True),
      "TruncatedHomology(degree=0, max_weight=2, "
      "summary=HomologySummary(degree=0, rank=1, torsion=()), "
@@ -106,7 +102,9 @@ def test_records_keep_their_repr_and_refuse_assignment(record, text):
 def test_records_keep_defaults_truth_values_and_properties():
     verdict = ComplexVerdict(ok=True)
     assert (verdict.first_failing_degree, verdict.message) == (None, "")
-    assert SignParams((0, 1, 2)).d == 3
+    assert TVerification((), {}, {"w": (1, 1)}).ok
+    assert not TVerification((), {(0, 1): {"w": 1}}, {}).ok
+    assert not TVerification((), {}, {"w": (1, 0)}).ok
     assert not EqualityVerdict(False, (Fraction(1, 3),))
     assert EqualityVerdict(True, None)
     assert not HomotopyCertificate(False, ("a",), (("a", (0,)),))

@@ -5,14 +5,14 @@ from hypothesis import given, settings, strategies as st
 
 from loopchains.signkoszul import (
     ConstraintError,
-    SignParams,
     bullet_exponent,
     dagger_exponent,
+    diamond_exponent,
+    flat_exponent,
     homotopy_identity_check,
     koszul_permutation_sign,
     maltese_exponent,
-    sign_exponent,
-    sign_value,
+    sharp_exponent,
     sweep_identity,
 )
 
@@ -20,22 +20,17 @@ from oracle_signs import per_tuple_sweep_identity
 
 
 def test_dagger_example():
-    p = SignParams(degrees=(0, 1, 2))
-    assert sign_exponent("dagger", p) == 8
-    assert sign_value("dagger", p) == 0
+    assert dagger_exponent((0, 1, 2)) == 8
 
 
 def test_maltese_example():
-    p = SignParams(degrees=(0, 1), i=1, j=2)
-    assert sign_exponent("maltese", p) == 3
-    assert sign_value("maltese", p) == 1
+    assert maltese_exponent((0, 1), 1, 2) == 3
 
 
 def test_flat_example_degree_independent():
     # (d2+1) gets even and d1+1 gets even, so the parity is 0 outright
     for deg in (-3, 0, 5):
-        p = SignParams(degrees=(deg,), d1=1, d2=1)
-        assert sign_value("flat", p) == 0
+        assert flat_exponent((deg,), 1, 1) % 2 == 0
 
 
 def test_constraint_errors_name_the_constraint():
@@ -44,11 +39,7 @@ def test_constraint_errors_name_the_constraint():
     with pytest.raises(ConstraintError, match="j <= d"):
         maltese_exponent((0, 1), 1, 3)
     with pytest.raises(ConstraintError, match="r >= 0"):
-        sign_value("diamond", SignParams(degrees=(0, 1), d1=1, r=-1))
-    with pytest.raises(ConstraintError, match="requires parameter"):
-        sign_value("sharp", SignParams(degrees=(0,)))
-    with pytest.raises(ConstraintError, match="unknown sign kind"):
-        sign_value("clubs", SignParams(degrees=()))
+        diamond_exponent((0, 1), 1, -1)
 
 
 degree_tuples = st.lists(st.integers(min_value=-3, max_value=3),
@@ -57,34 +48,30 @@ degree_tuples = st.lists(st.integers(min_value=-3, max_value=3),
 
 @settings(max_examples=80, deadline=None)
 @given(degree_tuples, st.data())
-def test_parity_only_and_integer_then_mod2(degrees, data):
+def test_each_exponent_is_an_integer_on_its_whole_domain(degrees, data):
     d = len(degrees)
+    ints = lambda lo, hi: data.draw(st.integers(min_value=lo, max_value=hi))
     kind = data.draw(st.sampled_from(
         ["dagger", "maltese", "flat", "sharp", "diamond", "bullet"]))
     if kind == "dagger":
-        p = SignParams(degrees=degrees)
+        value = dagger_exponent(degrees)
     elif kind in ("maltese", "bullet"):
-        j = data.draw(st.integers(min_value=0, max_value=d))
+        j = ints(0, d)
         lo = 1 if kind == "maltese" else 0
-        i = data.draw(st.integers(min_value=lo, max_value=max(lo, j)))
+        i = ints(lo, max(lo, j))
         if kind == "maltese" and j == 0:
             j = 1
-        p = SignParams(degrees=degrees, i=min(i, j), j=j)
+        exponent = maltese_exponent if kind == "maltese" else bullet_exponent
+        value = exponent(degrees, min(i, j), j)
     elif kind == "flat":
-        d1 = data.draw(st.integers(min_value=1, max_value=d))
-        p = SignParams(degrees=degrees, d1=d1, d2=data.draw(
-            st.integers(min_value=1, max_value=4)))
+        value = flat_exponent(degrees, ints(1, d), ints(1, 4))
     elif kind == "sharp":
-        d2 = data.draw(st.integers(min_value=1, max_value=d))
-        p = SignParams(degrees=degrees, k=data.draw(
-            st.integers(min_value=0, max_value=d - d2)), d2=d2)
+        d2 = ints(1, d)
+        value = sharp_exponent(degrees, ints(0, d - d2), d2)
     else:
-        d1 = data.draw(st.integers(min_value=0, max_value=d))
-        p = SignParams(degrees=degrees, d1=d1, r=data.draw(
-            st.integers(min_value=0, max_value=d - d1)))
-    value = sign_value(kind, p)
-    assert value in (0, 1)
-    assert value == sign_exponent(kind, p) % 2
+        d1 = ints(0, d)
+        value = diamond_exponent(degrees, d1, ints(0, d - d1))
+    assert type(value) is int
 
 
 @settings(max_examples=60, deadline=None)
