@@ -16,8 +16,8 @@ although its values agree there stays a probe sample.
 
 On top of the representation:
 
-* faces and transpositions of cubes, the cubical boundary with its
-  (-1)**(k + eps) signs, and integer chains modulo degenerate cubes;
+* faces and transpositions of cubes, and the signed nondegenerate faces
+  that the cubical boundary sums with its (-1)**(k + eps) signs;
 * concatenation of two fitting cubes along their last coordinate at a
   reparametrizing level, with admissibility conditions, and the inverse
   splitting;
@@ -456,59 +456,6 @@ def transpose(cube: PLCube, k: int) -> PLCube:
     return PLCube._unchecked(tuple(bps), vals, cube.ambient, cube.target)
 
 
-class CubicalChain:
-    """Formal integer combination of same-dimension cubes into one target.
-
-    Zero coefficients and degenerate cubes drop out on construction, so a
-    chain is zero exactly when its term dict is empty.  A coefficient that
-    is not an int (a float, a Fraction, a bool, a string) raises
-    GeometryError rather than being rounded or converted.
-    """
-
-    def __init__(self, terms=()):
-        items = terms.items() if hasattr(terms, "items") else terms
-        acc = {}
-        for cube, coeff in items:
-            _require_int("chain coefficient", coeff)
-            if coeff:
-                acc[cube] = acc.get(cube, 0) + coeff
-        acc = {c: v for c, v in acc.items() if v and not c.is_degenerate}
-        dims = {c.dim for c in acc}
-        if len(dims) > 1:
-            raise GeometryError("chain mixes cube dimensions")
-        if len({c.target for c in acc}) > 1:
-            raise GeometryError("chain mixes targets")
-        if len({c.ambient for c in acc}) > 1:
-            raise GeometryError("chain mixes ambient dimensions")
-        self.terms = acc
-        self.dim = dims.pop() if dims else None
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "CubicalChain") -> "CubicalChain":
-        merged = dict(self.terms)
-        for cube, v in other.terms.items():
-            merged[cube] = merged.get(cube, 0) + v
-        return CubicalChain(merged)
-
-    def __sub__(self, other: "CubicalChain") -> "CubicalChain":
-        return self + other.scale(-1)
-
-    def scale(self, n: int) -> "CubicalChain":
-        _require_int("scale factor", n)
-        return CubicalChain({c: n * v for c, v in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, CubicalChain):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __repr__(self):
-        return f"<CubicalChain dim={self.dim} terms={len(self.terms)}>"
-
-
 def _signed_faces(cube):
     """(k, eps, face) for each nondegenerate face of the cube; the face
     enters the boundary with sign (-1)**(k + eps)."""
@@ -517,19 +464,6 @@ def _signed_faces(cube):
             f = face(cube, k, eps)
             if not f.is_degenerate:
                 yield k, eps, f
-
-
-def boundary(x) -> CubicalChain:
-    """Cubical boundary: sum of (-1)**(k + eps) times the (k, eps)-faces.
-    Degenerate faces vanish, as in chain normalization; the composite of
-    two boundaries is zero."""
-    if isinstance(x, PLCube):
-        x = CubicalChain({x: 1})
-    acc = {}
-    for cube, coeff in x.terms.items():
-        for k, eps, f in _signed_faces(cube):
-            acc[f] = acc.get(f, 0) + coeff * (-1) ** (k + eps)
-    return CubicalChain(acc)
 
 
 class EqualityVerdict(NamedTuple):
@@ -989,12 +923,13 @@ def box_dot(cube: PLCube, k: int, *, center=HALF) -> HomotopyCertificate:
 def transpose_cancellation(cube: PLCube, k: int) -> bool:
     """The cancellation behind the transposition subcomplex: for both sides
     eps, the signed k-face of the cube annihilates the signed (k+1)-face of
-    its k-transposition."""
+    its k-transposition.  The two signs (-1)**(k + eps) and
+    (-1)**(k + 1 + eps) are opposite, so the pair cancels when the faces
+    are equal or both degenerate (zero in the normalized chains)."""
     t = transpose(cube, k)
     for eps in (0, 1):
-        pair = CubicalChain([(face(cube, k, eps), (-1) ** (k + eps)),
-                             (face(t, k + 1, eps), (-1) ** (k + 1 + eps))])
-        if not pair.is_zero:
+        f, g = face(cube, k, eps), face(t, k + 1, eps)
+        if f != g and not (f.is_degenerate and g.is_degenerate):
             return False
     return True
 

@@ -27,8 +27,8 @@ from itertools import combinations, islice
 from typing import NamedTuple
 
 from .conventions import Conventions, DEFAULT
-from .exactalg import FreeComplex, _axpy
-from .hochschild import _Memo, _add, _check_cap, bounded_words, hochschild_b
+from .exactalg import FreeComplex, _add, _axpy
+from .hochschild import _Memo, _check_cap, bounded_words, hochschild_b
 from .simpcx import CollapsedComplex
 
 UNIT_LETTER = ("unit",)
@@ -334,9 +334,6 @@ class LoopAlgebra:
     def weight(self, word) -> int:
         return self._weights[word]
 
-    def is_unit(self, word) -> bool:
-        return word == ()
-
     def unit(self):
         return ()
 
@@ -456,7 +453,7 @@ def adams_T(cc, cell, conv: Conventions = DEFAULT, *,
                 continue
             ccw = tuple(normalize_word((letters[i],))
                         for i in range(d - 1, -1, -1))
-            if normalize and any(e == () for e in ccw[1:]):
+            if normalize and () in ccw[1:]:
                 continue
             _add(out, ccw, _word_term_sign(conv, d, js[0], js[d - 1], k))
     for j1, j2 in combinations(range(k + 1), 2):

@@ -216,6 +216,16 @@ class SmithForm(NamedTuple):
         return m
 
 
+def _add(dst: dict, key, coeff: int) -> None:
+    """dst[key] += coeff, for a sparse vector stored as {index: value}."""
+    if coeff:
+        w = dst.get(key, 0) + coeff
+        if w:
+            dst[key] = w
+        else:
+            del dst[key]
+
+
 def _axpy(dst: dict, src: dict, c: int) -> None:
     """dst += c * src, for sparse vectors stored as {index: value}."""
     if not c:

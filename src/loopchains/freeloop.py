@@ -27,8 +27,8 @@ split signs.  Both packages verify; mixing them does not.
 from typing import NamedTuple
 
 from .conventions import DEFAULT, Conventions
-from .exactalg import _axpy
-from .hochschild import (_add, _check_cap, bounded_words, hochschild_b,
+from .exactalg import _add, _axpy
+from .hochschild import (_check_cap, bounded_words, hochschild_b,
                          hochschild_b_vector)
 
 
@@ -222,9 +222,6 @@ class CircleWordAlgebra:
 
     def weight(self, word) -> int:
         return len(word)
-
-    def is_unit(self, word) -> bool:
-        return word == ()
 
     def unit(self):
         return ()

@@ -22,12 +22,13 @@ subcomplexes.
 Algebra interface.  Any object with
 
     degree(x) -> int            weight(x) -> int
-    is_unit(x) -> bool          unit() -> element or None
-    mu1(x) -> {element: coeff}  mu2(x2, x1) -> {element: coeff}
+    unit() -> element or None   mu1(x) -> {element: coeff}
+    mu2(x2, x1) -> {element: coeff}
     basis(max_weight) -> iterable of elements (units excluded)
 
 works: the based-loop algebras built elsewhere in this package and the
-finite table algebras below both do.
+finite table algebras below both do.  The unit is the one element equal
+to unit(); a non-unital algebra returns None, which equals no element.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from itertools import combinations
 from random import Random
 from typing import NamedTuple
 
-from .exactalg import (FreeComplex, HomologySummary, _axpy,
+from .exactalg import (FreeComplex, HomologySummary, _add, _axpy,
                        homology as _homology)
 from .signkoszul import bullet_exponent
 
@@ -63,14 +64,7 @@ def word_weight(algebra, word) -> int:
 
 def is_degenerate(algebra, word) -> bool:
     """Unit in a non-special slot (any position but the leftmost)."""
-    return any(algebra.is_unit(x) for x in word[1:])
-
-
-def _add(dst, key, coeff):
-    if coeff:
-        dst[key] = dst.get(key, 0) + coeff
-        if dst[key] == 0:
-            del dst[key]
+    return algebra.unit() in word[1:]
 
 
 def hochschild_b(algebra, word, coeff=1, *, arity="argument_count",
@@ -179,11 +173,8 @@ class TableDGA:
     def weight(self, x) -> int:
         return self.weights[x]
 
-    def is_unit(self, x) -> bool:
-        return False  # non-unital by construction
-
     def unit(self):
-        return None
+        return None  # non-unital by construction
 
     def basis(self, max_weight=None):
         return [x for x in sorted(self.degrees)

@@ -18,7 +18,8 @@ import json
 from itertools import combinations
 from typing import NamedTuple
 
-from .exactalg import FreeComplex, HomologySummary, homology as _complex_homology
+from .exactalg import (FreeComplex, HomologySummary, _add,
+                       homology as _complex_homology)
 
 
 class ParseError(ValueError):
@@ -183,9 +184,7 @@ class CollapsedComplex(NamedTuple):
         for j in range(len(cell)):
             face = cell[:j] + cell[j + 1:]
             if not self.is_tree_edge(face):
-                out[face] = out.get(face, 0) + (-1) ** j
-                if out[face] == 0:
-                    del out[face]
+                _add(out, face, (-1) ** j)
         return out
 
     def census(self):

@@ -19,9 +19,9 @@ the dicts they return.
 """
 
 from loopchains.cobarloop import letter_boundary, normalize_word, word_degree
-from loopchains.exactalg import FreeComplex, HomologySummary, homology
+from loopchains.exactalg import FreeComplex, HomologySummary, _add, homology
 from loopchains.freeloop import _split_exponents
-from loopchains.hochschild import (TruncatedHomology, _add, bounded_words,
+from loopchains.hochschild import (TruncatedHomology, bounded_words,
                                    cyclic_words, hochschild_b, is_degenerate,
                                    word_weight)
 from loopchains.hochschild import word_degree as cc_word_degree

@@ -656,3 +656,22 @@ def test_coverage_audit_rejects_a_renamed_cover_and_a_silent_module(monkeypatch)
     assert problems == ["boxquot.box_dots: no such operation",
                         "cli: no operation covered"]
     assert count == 42
+
+
+# -- bench harness -----------------------------------------------------------------
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.mark.parametrize("workload", ["hh-capped", "loop-residuals",
+                                      "loop-homology", "report"])
+def test_bench_worker_counts_each_workload(workload):
+    # the harness fails a run only when its worker dies outside the checks,
+    # as it does when the tracer cannot wrap or restore a layer
+    run = subprocess.run([sys.executable, str(BENCH / "worker.py"),
+                          "--workload", workload, "--mode", "count"],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    out = json.loads(run.stdout.splitlines()[-1])
+    assert out["restored"] is True
+    assert [v["label"] for v in out["verdicts"] if not v["ok"]] == []

@@ -15,8 +15,8 @@ from loopchains.cobarloop import (
     word_degree, word_weight,
 )
 from loopchains.conventions import CHOICES, DEFAULT
-from loopchains.exactalg import homology, validate_complex
-from loopchains.hochschild import _add, cyclic_words, hochschild_b
+from loopchains.exactalg import _add, homology, validate_complex
+from loopchains.hochschild import cyclic_words, hochschild_b
 from loopchains.simpcx import SimplicialComplex, collapse, load_complex
 
 from oracle_words import leibniz_word_boundary, sorted_basis

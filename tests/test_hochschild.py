@@ -31,9 +31,6 @@ class DegreeStub:
     def weight(self, x):
         return 1
 
-    def is_unit(self, x):
-        return False
-
 
 def square_zero():
     # du = v, all products vanish
@@ -163,9 +160,6 @@ def test_degenerate_words_stay_degenerate():
 
         def weight(self, x):
             return 0 if x == "1" else self.dga.weight(x)
-
-        def is_unit(self, x):
-            return x == "1"
 
         def unit(self):
             return "1"
