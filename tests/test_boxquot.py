@@ -241,7 +241,7 @@ def test_face_of_degenerate_cube_along_other_axis_stays_degenerate():
     assert face(flat, 1, 0).degenerate_axes() == ()
 
 
-def test_face_rule_makes_each_random_cube_contractible():
+def test_boundary_squares_to_zero_on_random_cubes():
     # the face closure of one cube is the cube's own cell complex, whose
     # span has the homology of a point; d.d != 0 fails validation, and
     # face signs other than (-1)**(k + eps) change the groups
@@ -252,6 +252,15 @@ def test_face_rule_makes_each_random_cube_contractible():
             assert len(closure) == 3 ** dim
             assert table(quotient_homology_compare(closure).plain) == \
                 {n: (int(n == 0), ()) for n in range(dim + 1)}
+
+
+def test_boundary_signs_on_the_interval():
+    arc = PLCube(((0, 1),), {(0,): (0, 0), (1,): (1, 0)})
+    ends = {p[0]: (-1) ** (k + eps)
+            for k, eps, f in boxquot._signed_faces(arc)
+            for _, p in f.lattice()}
+    # (-1)**(1+0) delta_{1,0} + (-1)**(1+1) delta_{1,1}: head minus tail
+    assert ends == {F(0): -1, F(1): 1}
 
 
 def test_double_transpose_is_identity_and_symmetric_cube_is_fixed():
