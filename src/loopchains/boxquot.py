@@ -1060,12 +1060,6 @@ class CubeFamily(NamedTuple):
     cubes: tuple
     labels: tuple
 
-    def cube(self, label: str) -> PLCube:
-        try:
-            return self.cubes[self.labels.index(label)]
-        except ValueError:
-            raise KeyError(label) from None
-
 
 def parse_cube_family(document) -> CubeFamily:
     """Parse a cube family fixture.

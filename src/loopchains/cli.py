@@ -278,17 +278,6 @@ def _certify_stage_two(ws: Workspace, conv: Conventions):
     return None
 
 
-def certify_assignment(fixtures, conv: Conventions):
-    """Run the certifying checks of both stages for a full assignment.
-
-    Returns None when all of them pass, else the first failing check's
-    one-line reason.  Split out so single-entry mutations of a resolved
-    ledger can be probed directly.
-    """
-    ws = fixtures if isinstance(fixtures, Workspace) else Workspace(Path(fixtures))
-    return _certify_stage_one(ws, conv) or _certify_stage_two(ws, conv)
-
-
 def _sweep_stage(label, axes, fixed, ws, certify):
     survivors = []
     failures = []

@@ -13,8 +13,8 @@ form with transforms.
 The Smith normal form is one sparse elimination kernel.  Its pivots are
 the +-1 entries first, cheapest by Markowitz cost, then the entries of
 the small non-unit core that is left, smallest |value| first.  The
-unimodular transforms U and V are built on request only: homology and
-rank read the elementary divisors and never build them.
+unimodular transforms U and V are built on request only: homology
+reads the elementary divisors and never builds them.
 
 Matrices are sparse: only nonzero entries are stored, keyed by
 (row, column) and iterated row-major.  This matters because the chain
@@ -62,13 +62,6 @@ class IntMatrix:
         for i, row in enumerate(data):
             for j, v in enumerate(row):
                 m[i, j] = v
-        return m
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        m = cls(n, n)
-        for i in range(n):
-            m.entries[(i, i)] = 1
         return m
 
     def copy(self) -> "IntMatrix":
@@ -147,11 +140,6 @@ class IntMatrix:
         m.entries = {k: v for k, v in acc.items() if v}
         return m
 
-    def transpose(self) -> "IntMatrix":
-        m = IntMatrix(self.cols, self.rows)
-        m.entries = {(j, i): v for (i, j), v in self.entries.items()}
-        return m
-
     def column(self, j: int):
         return [self[i, j] for i in range(self.rows)]
 
@@ -164,33 +152,6 @@ class IntMatrix:
             if vector[j]:
                 out[i] += v * vector[j]
         return out
-
-
-def det(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    if m.rows != m.cols:
-        raise ShapeError("determinant of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = [row[:] for row in m.to_rows()]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 class SmithForm(NamedTuple):
@@ -407,22 +368,11 @@ def smith_normal_form(m: IntMatrix, *, transforms: bool = True) -> SmithForm:
     return SmithForm(tuple(diagonal) + zeros, left=um, right=vm)
 
 
-def rank(m: IntMatrix) -> int:
-    return smith_normal_form(m, transforms=False).rank
-
-
 class HomologySummary(NamedTuple):
     """H^degree = Z^rank + sum of Z/t for t in torsion (divisibility order)."""
     degree: int
     rank: int
     torsion: tuple
-
-    def describe(self) -> str:
-        parts = []
-        if self.rank:
-            parts.append(f"Z^{self.rank}" if self.rank > 1 else "Z")
-        parts.extend(f"Z/{t}" for t in self.torsion)
-        return " + ".join(parts) if parts else "0"
 
 
 class ComplexVerdict(NamedTuple):

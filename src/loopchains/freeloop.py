@@ -32,12 +32,6 @@ from .hochschild import (_check_cap, bounded_words, hochschild_b,
                          hochschild_b_vector)
 
 
-def generator_degree(alg, gen) -> int:
-    if gen[0] == "iota":
-        return alg.degree(gen[1])
-    return alg.degree(gen[1]) + alg.degree(gen[2]) - 1
-
-
 def _split_exponents(conv, da, du, dv):
     da, du, dv = da % 2, du % 2, dv % 2
     if conv.iota_twist == "in_g":

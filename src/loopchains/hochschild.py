@@ -58,10 +58,6 @@ def cc_degree(algebra, word) -> int:
                                          for x in word[1:])
 
 
-def word_weight(algebra, word) -> int:
-    return sum(algebra.weight(x) for x in word)
-
-
 def is_degenerate(algebra, word) -> bool:
     """Unit in a non-special slot (any position but the leftmost)."""
     return algebra.unit() in word[1:]
@@ -187,50 +183,6 @@ class TableDGA:
         sign = (-1) ** (self.degrees[x1] % 2)
         return {z: sign * c for z, c in self.product.get((x1, x2), {}).items()}
 
-    def selfcheck(self):
-        """Associativity, Leibniz and d.d = 0, checked exhaustively."""
-        basis = self.basis()
-
-        def bilinear(vec, y, left):
-            out = {}
-            for x, c in vec.items():
-                pair = (x, y) if left else (y, x)
-                for z, cc in self.product.get(pair, {}).items():
-                    _add(out, z, c * cc)
-            return out
-
-        for x in basis:
-            dd = {}
-            for y, c in self.differential.get(x, {}).items():
-                for z, cc in self.differential.get(y, {}).items():
-                    _add(dd, z, c * cc)
-            if dd:
-                raise AssertionError(f"d.d != 0 at {x}")
-        for x in basis:
-            for y in basis:
-                dxy = {}
-                for z, c in self.product.get((x, y), {}).items():
-                    for w, cc in self.differential.get(z, {}).items():
-                        _add(dxy, w, c * cc)
-                rhs = {}
-                for w, cc in bilinear(self.differential.get(x, {}), y, True).items():
-                    _add(rhs, w, cc)
-                sx = (-1) ** (self.degrees[x] % 2)
-                for w, cc in bilinear(self.differential.get(y, {}), x, False).items():
-                    _add(rhs, w, sx * cc)
-                if dxy != rhs:
-                    raise AssertionError(f"Leibniz fails at ({x}, {y})")
-        for x in basis:
-            for y in basis:
-                for z in basis:
-                    lhs = bilinear(self.product.get((x, y), {}), z, True)
-                    rhs = bilinear({w: c for w, c in self.product.get((y, z), {}).items()},
-                                   x, False)
-                    if lhs != rhs:
-                        raise AssertionError(f"associativity fails at ({x},{y},{z})")
-        return True
-
-
 def random_dga(seed: int) -> TableDGA:
     """A random layered quiver dga: exact by construction.
 
@@ -297,13 +249,6 @@ def identity_morphism(algebra) -> Morphism:
     return Morphism(algebra, algebra, {1: lambda args: {args[0]: 1}})
 
 
-def strict_morphism(source, target, image: dict) -> Morphism:
-    """F with only a linear part, given by a basis-element map."""
-    def one(args):
-        return dict(image.get(args[0], {}))
-    return Morphism(source, target, {1: one})
-
-
 def cc_of_morphism(morphism: Morphism, word, coeff=1, *, normalize=True) -> dict:
     """Extension of a morphism to cyclic bar words.
 
@@ -342,13 +287,6 @@ def cc_of_morphism(morphism: Morphism, word, coeff=1, *, normalize=True) -> dict
                 if normalize and is_degenerate(morphism.target, entries):
                     continue
                 _add(out, entries, c)
-    return out
-
-
-def cc_of_morphism_vector(morphism: Morphism, vector, **kw) -> dict:
-    out = {}
-    for word, c in vector.items():
-        _axpy(out, cc_of_morphism(morphism, word, c, **kw), 1)
     return out
 
 
@@ -435,9 +373,12 @@ def cyclic_words(algebra, max_weight: int, degree: int | range | None = None):
     lowest degree n.  A tail slot x adds |x| - 1 <= M - 1 to the word
     degree, where M is the top basis degree, and the special slot gives
     at most H, the top degree over the basis and the unit.  So when
-    H < n there is no word, and when M <= 0 a word of degree n or more
-    has at most (H - n) // (1 - M) tail slots.  When M >= 1 the tails
-    are not cut.  A negative cap is refused.
+    M <= 0 a word of degree n or more has at most (H - n) // (1 - M)
+    tail slots; when H < n that bound leaves only one-slot words, and
+    the degree filter drops them.  When M >= 1 the tails are not cut and
+    the window only filters: a slot of degree 2 or more raises the word
+    degree, so a window above H can still hold words.  A negative cap is
+    refused.
     """
     _check_cap(max_weight)
     basis = list(algebra.basis(max_weight))
@@ -451,7 +392,7 @@ def cyclic_words(algebra, max_weight: int, degree: int | range | None = None):
         degree_of = {x: algebra.degree(x) for x in specials}
         high = max(degree_of.values(), default=None)
         low = min(window, default=None)
-        if high is None or low is None or high < low:
+        if high is None or low is None:
             return []
         top = max(map(degree_of.__getitem__, basis), default=0)
         if top <= 0:

@@ -187,11 +187,6 @@ class CollapsedComplex(NamedTuple):
                 _add(out, face, (-1) ** j)
         return out
 
-    def census(self):
-        """Surviving cell counts per dimension, dimension 0 first."""
-        top = self.source.dimension()
-        return tuple(len(self.cells(dim=k)) for k in range(top + 1))
-
 
 def collapse(sc: SimplicialComplex) -> CollapsedComplex:
     return CollapsedComplex(source=sc, tree=frozenset(spanning_tree(sc)))

@@ -15,7 +15,17 @@ dictionary, exact in degree zero where the twist is invisible:
     package_b(w) = - rev(classical_b(rev(w)))
 
 where rev keeps the special (leftmost) entry and reverses the rest.
+
+check_table_dga decides the dga axioms of a table algebra (d.d = 0,
+the ordinary Leibniz rule and associativity) by exhausting its basis,
+straight from the product and differential tables.
+
+SphereCochains(n) is Z[u]/u^2 with |u| = n, the formal cochain algebra
+of S^n.  By Jones (1987), HH_*(C^*X) = H^*(LX) for simply connected X,
+so its cyclic bar complex computes H^*(LS^n; Z).
 """
+
+from loopchains.exactalg import _add
 
 
 def rev(word):
@@ -49,3 +59,81 @@ def classical_b_squared(dga, lword):
             if out[w2] == 0:
                 del out[w2]
     return out
+
+
+def check_table_dga(dga):
+    """Associativity, Leibniz and d.d = 0, checked exhaustively."""
+    basis = dga.basis()
+
+    def bilinear(vec, y, left):
+        out = {}
+        for x, c in vec.items():
+            pair = (x, y) if left else (y, x)
+            for z, cc in dga.product.get(pair, {}).items():
+                _add(out, z, c * cc)
+        return out
+
+    for x in basis:
+        dd = {}
+        for y, c in dga.differential.get(x, {}).items():
+            for z, cc in dga.differential.get(y, {}).items():
+                _add(dd, z, c * cc)
+        if dd:
+            raise AssertionError(f"d.d != 0 at {x}")
+    for x in basis:
+        for y in basis:
+            dxy = {}
+            for z, c in dga.product.get((x, y), {}).items():
+                for w, cc in dga.differential.get(z, {}).items():
+                    _add(dxy, w, c * cc)
+            rhs = {}
+            dx = dga.differential.get(x, {})
+            for w, cc in bilinear(dx, y, True).items():
+                _add(rhs, w, cc)
+            sx = (-1) ** (dga.degrees[x] % 2)
+            dy = dga.differential.get(y, {})
+            for w, cc in bilinear(dy, x, False).items():
+                _add(rhs, w, sx * cc)
+            if dxy != rhs:
+                raise AssertionError(f"Leibniz fails at ({x}, {y})")
+    for x in basis:
+        for y in basis:
+            for z in basis:
+                lhs = bilinear(dga.product.get((x, y), {}), z, True)
+                rhs = bilinear(dga.product.get((y, z), {}), x, False)
+                if lhs != rhs:
+                    raise AssertionError(
+                        f"associativity fails at ({x},{y},{z})")
+    return True
+
+
+class SphereCochains:
+    """Z[u]/u^2, |u| = n, with unit "1" of weight 0 and u of weight 1.
+    The differential is zero, and mu2 carries the package twist
+    mu2(x2, x1) = (-1)^|x1| x1.x2; without it odd spheres come out
+    wrong."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def degree(self, x):
+        return self.n if x == "u" else 0
+
+    def weight(self, x):
+        return 1 if x == "u" else 0
+
+    def unit(self):
+        return "1"
+
+    def basis(self, max_weight=None):
+        return ["u"]
+
+    def mu1(self, x):
+        return {}
+
+    def mu2(self, x2, x1):
+        if x1 == "1":
+            return {x2: 1}
+        if x2 == "1":
+            return {x1: (-1) ** (self.degree(x1) % 2)}
+        return {}  # u.u = 0

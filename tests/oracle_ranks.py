@@ -5,11 +5,13 @@ densely and sharing nothing with the Smith normal form kernel.
 Over Q the rank is the number of nonzero elementary divisors; over Z/p
 it is the number of elementary divisors not divisible by p.  The rank
 of a quotient complex's homology over Q is read off such ranks too.
+``det`` is the exact determinant by fraction-free (Bareiss)
+elimination, which tells a unimodular transform of the Smith form.
 """
 
 from fractions import Fraction
 
-from loopchains.exactalg import IntMatrix
+from loopchains.exactalg import IntMatrix, ShapeError
 
 
 def rank_q(m):
@@ -43,6 +45,32 @@ def rank_p(m, p):
                 mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[rank])]
         rank += 1
     return rank
+
+
+def det(m):
+    if m.rows != m.cols:
+        raise ShapeError("determinant of a non-square matrix")
+    n = m.rows
+    if n == 0:
+        return 1
+    a = [row[:] for row in m.to_rows()]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 def quotient_ranks_q(c, relations):

@@ -22,8 +22,7 @@ from loopchains.cobarloop import letter_boundary, normalize_word, word_degree
 from loopchains.exactalg import FreeComplex, HomologySummary, _add, homology
 from loopchains.freeloop import _split_exponents
 from loopchains.hochschild import (TruncatedHomology, bounded_words,
-                                   cyclic_words, hochschild_b, is_degenerate,
-                                   word_weight)
+                                   cyclic_words, hochschild_b, is_degenerate)
 from loopchains.hochschild import word_degree as cc_word_degree
 from loopchains.signkoszul import bullet_exponent, maltese_exponent
 
@@ -81,7 +80,7 @@ def bucketed_hh_truncated(algebra, degree, max_weight, *,
     summary = at(layers)
     if max_weight >= 1:
         previous = at({n: [w for w in ws
-                           if word_weight(algebra, w) < max_weight]
+                           if sum(map(algebra.weight, w)) < max_weight]
                        for n, ws in layers.items()})
         stabilized = (previous.rank, previous.torsion) == \
             (summary.rank, summary.torsion)

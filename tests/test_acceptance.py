@@ -18,10 +18,11 @@ patterns already occur by weight 4, inside the enumerated range.
 import random
 from pathlib import Path
 
+from loopchains import cli
 from loopchains.boxquot import (box_dot, box_slash, load_cube_family,
                                 quotient_homology_compare, random_cube,
                                 random_level, transpose_cancellation)
-from loopchains.cli import certify_assignment, resolve_conventions
+from loopchains.cli import Workspace, resolve_conventions
 from loopchains.cobarloop import (LoopAlgebra, dga_differential,
                                   letter_boundary, loop_words,
                                   verify_T_chain_map, word_boundary)
@@ -252,13 +253,20 @@ def test_criterion_8_truncated_cyclic_ranks():
 
 # -- 9: the convention space has one survivor ---------------------------------------
 
+def certify(conv):
+    """The first failing certifying check of either stage, or None."""
+    ws = Workspace(FIXTURES)
+    return (cli._certify_stage_one(ws, conv)
+            or cli._certify_stage_two(ws, conv))
+
+
 def test_criterion_9_resolution_unique_and_rigid():
     conv, log = resolve_conventions(FIXTURES)
     assert conv == CONV
     assert log == ("stage one: 1 of 128 assignments certified",
                    "stage two: 1 of 64 assignments certified")
     for name in CHOICES:
-        assert certify_assignment(FIXTURES, conv.flip(name)) is not None, name
+        assert certify(conv.flip(name)) is not None, name
     _pass(9, "192 candidate assignments leave a single survivor, the "
              "committed ledger, and all 13 single-entry flips are "
              "rejected by a certifying check")

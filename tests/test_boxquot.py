@@ -494,7 +494,7 @@ def test_split_at_the_ends():
 
 def test_box_slash_on_the_circle_arc():
     family = load_cube_family(FIXTURES / "circle_cubes.json")
-    arc = family.cube("arc-b")
+    arc = family.cubes[family.labels.index("arc-b")]
     cert = box_slash(arc, F(1, 2))
     assert cert.ok
     assert "zero face restores the cube" in cert.checks
@@ -537,7 +537,8 @@ def test_box_slash_threshold_control_fails_with_a_live_witness():
     # a threshold above one pushes the one face out of the unit cube: a
     # failing certificate whose witness leaves the cube, not an exception
     thr = F(7, 5)
-    arc = load_cube_family(FIXTURES / "circle_cubes.json").cube("arc-b")
+    family = load_cube_family(FIXTURES / "circle_cubes.json")
+    arc = family.cubes[family.labels.index("arc-b")]
     for cube in (cube, arc):
         cert = box_slash(cube, F(1, 2), clamp_threshold=thr)
         assert not cert.ok
@@ -832,8 +833,8 @@ def test_symmetric_square_leaves_torsion_in_the_quotient():
 
 def test_family_must_be_face_closed():
     family = load_cube_family(FIXTURES / "circle_cubes.json")
-    arc = family.cube("arc-a")
-    pt0 = family.cube("pt0")
+    arc = family.cubes[family.labels.index("arc-a")]
+    pt0 = family.cubes[family.labels.index("pt0")]
     with pytest.raises(ValueError, match="not face-closed"):
         quotient_homology_compare([arc, pt0])
     # no 0-cube at all: the empty dimension below the arc is still asked

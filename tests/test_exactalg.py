@@ -13,16 +13,14 @@ from loopchains.exactalg import (
     IntMatrix,
     ShapeError,
     chain_map_check,
-    det,
     homology,
     quotient_homology,
-    rank,
     smith_normal_form,
     validate_complex,
 )
 from loopchains.simpcx import chain_complex, load_complex
 
-from oracle_ranks import quotient_ranks_q, rank_p, rank_q
+from oracle_ranks import det, quotient_ranks_q, rank_p, rank_q
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 COMPLEXES = ("s1_3", "boundary_delta3", "torus_7", "rp2")
@@ -125,7 +123,10 @@ def test_snf_divisors_against_rank_oracles(rows):
 @given(matrices)
 def test_rank_transpose_invariant(rows):
     m = IntMatrix.from_rows(rows)
-    assert rank(m) == rank(m.transpose())
+    t = IntMatrix(m.cols, m.rows,
+                  {(j, i): v for (i, j), v in m.entries.items()})
+    assert smith_normal_form(m, transforms=False).rank == \
+        smith_normal_form(t, transforms=False).rank
 
 
 def test_free_complex_shape_enforced():
@@ -164,7 +165,6 @@ def test_homology_torsion():
     h = homology(c)
     assert h[0] == HomologySummary(0, 0, ())
     assert h[1] == HomologySummary(1, 0, (2,))
-    assert h[1].describe() == "Z/2"
 
 
 def test_from_basis_assembles_a_filled_triangle():
@@ -180,7 +180,9 @@ def test_from_basis_assembles_a_filled_triangle():
                                               [0, 1, 1]])
     assert set(c.diffs) == {-2, -1}
     h = homology(c)
-    assert [h[n].describe() for n in (-2, -1, 0)] == ["0", "0", "Z"]
+    assert [h[n] for n in (-2, -1, 0)] == [HomologySummary(-2, 0, ()),
+                                           HomologySummary(-1, 0, ()),
+                                           HomologySummary(0, 1, ())]
 
 
 def test_from_basis_names_an_output_outside_the_next_basis():
@@ -374,7 +376,7 @@ def test_quotient_homology_needs_a_complex_built_from_a_basis():
 def test_chain_map_identity_and_sign():
     d0 = IntMatrix.from_rows([[3]])
     c = FreeComplex({0: 1, 1: 1}, {0: d0})
-    ident = {0: IntMatrix.identity(1), 1: IntMatrix.identity(1)}
+    ident = {0: IntMatrix.from_rows([[1]]), 1: IntMatrix.from_rows([[1]])}
     assert chain_map_check(ident, c, c, sign=1).ok
     bad = chain_map_check(ident, c, c, sign=-1)
     assert not bad.ok and bad.first_failing_degree == 0

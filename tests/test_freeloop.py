@@ -8,10 +8,11 @@ from loopchains.cobarloop import BoundaryUndefinedError, LoopAlgebra
 from loopchains.conventions import CHOICES, DEFAULT
 from loopchains.freeloop import (
     GAMMA, GAMMA_INV, SIGMA, CircleWordAlgebra, basepoint_degree,
-    g_residual, g_residuals, generator_degree, goodwillie_G, loop_boundary,
+    g_residual, g_residuals, goodwillie_G, loop_boundary,
     normalize, s1_example, verify_G_chain_map,
 )
-from loopchains.hochschild import bounded_words, hochschild_b
+from loopchains.hochschild import (bounded_words, cyclic_words, hochschild_b,
+                                   word_degree)
 from loopchains.simpcx import collapse, load_complex
 
 from oracle_words import (dict_goodwillie_G, dict_loop_boundary,
@@ -41,9 +42,19 @@ def sphere_alg():
 # -- generators and normal form ------------------------------------------------
 
 def test_generator_degrees(sphere_alg):
-    assert generator_degree(sphere_alg, ("iota", (T12, T123))) == -1
-    assert generator_degree(sphere_alg, ("wedge", (T123,), (T123,))) == -3
-    assert generator_degree(sphere_alg, ("wedge", (), (T12,))) == -1
+    # iota(w) has the degree of w, wedge(w1, w2) has |w1| + |w2| - 1, and
+    # G keeps the cyclic bar degree of every word it does not kill
+    def degree(gen):
+        if gen[0] == "iota":
+            return sphere_alg.degree(gen[1])
+        return sphere_alg.degree(gen[1]) + sphere_alg.degree(gen[2]) - 1
+
+    assert degree(("iota", (T12, T123))) == -1
+    assert degree(("wedge", (T123,), (T123,))) == -3
+    assert degree(("wedge", (), (T12,))) == -1
+    for word in cyclic_words(sphere_alg, 3):
+        n = word_degree(sphere_alg, word)
+        assert all(degree(gen) == n for gen in goodwillie_G(sphere_alg, word))
 
 
 def test_normalize_splits_cargo_to_single_letters(sphere_alg):

@@ -84,12 +84,18 @@ def test_disconnected_rejected():
         spanning_tree(sc)
 
 
+def census(cc):
+    """Surviving cell counts per dimension, dimension 0 first."""
+    return tuple(len(cc.cells(dim=k))
+                 for k in range(cc.source.dimension() + 1))
+
+
 def test_collapse_census_boundary_delta3():
-    assert collapse(fixture("boundary_delta3.json")).census() == (1, 3, 4)
+    assert census(collapse(fixture("boundary_delta3.json"))) == (1, 3, 4)
 
 
 def test_collapse_census_torus():
-    assert collapse(fixture("torus_7.json")).census() == (1, 15, 14)
+    assert census(collapse(fixture("torus_7.json"))) == (1, 15, 14)
 
 
 def test_collapsed_boundary_drops_tree_faces():
