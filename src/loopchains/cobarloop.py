@@ -383,10 +383,20 @@ def based_loop_complex(cc, max_weight: int,
     The differential never raises weight, so the cap is a subcomplex and
     the complex is exact data, not an approximation.  Degrees are
     cohomological and nonpositive.
+
+    loop_words comes in preorder from the unit, so the last shorter word
+    seen is each word's prefix: prefix[n] holds the degree of the last
+    word of length n, and a word's degree is its prefix's plus that of
+    its last letter, looked up in a per-call table.
     """
     by_degree = {}  # each list stays sorted, as loop_words is
+    degree = _Memo(letter_degree)
+    prefix = [0] * (max_weight + 1)  # letters weigh at least 1
     for word in loop_words(cc, max_weight, conv):
-        by_degree.setdefault(word_degree(word), []).append(word)
+        n = len(word)
+        if n:
+            prefix[n] = prefix[n - 1] + degree[word[-1]]
+        by_degree.setdefault(prefix[n], []).append(word)
     complex_ = FreeComplex.from_basis(
         by_degree, lambda w: word_boundary(cc, w, conv))
     return LoopComplexModel(complex=complex_,

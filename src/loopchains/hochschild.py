@@ -307,7 +307,9 @@ def bounded_words(letters, weight, max_weight: int,
     Words are yielded lazily in depth-first preorder over the letters in
     the order given: the empty tuple first, each word before its
     extensions, and the extensions by an earlier letter before those by
-    a later one.  Given sorted letters, the words come out sorted.  Each
+    a later one.  So the last shorter word yielded is each word's
+    prefix, which lets a caller carry a sum over a word's letters from
+    its prefix.  Given sorted letters, the words come out sorted.  Each
     letter's weight is looked up once, into a table that lists, for
     every room left under the cap, the letters that fit.  A node whose
     children are all leaves (its length is one short of ``max_len``, or
@@ -364,8 +366,8 @@ def cyclic_words(algebra, max_weight: int, degree: int | range | None = None):
     one, the unit; the other slots exclude the unit.  Non-unit elements
     all have weight >= 1, so words are finite in number.  The basis is
     read once; the tails are enumerated once, at the cap, and bucketed
-    by weight; each special slot is joined to the buckets it has room
-    for.
+    by weight and by the degree they add; each special slot is joined to
+    the buckets it has room for and whose words fall in the window.
 
     ``degree`` is one degree or a range of them, a window.  The words
     of every degree in the window come back in one list, sorted as
@@ -385,11 +387,11 @@ def cyclic_words(algebra, max_weight: int, degree: int | range | None = None):
     unit = algebra.unit()
     specials = basis if unit is None else basis + [unit]
     weight = {x: algebra.weight(x) for x in specials}
+    degree_of = {x: algebra.degree(x) for x in specials}
     max_len = None
     if degree is not None:
         window = range(degree, degree + 1) if isinstance(degree, int) \
             else degree
-        degree_of = {x: algebra.degree(x) for x in specials}
         high = max(degree_of.values(), default=None)
         low = min(window, default=None)
         if high is None or low is None:
@@ -397,17 +399,27 @@ def cyclic_words(algebra, max_weight: int, degree: int | range | None = None):
         top = max(map(degree_of.__getitem__, basis), default=0)
         if top <= 0:
             max_len = (high - low) // (1 - top)
-    buckets = [[] for _ in range(max_weight + 1)]
+    # the tails come in preorder, so the last shorter tail seen is each
+    # tail's prefix: weights[n] and excess[n] hold the weight and the sum
+    # of |x| - 1 of the last tail of length n
+    buckets = {}  # (weight, excess) -> tails
+    weights = [0] * (max_weight + 1)
+    excess = [0] * (max_weight + 1)
     for tail in bounded_words(basis, weight.__getitem__, max_weight,
                               max_len):
-        buckets[sum(map(weight.__getitem__, tail))].append(tail)
+        n = len(tail)
+        if n:
+            x = tail[-1]
+            weights[n] = weights[n - 1] + weight[x]
+            excess[n] = excess[n - 1] + degree_of[x] - 1
+        buckets.setdefault((weights[n], excess[n]), []).append(tail)
+    # word_degree is the special slot's degree plus the tail's excess
     words = [(first,) + tail
              for first in specials
-             for bucket in buckets[:max(max_weight - weight[first] + 1, 0)]
+             for (w, e), bucket in buckets.items()
+             if w + weight[first] <= max_weight
+             and (degree is None or degree_of[first] + e in window)
              for tail in bucket]
-    if degree is not None:  # word_degree, read from degree_of
-        slot = degree_of.__getitem__
-        words = [w for w in words if sum(map(slot, w)) - len(w) + 1 in window]
     reprs = _Memo(repr)  # each slot's repr once, for the sort key
     return sorted(words, key=lambda w: (len(w),
                                         tuple(map(reprs.__getitem__, w))))

@@ -245,9 +245,22 @@ def test_algebra_tables_match_the_word_functions(name):
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_words_by_degree_lists_are_sorted(name):
-    model = based_loop_complex(_load(f"{name}.json"), 3)
-    for n, ws in model.words_by_degree.items():
-        assert ws == sorted(ws), n
+    # based_loop_complex carries each word's degree from its prefix: every
+    # list must still hold the words of its word_degree, sorted, and the
+    # lists must split loop_words
+    cc = _load(f"{name}.json")
+    top = {"s1_3": 4, "boundary_delta3": 4}.get(name, 3)
+    for order in CHOICES["mu2_order"][0]:
+        conv = replace(DEFAULT, mu2_order=order)
+        for cap in range(top + 1):
+            by_degree = based_loop_complex(cc, cap, conv).words_by_degree
+            if cap == 0:
+                assert by_degree == {0: [()]}
+            for n, ws in by_degree.items():
+                assert all(word_degree(w) == n for w in ws), (order, cap, n)
+                assert ws == sorted(ws), (order, cap, n)
+            words = [w for ws in by_degree.values() for w in ws]
+            assert sorted(words) == loop_words(cc, cap, conv), (order, cap)
 
 
 def test_sphere_complex_is_a_complex(sphere2):

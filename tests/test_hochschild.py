@@ -3,7 +3,7 @@ from itertools import islice, product as iproduct
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from loopchains.hochschild import (
     Morphism, TableDGA, bounded_words, cc_degree, cc_of_morphism,
@@ -344,12 +344,16 @@ def test_bounded_words_match_brute_force(weights):
             assert got == sorted(got, key=lambda w: [position[x] for x in w])
 
 
+# a weight per letter and the letters in some order
+WEIGHTED_LETTERS = st.dictionaries(
+    st.sampled_from("abcdefg"), st.integers(1, 4), max_size=4).flatmap(
+        lambda weights: st.tuples(st.just(weights),
+                                  st.permutations(sorted(weights))))
+
+
 @settings(deadline=None, max_examples=150)
-@given(st.dictionaries(st.sampled_from("abcdefg"), st.integers(1, 4),
-                       max_size=4).flatmap(
-           lambda weights: st.tuples(st.just(weights),
-                                     st.permutations(sorted(weights)))),
-       st.integers(-1, 6), st.one_of(st.none(), st.integers(0, 4)))
+@given(WEIGHTED_LETTERS, st.integers(-1, 6),
+       st.one_of(st.none(), st.integers(0, 4)))
 def test_bounded_words_come_in_exact_preorder(drawn, max_weight, max_len):
     # preorder over the letters as given is the order of their position
     # lists: a word before its extensions, an earlier letter first
@@ -358,6 +362,25 @@ def test_bounded_words_come_in_exact_preorder(drawn, max_weight, max_len):
     got = list(bounded_words(letters, weights.get, max_weight, max_len))
     assert got == sorted(brute_force_words(weights, max_weight, max_len),
                          key=lambda w: [position[x] for x in w])
+
+
+@settings(deadline=None, max_examples=150)
+@given(WEIGHTED_LETTERS, st.integers(-1, 6),
+       st.one_of(st.none(), st.integers(0, 4)))
+@example(({"a": 1, "b": 2}, ["b", "a"]), 6, None)  # room-leafy batches
+@example(({"a": 1, "b": 1, "c": 3}, ["c", "a", "b"]), 6, 3)  # max_len's
+def test_the_last_shorter_word_is_each_words_prefix(drawn, max_weight,
+                                                     max_len):
+    # based_loop_complex and cyclic_words carry a word's degree from its
+    # prefix, so leaf batches must keep the invariant too
+    weights, letters = drawn
+    last = {}  # length -> (position, last word of that length)
+    for position, word in enumerate(bounded_words(letters, weights.get,
+                                                  max_weight, max_len)):
+        if word:
+            shorter = max(v for n, v in last.items() if n < len(word))
+            assert shorter[1] == word[:-1], (shorter, word)
+        last[len(word)] = position, word
 
 
 def test_bounded_words_is_lazy():
@@ -615,7 +638,13 @@ def test_hh_truncated_matches_the_bucketed_reference(monkeypatch):
     monkeypatch.setattr(hochschild, "_hh_at", record)
     for label, algebra, caps in _cyclic_word_cases():
         for cap in caps:
-            for degree in range(-2, 3):
+            # every degree the words reach, and one past each end (-1..1
+            # when there is no word): this checks the degree window that
+            # cyclic_words cuts
+            degrees = {word_degree(algebra, w)
+                       for w in cyclic_words(algebra, cap)}
+            for degree in range(min(degrees, default=0) - 1,
+                                max(degrees, default=0) + 2):
                 seen.clear()
                 got = outcome(hh_truncated, algebra, degree, cap)
                 want = outcome(bucketed_hh_truncated, algebra, degree, cap)
