@@ -23,7 +23,7 @@ in, so the resolution harness can flip entries one at a time.
 
 from __future__ import annotations
 
-from itertools import combinations, islice
+from itertools import combinations
 from typing import NamedTuple
 
 from .conventions import Conventions, DEFAULT
@@ -98,7 +98,12 @@ def word_weight(word) -> int:
 
 
 def normalize_word(letters):
-    return tuple(l for l in letters if l[0] != "unit")
+    """The tuple ``letters`` with every unit letter dropped: a unit
+    letter in a word is a unit factor, so the word is the same element
+    without it.  A tuple without one is returned as it is."""
+    if UNIT_LETTER not in letters:
+        return letters
+    return tuple(l for l in letters if l != UNIT_LETTER)
 
 
 def mu2(x2, x1, conv: Conventions = DEFAULT):
@@ -320,7 +325,9 @@ class LoopAlgebra:
     are built from tau letters only (pair and corner letters occur in
     comparison-map images, and mu1 handles them, but they are not part
     of the algebra's own basis).  Each element's degree and weight are
-    computed once, on first use, into tables kept by the instance."""
+    kept in tables by the instance: basis fills them for every word it
+    enumerates, graded off the word's prefix, and any other element is
+    computed once, on first use."""
 
     def __init__(self, cc: CollapsedComplex, conv: Conventions = DEFAULT):
         self.cc = cc
@@ -350,10 +357,42 @@ class LoopAlgebra:
                 for cell in self.cc.cells(dim=dim)]
 
     def basis(self, max_weight: int):
-        """All nonempty tau words of weight <= max_weight, sorted."""
-        words = bounded_words(sorted(self.letters()), letter_weight,
-                              max_weight)
-        return list(islice(words, 1, None))  # past the empty word
+        """All nonempty tau words of weight <= max_weight, sorted, with
+        the degree and weight of each put into the tables."""
+        words, degrees = _graded_tau_words(self, max_weight)
+        words, degrees = words[1:], degrees[1:]  # past the empty word
+        for word, degree in zip(words, degrees):
+            self._degrees[word] = degree
+            # a tau letter weighs 1 - its degree
+            self._weights[word] = len(word) - degree
+        return words
+
+
+def _tau_words(algebra, max_weight: int):
+    """The tau words of weight <= max_weight, the empty word first,
+    sorted and in preorder (see bounded_words)."""
+    return bounded_words(sorted(algebra.letters()), letter_weight,
+                         max_weight)
+
+
+def _graded_tau_words(algebra, max_weight: int):
+    """The list of _tau_words and the list of their degrees.
+
+    The words come in preorder from the empty word, so the last shorter
+    word seen is each word's prefix: prefix[n] holds the degree of the
+    last word of length n, and a word's degree is its prefix's plus that
+    of its last letter, looked up in a per-call table.
+    """
+    words = list(_tau_words(algebra, max_weight))
+    degrees = []
+    letter = _Memo(letter_degree)
+    prefix = [0] * (max_weight + 1)  # letters weigh at least 1
+    for word in words:
+        n = len(word)
+        if n:
+            prefix[n] = prefix[n - 1] + letter[word[-1]]
+        degrees.append(prefix[n])
+    return words, degrees
 
 
 # -- the loop complex, materialized -------------------------------------------
@@ -371,9 +410,7 @@ def loop_words(cc, max_weight: int, conv: Conventions = DEFAULT):
     """Every word of the weight-capped loop dga, the unit included,
     sorted."""
     _check_cap(max_weight)
-    words = LoopAlgebra(cc, conv).basis(max_weight)
-    words.insert(0, ())
-    return words
+    return list(_tau_words(LoopAlgebra(cc, conv), max_weight))
 
 
 def based_loop_complex(cc, max_weight: int,
@@ -384,19 +421,14 @@ def based_loop_complex(cc, max_weight: int,
     the complex is exact data, not an approximation.  Degrees are
     cohomological and nonpositive.
 
-    loop_words comes in preorder from the unit, so the last shorter word
-    seen is each word's prefix: prefix[n] holds the degree of the last
-    word of length n, and a word's degree is its prefix's plus that of
-    its last letter, looked up in a per-call table.
+    The words are those of loop_words, each graded off its prefix (see
+    _graded_tau_words).
     """
+    _check_cap(max_weight)
     by_degree = {}  # each list stays sorted, as loop_words is
-    degree = _Memo(letter_degree)
-    prefix = [0] * (max_weight + 1)  # letters weigh at least 1
-    for word in loop_words(cc, max_weight, conv):
-        n = len(word)
-        if n:
-            prefix[n] = prefix[n - 1] + degree[word[-1]]
-        by_degree.setdefault(prefix[n], []).append(word)
+    for word, degree in zip(*_graded_tau_words(LoopAlgebra(cc, conv),
+                                               max_weight)):
+        by_degree.setdefault(degree, []).append(word)
     complex_ = FreeComplex.from_basis(
         by_degree, lambda w: word_boundary(cc, w, conv))
     return LoopComplexModel(complex=complex_,

@@ -34,6 +34,7 @@ to unit(); a non-unital algebra returns None, which equals no element.
 from __future__ import annotations
 
 from itertools import combinations
+from operator import itemgetter
 from random import Random
 from typing import NamedTuple
 
@@ -63,6 +64,12 @@ def is_degenerate(algebra, word) -> bool:
     return algebra.unit() in word[1:]
 
 
+def _check_arity(arity) -> None:
+    if arity not in ("argument_count", "subscript"):
+        raise ValueError(f"arity must be 'argument_count' or 'subscript', "
+                         f"got {arity!r}")
+
+
 def hochschild_b(algebra, word, coeff=1, *, arity="argument_count",
                  normalize=True):
     """The cyclic bar differential of a single word, as {word: coeff}.
@@ -79,36 +86,40 @@ def hochschild_b(algebra, word, coeff=1, *, arity="argument_count",
     argument count (certified) or from the printed subscript, which is
     one lower and silently kills every wrap term of a two-product
     algebra.  The latter is kept only so the resolution harness can
-    demonstrate that it fails.
+    demonstrate that it fails.  Any other value is refused.
+
+    With ``normalize`` (the default) degenerate output words are
+    dropped, and degeneracy is tested once per word.  An inner term
+    keeps the special slot and the other slots of the input, but for
+    the one slot it fills; a wrap term puts its product in the special
+    slot and keeps a run of the input's other slots.  So when the input
+    has no unit outside its special slot, a term is degenerate exactly
+    when it is an inner term that writes the unit into the slot it
+    fills.  An input with a unit in another slot has every output word
+    tested in full.
     """
-    out = {}
+    _check_arity(arity)
     d = len(word)
-    a = lambda i: word[d - i]  # 1-based from the right
-    # maltese(i, j) = run[j] - run[i - 1]: reduced degrees of a_i..a_j
+    # maltese(i, j) = run[j] - run[i - 1]: reduced degrees of a_i..a_j,
+    # where a_i = word[d - i] counts slots from the right
     run = [0]
     for x in reversed(word):
         run.append(run[-1] + algebra.degree(x) + 1)
+    unit = algebra.unit()  # None, which equals no element, if non-unital
+    dropped = unit if normalize else None
+    # (head, vector, tail, exponent, element to drop) of each family
+    parts = []
 
-    def emit(prefix_word, vector, suffix_word, exponent):
-        signed = -coeff if exponent % 2 else coeff
-        for element, c in vector.items():
-            w = prefix_word + (element,) + suffix_word
-            if normalize and is_degenerate(algebra, w):
-                continue
-            c = out.get(w, 0) + signed * c
-            if c:
-                out[w] = c
-            else:
-                out.pop(w, None)
-
-    # inner terms: mu_j eats slots i+1 .. i+j, 1 <= i+j < d; the sign
-    # is maltese(1, i)
+    # inner terms: mu_j eats slots i+1 .. i+j, 1 <= i+j < d, so it fills
+    # slot k = d - i - j >= 1; the sign is maltese(1, i)
     for i in range(d - 1):
-        suffix = word[d - i:]
-        emit(word[:d - i - 1], algebra.mu1(a(i + 1)), suffix, run[i])
-        if i + 2 < d:
-            emit(word[:d - i - 2], algebra.mu2(a(i + 2), a(i + 1)), suffix,
-                 run[i])
+        k = d - i - 1
+        suffix = word[k + 1:]
+        parts.append((word[:k], algebra.mu1(word[k]), suffix, run[i],
+                      dropped))
+        if k > 1:
+            parts.append((word[:k - 1], algebra.mu2(word[k - 1], word[k]),
+                          suffix, run[i], dropped))
 
     # wrap terms: the product swallows a_d together with a_i..a_1, and
     # the skipped slots a_{i+j}..a_{i+1} become the tail of the output;
@@ -117,26 +128,42 @@ def hochschild_b(algebra, word, coeff=1, *, arity="argument_count",
     # a_d alone, or a_d with a_{d-1} (i = 0) or with a_1 (i = 1).  Read
     # from the subscript, each arity is one lower than the argument
     # count, and no product matches.
-    if arity != "argument_count":
-        return out
-    for i, j in ((0, d - 2), (0, d - 1), (1, d - 2)):
-        if j < 0:
-            continue
-        if d - j == 1:
-            product = algebra.mu1(a(d))
-        elif i == 0:
-            product = algebra.mu2(a(d), a(d - 1))
-        else:
-            product = algebra.mu2(a(1), a(d))
-        # bullet(i, i + j) = maltese(1, i) (1 + maltese(i + 1, d))
-        #                    + maltese(i + j + 1, d - 1)
-        bullet = run[i] * (1 + run[d] - run[i]) + run[d - 1] - run[i + j]
-        tail = word[d - i - j:d - i]
-        emit((), product, tail, bullet + run[i + j] - run[i] + 1)
+    if arity == "argument_count":
+        for i, j in ((0, d - 2), (0, d - 1), (1, d - 2)):
+            if j < 0:
+                continue
+            if d - j == 1:
+                product = algebra.mu1(word[0])
+            elif i == 0:
+                product = algebra.mu2(word[0], word[1])
+            else:
+                product = algebra.mu2(word[d - 1], word[0])
+            # bullet(i, i + j) = maltese(1, i) (1 + maltese(i + 1, d))
+            #                    + maltese(i + j + 1, d - 1)
+            bullet = run[i] * (1 + run[d] - run[i]) + run[d - 1] - run[i + j]
+            parts.append(((), product, word[d - i - j:d - i],
+                          bullet + run[i + j] - run[i] + 1, None))
+
+    out = {}
+    degenerate = normalize and unit in word[1:]
+    for head, vector, tail, exponent, drop in parts:
+        signed = -coeff if exponent % 2 else coeff
+        for element, c in vector.items():
+            if element == drop:
+                continue
+            w = head + (element,) + tail
+            if degenerate and unit in w[1:]:
+                continue
+            c = out.get(w, 0) + signed * c
+            if c:
+                out[w] = c
+            else:
+                out.pop(w, None)
     return out
 
 
 def hochschild_b_vector(algebra, vector, **kw):
+    _check_arity(kw.get("arity", "argument_count"))
     out = {}
     for word, c in vector.items():
         _axpy(out, hochschild_b(algebra, word, c, **kw), 1)
@@ -400,11 +427,14 @@ def cyclic_words(algebra, max_weight: int, degree: int | range | None = None):
         if top <= 0:
             max_len = (high - low) // (1 - top)
     # the tails come in preorder, so the last shorter tail seen is each
-    # tail's prefix: weights[n] and excess[n] hold the weight and the sum
-    # of |x| - 1 of the last tail of length n
-    buckets = {}  # (weight, excess) -> tails
+    # tail's prefix: weights[n], excess[n] and reprs[n] hold the weight,
+    # the sum of |x| - 1 and the tuple of slot reprs of the last tail of
+    # length n
+    buckets = {}  # (weight, excess) -> (length + 1, reprs, tail) triples
     weights = [0] * (max_weight + 1)
     excess = [0] * (max_weight + 1)
+    reprs = [()] * (max_weight + 1)
+    slot_repr = {x: repr(x) for x in specials}
     for tail in bounded_words(basis, weight.__getitem__, max_weight,
                               max_len):
         n = len(tail)
@@ -412,17 +442,21 @@ def cyclic_words(algebra, max_weight: int, degree: int | range | None = None):
             x = tail[-1]
             weights[n] = weights[n - 1] + weight[x]
             excess[n] = excess[n - 1] + degree_of[x] - 1
-        buckets.setdefault((weights[n], excess[n]), []).append(tail)
-    # word_degree is the special slot's degree plus the tail's excess
-    words = [(first,) + tail
+            reprs[n] = reprs[n - 1] + (slot_repr[x],)
+        buckets.setdefault((weights[n], excess[n]), []).append(
+            (n + 1, reprs[n], tail))
+    # word_degree is the special slot's degree plus the tail's excess.  A
+    # word sorts by its length and then by the reprs of its slots, here
+    # the special slot's repr and then the tail's tuple of them; the sort
+    # reads the key alone, so words with equal keys keep their order
+    keyed = [((length, slot_repr[first], key), (first,) + tail)
              for first in specials
              for (w, e), bucket in buckets.items()
              if w + weight[first] <= max_weight
              and (degree is None or degree_of[first] + e in window)
-             for tail in bucket]
-    reprs = _Memo(repr)  # each slot's repr once, for the sort key
-    return sorted(words, key=lambda w: (len(w),
-                                        tuple(map(reprs.__getitem__, w))))
+             for length, key, tail in bucket]
+    keyed.sort(key=itemgetter(0))
+    return [word for _, word in keyed]
 
 
 def hh_truncated(algebra, degree: int, max_weight: int, *,
@@ -438,8 +472,10 @@ def hh_truncated(algebra, degree: int, max_weight: int, *,
     The lower cap's words are those of smaller weight, and its complex
     is the cap's restricted to them, so no boundary is computed twice;
     a lower cap that is not a subcomplex raises ``from_basis``' error.
-    A negative cap is refused.
+    A negative cap is refused, and so is an ``arity`` that hochschild_b
+    does not know.
     """
+    _check_arity(arity)
     window = range(degree - 1, degree + 2)
     layers = {n: [] for n in window}
     lower = {n: [] for n in window}

@@ -8,8 +8,9 @@ slot, re-weighing the basis each time.  ``signkoszul_hochschild_b``
 takes every sign of the cyclic bar differential from its own signkoszul
 call, summing the degrees of each run again.  ``sorted_basis`` sorts
 every bounded word instead of trusting the enumeration order.
-``bucketed_hh_truncated`` enumerates every cyclic word at the cap and
-buckets the three degrees it needs, with no length bound.
+``bucketed_hh_truncated`` enumerates every cyclic word at the cap with
+no length bound, or takes that enumeration bucketed by degree, and
+reads the three degrees it needs.
 ``dict_normalize``, ``dict_loop_boundary`` and ``dict_goodwillie_G`` are
 the free-loop normal form, boundary and comparison map with every term
 added through ``_add`` and every sign taken as a power of -1 where it is
@@ -58,25 +59,33 @@ def per_special_cyclic_words(algebra, max_weight, degree=None):
     return sorted(words, key=lambda w: (len(w), tuple(repr(x) for x in w)))
 
 
-def bucketed_layers(algebra, degree, max_weight):
-    """The words of degrees degree - 1, degree and degree + 1 at the cap,
-    bucketed from one enumeration of every word."""
-    layers = {n: [] for n in (degree - 1, degree, degree + 1)}
+def words_by_degree(algebra, max_weight):
+    """Every word at the cap, from one enumeration, bucketed by degree:
+    {degree: words}, each list in enumeration order."""
+    by_degree = {}
     for word in cyclic_words(algebra, max_weight):
-        layer = layers.get(cc_word_degree(algebra, word))
-        if layer is not None:
-            layer.append(word)
-    return layers
+        by_degree.setdefault(cc_word_degree(algebra, word), []).append(word)
+    return by_degree
+
+
+def bucketed_layers(algebra, degree, max_weight, by_degree=None):
+    """The words of degrees degree - 1, degree and degree + 1 at the cap,
+    taken from ``by_degree`` (words_by_degree at the cap, enumerated here
+    when not given)."""
+    if by_degree is None:
+        by_degree = words_by_degree(algebra, max_weight)
+    return {n: list(by_degree.get(n, ()))
+            for n in (degree - 1, degree, degree + 1)}
 
 
 def bucketed_hh_truncated(algebra, degree, max_weight, *,
-                          arity="argument_count"):
+                          arity="argument_count", by_degree=None):
     def at(layers):
         complex_ = FreeComplex.from_basis(
             layers, lambda w: hochschild_b(algebra, w, arity=arity))
         return homology(complex_).get(degree, HomologySummary(degree, 0, ()))
 
-    layers = bucketed_layers(algebra, degree, max_weight)
+    layers = bucketed_layers(algebra, degree, max_weight, by_degree)
     summary = at(layers)
     if max_weight >= 1:
         previous = at({n: [w for w in ws

@@ -227,8 +227,15 @@ def test_algebra_tables_match_the_word_functions(name):
     for order in CHOICES["mu2_order"][0]:
         conv = replace(DEFAULT, mu2_order=order)
         alg = LoopAlgebra(cc, conv)
+        basis = alg.basis(3)
+        # basis fills both tables, graded off each word's prefix, with
+        # exactly its words; loop_words lists the same words after the
+        # unit
+        assert dict(alg._degrees) == {w: word_degree(w) for w in basis}
+        assert dict(alg._weights) == {w: word_weight(w) for w in basis}
+        assert loop_words(cc, 3, conv) == [()] + basis
         by_weight = {w: [] for w in range(1, 4)}
-        for word in alg.basis(3):
+        for word in basis:
             assert alg.degree(word) == word_degree(word), word
             assert alg.weight(word) == word_weight(word), word
             by_weight[word_weight(word)].append(word)

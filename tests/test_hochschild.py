@@ -1,3 +1,4 @@
+from functools import partial
 from hashlib import sha256
 from itertools import islice, product as iproduct
 from random import Random
@@ -16,7 +17,8 @@ from oracle_classical import (SphereCochains, check_table_dga,
 from loopchains import hochschild
 from loopchains.exactalg import FreeComplex, HomologySummary, _axpy
 from oracle_words import (bucketed_hh_truncated, bucketed_layers,
-                          per_special_cyclic_words, signkoszul_hochschild_b)
+                          per_special_cyclic_words, signkoszul_hochschild_b,
+                          words_by_degree)
 
 
 class DegreeStub:
@@ -88,6 +90,22 @@ def test_two_equal_degree_zero_letters_cancel():
 def test_subscript_arity_reading_kills_wrap_terms():
     dga = square_zero()
     assert hochschild_b(dga, ("u",), arity="subscript") == {}
+
+
+def test_an_unknown_arity_is_refused():
+    # read as the subscript, the misspelling would drop every wrap term:
+    # rank 18 and (Z/2)^9 in degree -3 instead of the answer below.  The
+    # empty vector and the wordless degree 50 are refused as well
+    dga = random_dga(0)
+    for call in (lambda arity: hochschild_b(dga, ("e01",), arity=arity),
+                 lambda arity: hochschild_b_vector(dga, {}, arity=arity),
+                 lambda arity: hh_truncated(dga, -3, 3, arity=arity),
+                 lambda arity: hh_truncated(dga, 50, 3, arity=arity)):
+        with pytest.raises(ValueError, match="'subscript', got "
+                                             "'Argument_count'"):
+            call("Argument_count")
+    assert hh_truncated(dga, -3, 3).summary == \
+        HomologySummary(-3, 8, (2,) * 12)
 
 
 def test_random_dga_tables_are_pinned():
@@ -638,17 +656,18 @@ def test_hh_truncated_matches_the_bucketed_reference(monkeypatch):
     monkeypatch.setattr(hochschild, "_hh_at", record)
     for label, algebra, caps in _cyclic_word_cases():
         for cap in caps:
-            # every degree the words reach, and one past each end (-1..1
-            # when there is no word): this checks the degree window that
-            # cyclic_words cuts
-            degrees = {word_degree(algebra, w)
-                       for w in cyclic_words(algebra, cap)}
-            for degree in range(min(degrees, default=0) - 1,
-                                max(degrees, default=0) + 2):
+            # one enumeration of the cap serves every degree: those the
+            # words reach, and one past each end (-1..1 when there is no
+            # word), which checks the degree window that cyclic_words cuts
+            by_degree = words_by_degree(algebra, cap)
+            for degree in range(min(by_degree, default=0) - 1,
+                                max(by_degree, default=0) + 2):
                 seen.clear()
                 got = outcome(hh_truncated, algebra, degree, cap)
-                want = outcome(bucketed_hh_truncated, algebra, degree, cap)
-                layers = bucketed_layers(algebra, degree, cap)
+                want = outcome(partial(bucketed_hh_truncated,
+                                       by_degree=by_degree),
+                               algebra, degree, cap)
+                layers = bucketed_layers(algebra, degree, cap, by_degree)
                 case = (label, cap, degree)
                 # the same words in the same order, under the same keys
                 assert list(seen[0].items()) == list(layers.items()), case
@@ -666,7 +685,19 @@ def test_hochschild_b_matches_the_signkoszul_reference():
               for name, cap in (("s1_3", 3), ("boundary_delta3", 3),
                                 ("torus_7", 2), ("rp2", 3))]
     for label, algebra, cap in cases:
-        for word in cyclic_words(algebra, cap):
+        words = cyclic_words(algebra, cap)
+        unit = algebra.unit()
+        if unit is not None:
+            # the words with the unit in the special slot are among them;
+            # add every fifth word once more with the unit put into one
+            # of its other slots, a different one from word to word, so
+            # that the full degeneracy test of a degenerate input is
+            # checked too
+            assert any(w[0] == unit for w in words), label
+            words += [w[:k] + (unit,) + w[k:]
+                      for n, w in enumerate(words[::5])
+                      for k in [1 + n % len(w)]]
+        for word in words:
             for arity in ("argument_count", "subscript"):
                 for normalize in (True, False):
                     kw = {"arity": arity, "normalize": normalize}
