@@ -38,6 +38,7 @@ from operator import itemgetter
 from random import Random
 from typing import NamedTuple
 
+from .conventions import CHOICES
 from .exactalg import (FreeComplex, HomologySummary, _add, _axpy,
                        homology as _homology)
 from .signkoszul import bullet_exponent
@@ -64,10 +65,13 @@ def is_degenerate(algebra, word) -> bool:
     return algebra.unit() in word[1:]
 
 
+_ARITIES = CHOICES["hochschild_arity"][0]  # the ledger's two readings
+
+
 def _check_arity(arity) -> None:
-    if arity not in ("argument_count", "subscript"):
-        raise ValueError(f"arity must be 'argument_count' or 'subscript', "
-                         f"got {arity!r}")
+    if arity not in _ARITIES:
+        raise ValueError(f"arity must be one of "
+                         f"{', '.join(map(repr, _ARITIES))}, got {arity!r}")
 
 
 def hochschild_b(algebra, word, coeff=1, *, arity="argument_count",
