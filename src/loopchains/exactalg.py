@@ -12,9 +12,13 @@ form with transforms.
 
 The Smith normal form is one sparse elimination kernel.  Its pivots are
 the +-1 entries first, cheapest by Markowitz cost, then the entries of
-the small non-unit core that is left, smallest |value| first.  The
-unimodular transforms U and V are built on request only: homology
-reads the elementary divisors and never builds them.
+the small non-unit core that is left, smallest |value| first.  The unit
+entries wait in cost buckets, one list per cost with a heap of the
+costs in use, so queueing or taking one is a list append or pop; the
+rest wait on a heap.  A unit pivot clears its row without division:
+every column operation leaves no remainder, so the row's other entries
+are dropped.  The unimodular transforms U and V are built on request
+only: homology reads the elementary divisors and never builds them.
 
 Matrices are sparse: only nonzero entries are stored, keyed by
 (row, column) and iterated row-major.  This matters because the chain
@@ -241,18 +245,25 @@ def _divisor_chain(d: list, exchange=None) -> None:
 def smith_normal_form(m: IntMatrix, *, transforms: bool = True) -> SmithForm:
     """Smith normal form over Z by sparse elimination.
 
-    The working matrix is kept as rows of nonzeros plus a column -> rows
-    index, so every operation touches nonzeros only.  Pivots come off a
-    heap keyed by (|value|, Markowitz cost (row nnz - 1) * (col nnz - 1)).
-    The +-1 entries therefore go first, cheapest first; each clears its
+    The working matrix is kept as {i: {j: a_ij}} over the rows that
+    hold a nonzero, plus a column -> rows index over the columns that
+    do, so every operation touches nonzeros only.  Pivots go by
+    (|value|, Markowitz cost (row nnz - 1) * (col nnz - 1)), from a
+    two-tier queue.  The +-1 entries wait in cost buckets,
+    {cost: [(i, j), ...]} with a heap of the costs in use, so queueing
+    or taking one is a list append or pop, and every pivot comes from
+    the cheapest bucket while one is left.  A unit pivot clears its
     column by row operations and its row by column operations with no
     remainder, which is the discrete-Morse reduction of a boundary
-    matrix.  What is left is a core without units, reduced by smallest
-    |value|: a pivot whose row or column keeps a nonzero remainder goes
-    back on the heap, and the remainder, smaller than it, comes off
-    first.  Every entry an operation changes is pushed again, and a
-    popped key is checked against the current entry and cost, so no step
-    rescans the matrix.
+    matrix; its row needs no division at all, since
+    col_j -= (a_rj * p) * col_c zeroes a_rj and changes nothing else,
+    so those entries are just dropped.  What is left is a core without
+    units, on a heap keyed by (|value|, cost, i, j) and reduced by
+    smallest |value|: a pivot whose row or column keeps a nonzero
+    remainder goes back on the heap, and the remainder, smaller than it,
+    comes off first.  Every entry an operation changes is queued again,
+    and a taken entry is checked against the current entry and cost, so
+    no step rescans the matrix.
 
     The pivots, units first, are folded into the divisibility chain by
     gcd/lcm exchanges.  With ``transforms=False`` that is all: U and V
@@ -260,36 +271,81 @@ def smith_normal_form(m: IntMatrix, *, transforms: bool = True) -> SmithForm:
     transforms every operation is mirrored into U's rows and V's
     columns, and each exchange is a column fold (col_i += col_j) followed
     by one Bezout row step and one column clear on the folded 2x2 block.
-    Either way the signs are fixed so the diagonal is nonnegative.
+    Either way the signs are fixed so the diagonal is nonnegative.  The
+    diagonal is canonical; U and V depend on the order the pivots are
+    taken in.
     """
-    rows = [{} for _ in range(m.rows)]
-    cols = [set() for _ in range(m.cols)]
+    rows = {}  # i -> {j: a_ij}, nonempty rows only
+    cols = {}  # j -> {i: a_ij != 0}, nonempty columns only
     for (i, j), x in m.entries.items():
-        rows[i][j] = x
-        cols[j].add(i)
+        row = rows.get(i)
+        if row is None:
+            rows[i] = {j: x}
+        else:
+            row[j] = x
+        col = cols.get(j)
+        if col is None:
+            cols[j] = {i}
+        else:
+            col.add(i)
     left = [{i: 1} for i in range(m.rows)] if transforms else None
     right = [{j: 1} for j in range(m.cols)] if transforms else None
 
-    def cost(i, j):
-        return (len(rows[i]) - 1) * (len(cols[j]) - 1)
-
-    heap = [(abs(x), cost(i, j), i, j) for (i, j), x in m.entries.items()]
+    units = {}  # Markowitz cost -> the +-1 entries queued at it
+    heap = []  # (|value|, cost, i, j) of the other entries
+    for i, row in rows.items():
+        ri = len(row) - 1
+        for j, x in row.items():
+            key = ri * (len(cols[j]) - 1)
+            if x == 1 or x == -1:
+                bucket = units.get(key)
+                if bucket is None:
+                    units[key] = [(i, j)]
+                else:
+                    bucket.append((i, j))
+            else:
+                heap.append((abs(x), key, i, j))
+    costs = list(units)  # the keys of units, as a heap
+    heapify(costs)
     heapify(heap)
+
+    def push(i, j, x, key):
+        if x == 1 or x == -1:
+            bucket = units.get(key)
+            if bucket is None:
+                units[key] = [(i, j)]
+                heappush(costs, key)
+            else:
+                bucket.append((i, j))
+        else:
+            heappush(heap, (abs(x), key, i, j))
+
     pivots = []
-    while heap:
-        size, key, r, c = heappop(heap)
-        row = rows[r]
-        p = row.get(c)
+    while costs or heap:
+        if costs:
+            key = costs[0]
+            bucket = units[key]
+            r, c = bucket.pop()
+            if not bucket:
+                del units[key]
+                heappop(costs)
+            size = 1
+        else:
+            size, key, r, c = heappop(heap)
+        row = rows.get(r)
+        p = None if row is None else row.get(c)
         if p is None or abs(p) != size:
-            continue  # eliminated or changed since it was pushed
-        now = cost(r, c)
+            continue  # eliminated or changed since it was queued
+        col = cols[c]
+        now = (len(row) - 1) * (len(col) - 1)
         if now > key:  # fill-in made it dearer: queue it at its real cost
-            heappush(heap, (size, now, r, c))
+            push(r, c, p, now)
             continue
+        unit = size == 1
         # clear column c: row_i -= (a_ic // p) * row_r
-        for i in [i for i in cols[c] if i != r]:
+        for i in [i for i in col if i != r]:
             target = rows[i]
-            q = target[c] // p
+            q = target[c] * p if unit else target[c] // p
             if not q:
                 continue
             touched = []
@@ -305,34 +361,42 @@ def smith_normal_form(m: IntMatrix, *, transforms: bool = True) -> SmithForm:
                 else:
                     target[j] = old - q * x
                     touched.append(j)
+            ri = len(target) - 1
             for j in touched:
-                heappush(heap, (abs(target[j]), cost(i, j), i, j))
+                push(i, j, target[j], ri * (len(cols[j]) - 1))
             if transforms:
                 _axpy(left[i], left[r], -q)
-        if len(cols[c]) > 1:  # remainders smaller than |p| are queued
-            heappush(heap, (size, now, r, c))
-            continue
-        # clear row r: column c holds p alone, so col_j -= q * col_c
-        # changes a_rj only
-        for j in [j for j in row if j != c]:
-            q = row[j] // p
-            if not q:
+        if unit:
+            # clear row r: col_j -= (a_rj * p) * col_c zeroes a_rj
+            for j, x in row.items():
+                if j != c:
+                    cols[j].discard(r)
+                    if transforms:
+                        _axpy(right[j], right[c], -x * p)
+        else:
+            if len(col) > 1:  # remainders smaller than |p| are queued
+                push(r, c, p, now)
                 continue
-            if transforms:
-                _axpy(right[j], right[c], -q)
-            w = row[j] - q * p
-            if w:
-                row[j] = w
-                heappush(heap, (abs(w), cost(r, j), r, j))
-            else:
-                del row[j]
-                cols[j].discard(r)
-        if len(row) > 1:
-            heappush(heap, (size, cost(r, c), r, c))
-            continue
+            # clear row r: column c holds p alone, so col_j -= q * col_c
+            # changes a_rj only
+            for j in [j for j in row if j != c]:
+                q = row[j] // p
+                if not q:
+                    continue
+                if transforms:
+                    _axpy(right[j], right[c], -q)
+                w = row[j] - q * p
+                if w:
+                    row[j] = w
+                    push(r, j, w, (len(row) - 1) * (len(cols[j]) - 1))
+                else:
+                    del row[j]
+                    cols[j].discard(r)
+            if len(row) > 1:
+                push(r, c, p, (len(row) - 1) * (len(col) - 1))
+                continue
         pivots.append((r, c, p))
-        row.clear()
-        cols[c].clear()
+        del rows[r], cols[c]
 
     pivots.sort(key=lambda pivot: abs(pivot[2]) != 1)  # units lead the chain
     diagonal = [abs(p) for _, _, p in pivots]

@@ -7,9 +7,14 @@ it is the number of elementary divisors not divisible by p.  The rank
 of a quotient complex's homology over Q is read off such ranks too.
 ``det`` is the exact determinant by fraction-free (Bareiss)
 elimination, which tells a unimodular transform of the Smith form.
+``heap_smith_diagonal`` is the Smith diagonal by sparse elimination
+that takes every pivot off one heap and clears every row by division:
+the oracle of the kernel that buckets its unit pivots by cost.
 """
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd
 
 from loopchains.exactalg import IntMatrix, ShapeError
 
@@ -101,3 +106,89 @@ def quotient_ranks_q(c, relations):
 
     return {n: c.dim(n) - rank_r(n) - rank_dbar(n) - rank_dbar(n - 1)
             for n in c.dims}
+
+
+def heap_smith_diagonal(m):
+    """The Smith diagonal of ``m``, d_1 | d_2 | ... padded with zeros to
+    min(rows, cols), by sparse elimination with one pivot heap.
+
+    Pivots come off a heap keyed by (|value|, Markowitz cost
+    (row nnz - 1) * (col nnz - 1), i, j), so the +-1 entries go first,
+    cheapest first, then the non-unit core, smallest |value| first.  A
+    pivot clears its column by row operations and its row by column
+    operations, each by division with remainder; a pivot whose column or
+    row keeps a remainder goes back on the heap.  A popped key is checked
+    against the current entry and cost.  The pivots are folded into the
+    divisibility chain by gcd/lcm exchanges.
+    """
+    rows = [{} for _ in range(m.rows)]
+    cols = [set() for _ in range(m.cols)]
+    for (i, j), x in m.entries.items():
+        rows[i][j] = x
+        cols[j].add(i)
+
+    def cost(i, j):
+        return (len(rows[i]) - 1) * (len(cols[j]) - 1)
+
+    heap = [(abs(x), cost(i, j), i, j) for (i, j), x in m.entries.items()]
+    heapify(heap)
+    pivots = []
+    while heap:
+        size, key, r, c = heappop(heap)
+        row = rows[r]
+        p = row.get(c)
+        if p is None or abs(p) != size:
+            continue
+        now = cost(r, c)
+        if now > key:
+            heappush(heap, (size, now, r, c))
+            continue
+        for i in [i for i in cols[c] if i != r]:
+            target = rows[i]
+            q = target[c] // p
+            if not q:
+                continue
+            touched = []
+            for j, x in row.items():
+                old = target.get(j)
+                if old is None:
+                    target[j] = -q * x
+                    cols[j].add(i)
+                    touched.append(j)
+                elif old == q * x:
+                    del target[j]
+                    cols[j].discard(i)
+                else:
+                    target[j] = old - q * x
+                    touched.append(j)
+            for j in touched:
+                heappush(heap, (abs(target[j]), cost(i, j), i, j))
+        if len(cols[c]) > 1:
+            heappush(heap, (size, now, r, c))
+            continue
+        for j in [j for j in row if j != c]:
+            q = row[j] // p
+            if not q:
+                continue
+            w = row[j] - q * p
+            if w:
+                row[j] = w
+                heappush(heap, (abs(w), cost(r, j), r, j))
+            else:
+                del row[j]
+                cols[j].discard(r)
+        if len(row) > 1:
+            heappush(heap, (size, cost(r, c), r, c))
+            continue
+        pivots.append(abs(p))
+        row.clear()
+        cols[c].clear()
+
+    units = pivots.count(1)
+    core = [d for d in pivots if d != 1]
+    for i in range(len(core)):
+        for j in range(i + 1, len(core)):
+            g = gcd(core[i], core[j])
+            core[i], core[j] = g, core[i] // g * core[j]
+    zeros = min(m.rows, m.cols) - len(pivots)
+    return (1,) * units + tuple(core) + (0,) * zeros

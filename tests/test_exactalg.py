@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from loopchains import exactalg
+from loopchains.cobarloop import LoopAlgebra, based_loop_complex
 from loopchains.exactalg import (
     ComplexVerdict,
     FreeComplex,
@@ -18,9 +19,12 @@ from loopchains.exactalg import (
     smith_normal_form,
     validate_complex,
 )
-from loopchains.simpcx import chain_complex, load_complex
+from loopchains.hochschild import hochschild_b
+from loopchains.simpcx import chain_complex, collapse, load_complex
 
-from oracle_ranks import det, quotient_ranks_q, rank_p, rank_q
+from oracle_ranks import (det, heap_smith_diagonal, quotient_ranks_q, rank_p,
+                          rank_q)
+from oracle_words import bucketed_layers
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 COMPLEXES = ("s1_3", "boundary_delta3", "torus_7", "rp2")
@@ -94,29 +98,74 @@ def test_snf_transforms_and_chain(rows):
     assert det(s.right) in (1, -1)
 
 
-# sparse matrices mostly of 0 and +-1, like the boundary matrices the
-# package builds, with enough 2, 3 and 6 to leave a non-unit core
-sparse_matrices = st.integers(min_value=1, max_value=30).flatmap(
-    lambda r: st.integers(min_value=1, max_value=40).flatmap(
-        lambda c: st.lists(
-            st.lists(st.sampled_from([0] * 12 + [1, -1] * 3
-                                     + [2, -2, 3, -3, 6, -6]),
-                     min_size=c, max_size=c),
-            min_size=r, max_size=r)))
+# sparse matrices of +-1 entries, like the boundary matrices the package
+# builds, with enough 2, 3 and 6 to leave a non-unit core; up to 60 x 80,
+# so that pivots tie on Markowitz cost and elimination fills in
+sparse_matrices = st.tuples(
+    st.integers(min_value=1, max_value=60),
+    st.integers(min_value=1, max_value=80)).flatmap(
+        lambda shape: st.integers(
+            min_value=0, max_value=3 * sum(shape)).flatmap(
+                lambda count: st.lists(
+                    st.tuples(st.integers(min_value=0, max_value=shape[0] - 1),
+                              st.integers(min_value=0, max_value=shape[1] - 1),
+                              st.sampled_from([1, -1] * 3
+                                              + [2, -2, 3, -3, 6, -6])),
+                    min_size=count, max_size=count).map(
+                        lambda entries: IntMatrix(*shape, {
+                            (i, j): v for i, j, v in entries}))))
 
 
 @settings(max_examples=60, deadline=None)
 @given(sparse_matrices)
-def test_snf_divisors_against_rank_oracles(rows):
-    m = IntMatrix.from_rows(rows)
+def test_snf_divisors_against_rank_oracles(m):
     s = smith_normal_form(m)
     fast = smith_normal_form(m, transforms=False)
     assert fast.left is None and fast.right is None
-    assert fast.diagonal == s.diagonal
+    assert fast.diagonal == s.diagonal == heap_smith_diagonal(m)
     assert s.left @ m @ s.right == s.diagonal_matrix(m.rows, m.cols)
     assert fast.rank == rank_q(m)
     for p in (2, 3):
         assert rank_p(m, p) == sum(1 for d in fast.diagonal if d % p), p
+
+
+def _program_matrices():
+    """The differentials of complexes the package builds, by label: the
+    based loop complexes of the fixtures at weight cap 4, the simplicial
+    chain complex of rp2, and the cyclic bar complexes that hh_truncated
+    takes in degree -1, of boundary_delta3 at cap 4 and rp2 at cap 3."""
+    for name in COMPLEXES:
+        cc = collapse(load_complex(FIXTURES / f"{name}.json"))
+        for n, m in based_loop_complex(cc, 4).complex.diffs.items():
+            yield ("based loop", name, n), m
+    for n, m in _fixture_complex("rp2").diffs.items():
+        yield ("simplicial", "rp2", n), m
+    for name, cap in (("boundary_delta3", 4), ("rp2", 3)):
+        algebra = LoopAlgebra(collapse(load_complex(FIXTURES
+                                                    / f"{name}.json")))
+        c = FreeComplex.from_basis(bucketed_layers(algebra, -1, cap),
+                                   lambda w: hochschild_b(algebra, w))
+        for n, m in c.diffs.items():
+            yield ("cyclic bar", name, n), m
+
+
+def test_snf_matches_the_heap_oracle_on_the_program_matrices():
+    torsion = {}
+    for label, m in _program_matrices():
+        want = heap_smith_diagonal(m)
+        assert smith_normal_form(m, transforms=False).diagonal == want, label
+        s = smith_normal_form(m)
+        assert s.diagonal == want, label
+        assert s.left @ m @ s.right == s.diagonal_matrix(m.rows, m.cols), \
+            label
+        torsion[label] = tuple(d for d in want if d > 1)
+    # s1_3's based loop complex is all in degree 0; every other complex
+    # has two differentials, and these have non-unit cores
+    assert len(torsion) == 12
+    assert {label: t for label, t in torsion.items() if t} == {
+        ("simplicial", "rp2", -2): (2,),
+        ("cyclic bar", "boundary_delta3", -2): (3, 3, 3),
+        ("cyclic bar", "rp2", -2): (2,) * 5}
 
 
 @settings(max_examples=40, deadline=None)
