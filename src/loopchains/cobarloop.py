@@ -28,7 +28,8 @@ from typing import NamedTuple
 
 from .conventions import Conventions, DEFAULT
 from .exactalg import FreeComplex, _add, _axpy
-from .hochschild import _Memo, _check_cap, bounded_words, hochschild_b
+from .hochschild import (_Memo, _check_cap, _graded_words, bounded_words,
+                         hochschild_b)
 from .simpcx import CollapsedComplex
 
 UNIT_LETTER = ("unit",)
@@ -376,7 +377,10 @@ def _tau_words(algebra, max_weight: int):
 
 
 def _graded_tau_words(algebra, max_weight: int):
-    """The list of _tau_words and the list of their degrees.
+    """The list of _tau_words and the list of their degrees, for
+    LoopAlgebra.basis, which needs the flat sorted list and each word's
+    degree (based_loop_complex files its words by degree through
+    _graded_words instead).
 
     The words come in preorder from the empty word, so the last shorter
     word seen is each word's prefix: prefix[n] holds the degree of the
@@ -421,14 +425,14 @@ def based_loop_complex(cc, max_weight: int,
     the complex is exact data, not an approximation.  Degrees are
     cohomological and nonpositive.
 
-    The words are those of loop_words, each graded off its prefix (see
-    _graded_tau_words).
+    The words are those of loop_words, filed by degree as the
+    enumerator meets them (see _graded_words): each degree's list is
+    sorted, and the degrees come in the order loop_words first meets
+    them.
     """
     _check_cap(max_weight)
-    by_degree = {}  # each list stays sorted, as loop_words is
-    for word, degree in zip(*_graded_tau_words(LoopAlgebra(cc, conv),
-                                               max_weight)):
-        by_degree.setdefault(degree, []).append(word)
+    by_degree = _graded_words(sorted(LoopAlgebra(cc, conv).letters()),
+                              letter_weight, letter_degree, max_weight)
     complex_ = FreeComplex.from_basis(
         by_degree, lambda w: word_boundary(cc, w, conv))
     return LoopComplexModel(complex=complex_,

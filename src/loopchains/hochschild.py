@@ -33,6 +33,7 @@ to unit(); a non-unital algebra returns None, which equals no element.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from itertools import combinations
 from operator import itemgetter
 from random import Random
@@ -330,6 +331,27 @@ class TruncatedHomology(NamedTuple):
     stabilized: bool
 
 
+def _room_tables(letters, weight, max_weight: int):
+    """The room tables that bounded_words and _graded_words walk.
+
+    fits[room] lists, for every room left under the cap, the letters
+    that fit as ((x,), room left after x), last letter first, so that a
+    stack pops the first letter next; leaves[room] lists the same
+    one-letter tuples first letter first.  A node whose room is below
+    the returned ``leafy`` has only leaves for children.  Each letter's
+    weight is looked up once, and every weight must be >= 1.
+    """
+    weighted = [(x, weight(x)) for x in letters]
+    if any(w < 1 for _, w in weighted):
+        raise ValueError("non-unit basis elements must have weight >= 1")
+    fits = [[((x,), room - w) for x, w in reversed(weighted) if w <= room]
+            for room in range(max_weight + 1)]
+    leaves = [[x for x, _ in reversed(children)] for children in fits]
+    # below this room, no child of a node has room for a letter
+    leafy = 2 * min((w for _, w in weighted), default=max_weight + 1)
+    return fits, leaves, leafy
+
+
 def bounded_words(letters, weight, max_weight: int,
                   max_len: int | None = None):
     """Every tuple of ``letters`` whose weights sum to at most
@@ -349,19 +371,11 @@ def bounded_words(letters, weight, max_weight: int,
     Every weight must be >= 1, which keeps the set finite; a negative
     cap yields nothing.
     """
-    weighted = [(x, weight(x)) for x in letters]
-    if any(w < 1 for _, w in weighted):
-        raise ValueError("non-unit basis elements must have weight >= 1")
+    fits, leaves, leafy = _room_tables(letters, weight, max_weight)
     if max_weight < 0:
         return
     if max_len is None:
         max_len = max_weight  # no word of weight <= max_weight is longer
-    # last letter first, so that the stack pops the first letter next
-    fits = [[((x,), room - w) for x, w in reversed(weighted) if w <= room]
-            for room in range(max_weight + 1)]
-    leaves = [[x for x, _ in reversed(children)] for children in fits]
-    # below this room, no child of a node has room for a letter
-    leafy = 2 * min((w for _, w in weighted), default=max_weight + 1)
     stack = [((), max_weight)]
     while stack:
         word, room = stack.pop()
@@ -372,7 +386,49 @@ def bounded_words(letters, weight, max_weight: int,
             yield from map(word.__add__, leaves[room])
 
 
+def _graded_words(letters, weight, grade, max_weight: int) -> dict:
+    """The words of bounded_words(letters, weight, max_weight), filed by
+    the sum of ``grade`` over their letters: {grade sum: [words]}.
+
+    Each list is the order-preserving restriction of bounded_words'
+    preorder, so it is sorted when the letters are, and the grade sums
+    come as keys in the order that preorder first meets them.  The walk
+    is bounded_words' own, over the same room tables, with each stack
+    node carrying its grade sum.  A leaf batch is split by the grade of
+    its letters once per room, before the walk, and each part is filed
+    by one extend, so no leaf word is handled one at a time in Python.
+    Every weight must be >= 1; a negative cap gives no words.
+    """
+    fits, leaves, leafy = _room_tables(letters, weight, max_weight)
+    if max_weight < 0:
+        return {}
+    grade_of = {x: grade(x) for x in letters}
+    graded = [[(x, left, grade_of[x[0]]) for x, left in children]
+              for children in fits]
+    classes = []  # per room: (grade, leaves of that grade), first met first
+    for batch in leaves:
+        split = defaultdict(list)
+        for x in batch:
+            split[grade_of[x[0]]].append(x)
+        classes.append(list(split.items()))
+    out = defaultdict(list)
+    stack = [((), max_weight, 0)]
+    while stack:
+        word, room, total = stack.pop()
+        out[total].append(word)
+        if room >= leafy:
+            stack.extend([(word + x, left, total + g)
+                          for x, left, g in graded[room]])
+        else:
+            for g, batch in classes[room]:
+                out[total + g].extend(map(word.__add__, batch))
+    return dict(out)
+
+
 def _check_cap(max_weight: int) -> None:
+    # bool is an int subclass, but True is no weight cap
+    if not isinstance(max_weight, int) or isinstance(max_weight, bool):
+        raise ValueError(f"weight cap must be an int, got {max_weight!r}")
     if max_weight < 0:
         raise ValueError(f"weight cap must be at least 0, got {max_weight}")
 

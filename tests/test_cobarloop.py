@@ -208,6 +208,12 @@ def test_a_negative_weight_cap_is_refused(circle):
         loop_words(circle, -1)
     with pytest.raises(ValueError, match="got -2"):
         based_loop_complex(circle, -2)
+    # a cap that is not an int is refused by name, bool included
+    for cap in (True, False, 2.5):
+        for build in (loop_words, based_loop_complex):
+            with pytest.raises(ValueError, match=f"weight cap must be an "
+                                                 f"int, got {cap!r}"):
+                build(circle, cap)
 
 
 FIXTURE_NAMES = ("s1_3", "boundary_delta3", "torus_7", "rp2")
@@ -252,9 +258,10 @@ def test_algebra_tables_match_the_word_functions(name):
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_words_by_degree_lists_are_sorted(name):
-    # based_loop_complex carries each word's degree from its prefix: every
-    # list must still hold the words of its word_degree, sorted, and the
-    # lists must split loop_words
+    # based_loop_complex files each word by degree inside the enumerator:
+    # every list must be loop_words filtered by word_degree, in order (so
+    # sorted), and the degrees must come in the order loop_words first
+    # meets them
     cc = _load(f"{name}.json")
     top = {"s1_3": 4, "boundary_delta3": 4}.get(name, 3)
     for order in CHOICES["mu2_order"][0]:
@@ -263,11 +270,14 @@ def test_words_by_degree_lists_are_sorted(name):
             by_degree = based_loop_complex(cc, cap, conv).words_by_degree
             if cap == 0:
                 assert by_degree == {0: [()]}
+            words = loop_words(cc, cap, conv)
+            degrees = [word_degree(w) for w in words]
+            assert list(by_degree) == list(dict.fromkeys(degrees)), \
+                (order, cap)
             for n, ws in by_degree.items():
-                assert all(word_degree(w) == n for w in ws), (order, cap, n)
+                assert ws == [w for w, d in zip(words, degrees) if d == n], \
+                    (order, cap, n)
                 assert ws == sorted(ws), (order, cap, n)
-            words = [w for ws in by_degree.values() for w in ws]
-            assert sorted(words) == loop_words(cc, cap, conv), (order, cap)
 
 
 def test_sphere_complex_is_a_complex(sphere2):

@@ -315,6 +315,13 @@ def test_a_negative_weight_cap_is_refused(circle_alg):
         verify_G_chain_map(circle_alg, max_weight=-1)
     with pytest.raises(ValueError, match="got -1"):
         next(g_residuals(circle_alg, max_weight=-1))
+    # a cap that is not an int is refused by name, bool included
+    for cap in (True, False, 2.5):
+        with pytest.raises(ValueError, match=f"weight cap must be an int, "
+                                             f"got {cap!r}"):
+            verify_G_chain_map(circle_alg, max_weight=cap)
+        with pytest.raises(ValueError, match=f"got {cap!r}"):
+            next(g_residuals(circle_alg, max_weight=cap))
 
 
 def test_residual_of_a_single_word_is_exposed(sphere_alg):

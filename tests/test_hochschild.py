@@ -389,7 +389,7 @@ def test_bounded_words_come_in_exact_preorder(drawn, max_weight, max_len):
 @example(({"a": 1, "b": 1, "c": 3}, ["c", "a", "b"]), 6, 3)  # max_len's
 def test_the_last_shorter_word_is_each_words_prefix(drawn, max_weight,
                                                      max_len):
-    # based_loop_complex and cyclic_words carry a word's degree from its
+    # LoopAlgebra.basis and cyclic_words carry a word's degree from its
     # prefix, so leaf batches must keep the invariant too
     weights, letters = drawn
     last = {}  # length -> (position, last word of that length)
@@ -399,6 +399,35 @@ def test_the_last_shorter_word_is_each_words_prefix(drawn, max_weight,
             shorter = max(v for n, v in last.items() if n < len(word))
             assert shorter[1] == word[:-1], (shorter, word)
         last[len(word)] = position, word
+
+
+# a grade per letter, negative, zero or positive, beside the weights
+GRADED_LETTERS = WEIGHTED_LETTERS.flatmap(
+    lambda drawn: st.tuples(st.just(drawn), st.fixed_dictionaries(
+        {x: st.integers(-2, 2) for x in drawn[0]})))
+
+
+@settings(deadline=None, max_examples=150)
+@given(GRADED_LETTERS, st.integers(-1, 6))
+# room-leafy batches, as in the prefix test; then batches of three
+# letters in two grade classes, one split by a letter of the other
+@example((({"a": 1, "b": 2}, ["b", "a"]), {"a": 1, "b": -1}), 6)
+@example((({"a": 2, "b": 3, "c": 2}, ["c", "a", "b"]),
+          {"a": -1, "b": 1, "c": 1}), 6)
+@example((({"a": 1, "b": 1, "c": 3}, ["c", "a", "b"]),
+          {"a": 0, "b": 0, "c": -2}), 6)
+def test_graded_words_file_bounded_words_by_grade(drawn, max_weight):
+    # each bucket is bounded_words' preorder restricted to one grade sum,
+    # and the grade sums come in the order that preorder first meets them
+    (weights, letters), grades = drawn
+    words = list(bounded_words(letters, weights.get, max_weight))
+    sums = [sum(grades[x] for x in w) for w in words]
+    got = hochschild._graded_words(letters, weights.get, grades.get,
+                                   max_weight)
+    assert list(got) == list(dict.fromkeys(sums))
+    for g, bucket in got.items():
+        assert bucket == [w for w, s in zip(words, sums) if s == g], g
+    assert sum(map(len, got.values())) == len(words)
 
 
 def test_bounded_words_is_lazy():
@@ -424,6 +453,9 @@ def test_bounded_words_is_lazy_at_leafy_nodes():
 def test_weight_zero_letter_is_rejected():
     with pytest.raises(ValueError, match="weight >= 1"):
         list(bounded_words(["a", "b"], {"a": 1, "b": 0}.get, 2))
+    with pytest.raises(ValueError, match="weight >= 1"):
+        hochschild._graded_words(["a", "b"], {"a": 1, "b": 0}.get,
+                                 {"a": 0, "b": 1}.get, 2)
     dga = TableDGA({"u": 0, "v": 1}, {}, {"u": {"v": 1}},
                    weights={"u": 0, "v": 1})
     with pytest.raises(ValueError, match="weight >= 1"):
@@ -632,6 +664,13 @@ def test_a_negative_weight_cap_is_refused():
         hh_truncated(alg, 0, -1)
     with pytest.raises(ValueError, match="got -2"):
         hh_truncated(random_dga(0), 0, -2)
+    # a cap that is not an int is refused by name, bool included
+    for cap in (True, False, 2.5):
+        with pytest.raises(ValueError, match=f"weight cap must be an int, "
+                                             f"got {cap!r}"):
+            cyclic_words(alg, cap)
+        with pytest.raises(ValueError, match=f"got {cap!r}"):
+            hh_truncated(alg, 0, cap)
 
 
 def test_hh_truncated_matches_the_bucketed_reference(monkeypatch):
