@@ -17,12 +17,35 @@ Words multiply by concatenation with the loop-composition twist
 that is degenerate (two cyclically adjacent vertices equal) gives the
 zero letter; a path that is exactly a spanning-tree edge gives the unit.
 
+Code words.  Each collapsed complex has one alphabet (Alphabet): the tau
+letters of its cells of dimension >= 1, sorted, each coded by its rank
+as a small int.  The codes depend on the complex alone, so every
+alphabet of a complex gives the same codes, and code words sort as the
+words they stand for.  A code word is a word with each alphabet letter
+replaced by its code; any other letter (the unit letter, a pair or
+corner letter, or a tau letter on a path that is not a cell, such as
+the wrap path (2, 0, 1) of a T image) stays in it as it is.
+``Alphabet.decode`` gives back the word a code word stands for and
+``Alphabet.encode`` codes a word; ``format_word`` and
+``format_cyclic_word`` decode through the alphabet they are given.
+
+Code words are what the loop dga takes and returns: ``loop_words``,
+``word_boundary``, ``dga_differential``, every ``LoopAlgebra`` method
+(``letters`` lists the codes), the ``words_by_degree`` of
+``based_loop_complex``, and the images and residuals of ``adams_T``,
+``t_residual``, ``t_residuals`` and ``verify_T_chain_map``.  The letter
+functions (``make_tau``, ``letter_degree``, ``letter_weight``,
+``word_degree``, ``word_weight``, ``mu2``, ``tau_boundary``,
+``pi2_boundary`` and ``letter_boundary``) take and return letters: they
+define the tables an alphabet codes.
+
 Every sign and ordering choice is read off the Conventions value passed
 in, so the resolution harness can flip entries one at a time.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations
 from typing import NamedTuple
 
@@ -117,6 +140,34 @@ def _product(x2, x1, conv):
     return normalize_word(x1 + x2 if conv.mu2_order == "path" else x2 + x1)
 
 
+class Alphabet:
+    """The tau letters of a collapsed complex, each coded by its rank.
+
+    ``letters`` holds the tau letters of the cells of dimension >= 1,
+    sorted, so a code is an index into it and ``codes`` maps each letter
+    back; ``degrees`` and ``weights`` hold each code's degree and weight.
+    The codes depend on the complex alone.
+    """
+
+    def __init__(self, cc: CollapsedComplex):
+        self.cc = cc
+        self.letters = tuple(sorted(("tau", cell) for cell in cc.cells()
+                                    if len(cell) > 1))
+        self.codes = {letter: code for code, letter in enumerate(self.letters)}
+        self.degrees = [letter_degree(l) for l in self.letters]
+        self.weights = [letter_weight(l) for l in self.letters]
+
+    def encode(self, word):
+        """The code word of a word of letters: each letter of the
+        alphabet replaced by its code, any other letter kept."""
+        return tuple(map(self.codes.get, word, word))
+
+    def decode(self, word):
+        """The word of letters a code word stands for."""
+        letters = self.letters
+        return tuple(letters[x] if type(x) is int else x for x in word)
+
+
 # -- boundaries ---------------------------------------------------------------
 
 def tau_boundary(cc, seq, conv: Conventions = DEFAULT) -> dict:
@@ -196,58 +247,92 @@ def letter_boundary(cc, letter, conv: Conventions = DEFAULT) -> dict:
     raise ValueError(f"unknown letter kind {kind!r}")
 
 
-def _letter_entry(cc, letter, conv):
-    """A letter's boundary terms as tuples, with their signs and negated,
-    the parity (0 or 1) it adds to the Leibniz prefix exponent, and
-    whether it is the unit letter."""
-    plus = tuple(letter_boundary(cc, letter, conv).items())
-    minus = tuple((t, -c) for t, c in plus)
-    parity = letter_degree(letter) + (conv.leibniz_prefix == "reduced")
-    return plus, minus, parity % 2, letter == UNIT_LETTER
+class _Boundaries:
+    """The boundary table of an alphabet under one conventions value.
+
+    ``entries`` maps a letter of a code word (a code, or a letter
+    outside the alphabet) to its entry: the letter's boundary terms as
+    code words with their signs, the same terms negated, the parity (0
+    or 1) the letter adds to the Leibniz prefix exponent, and whether it
+    is the unit letter.  ``entry`` makes a letter's entry on first use,
+    and ``free`` collects the letters met whose boundary has no terms
+    (edge letters and the unit): a word made of these alone has no
+    boundary.  A letter whose boundary raises gets no entry.
+    """
+
+    def __init__(self, alphabet: Alphabet, conv: Conventions):
+        self.alphabet = alphabet
+        self.conv = conv
+        self.entries = {}
+        self.free = set()
+
+    def entry(self, x):
+        """Make, keep and return the entry of a letter met first."""
+        alphabet, conv = self.alphabet, self.conv
+        if type(x) is int:
+            if not 0 <= x < len(alphabet.letters):
+                raise ValueError(f"no letter has the code {x}")
+            letter, degree = alphabet.letters[x], alphabet.degrees[x]
+        else:
+            letter, degree = x, letter_degree(x)
+        code = alphabet.codes.get  # encode, inline: this runs per table
+        plus = tuple([(tuple([code(l, l) for l in t]), c) for t, c
+                      in letter_boundary(alphabet.cc, letter, conv).items()])
+        minus = tuple((t, -c) for t, c in plus)
+        parity = (degree + (conv.leibniz_prefix == "reduced")) % 2
+        entry = self.entries[x] = plus, minus, parity, letter == UNIT_LETTER
+        if not plus:
+            self.free.add(x)
+        return entry
 
 
-# The letter table of the most recent (complex, conventions) pair,
-# matched by identity: one table at a time, so memory does not grow with
-# the number of conventions a sweep tries.  Beside it, the set of the
-# letters met so far whose boundary has no terms (edge letters and the
-# unit): a word made of these alone has no boundary.  A letter whose
-# boundary raises gets no entry.  word_boundary and dga_differential
-# check the pair once per call and hand the table to _leibniz_into;
-# only _new_table replaces it.
-_table = (None, None, {}, set())
+# The boundary table of the most recent (complex, conventions) pair, as
+# (complex, conventions, table), matched by identity: one table at a
+# time, so memory does not grow with the number of conventions a sweep
+# tries.  word_boundary and dga_differential check the pair once per
+# call and hand the table to _leibniz_into; only _new_table replaces it.
+_table = (None, None, None)
 
 
 def _new_table(cc, conv):
-    """Make an empty table current; return its entries and free set."""
+    """Make a fresh table for the pair current and return it."""
     global _table
-    _table = (cc, conv, {}, set())
-    return _table[2:]
+    table = _Boundaries(_alphabet(cc), conv)
+    _table = (cc, conv, table)
+    return table
 
 
-def _leibniz_into(out, word, scale, cc, conv, entries, free) -> bool:
+def _alphabet(cc):
+    """An alphabet of cc: the current table's when it serves cc, so a
+    sweep over conventions on one complex codes its letters once."""
+    table_cc, _, table = _table
+    return table.alphabet if table_cc is cc else Alphabet(cc)
+
+
+def _leibniz_into(out, word, scale, table) -> bool:
     """Add scale * d(word) into out, term by term, and say whether the
     word holds the unit letter.
 
-    The Leibniz loop of word_boundary and dga_differential.  The terms
-    of the letter in slot i carry the sign (-1)^e, where e is the degree
-    of the prefix word[:i], plus its length under the reduced prefix
-    convention; e is kept as a running parity, which picks the letter's
-    terms with that sign out of its table entry.  The first letter to add
-    terms to an empty out stores them without lookups: a letter's terms
-    are distinct words, so none of them can meet another.  A zero scale
-    adds nothing, but the letters are still looked up, so a corner letter
-    raises wherever it sits.  The unit letter has no terms and stays in
-    the output words; the caller drops it from them once, after all its
-    adding, which is valid because dropping it is linear.
+    The Leibniz loop of word_boundary and dga_differential, on a code
+    word.  The terms of the letter in slot i carry the sign (-1)^e, where
+    e is the degree of the prefix word[:i], plus its length under the
+    reduced prefix convention; e is kept as a running parity, which picks
+    the letter's terms with that sign out of its table entry.  The first
+    letter to add terms to an empty out stores them without lookups: a
+    letter's terms are distinct words, so none of them can meet another.
+    A zero scale adds nothing, but the letters are still looked up, so a
+    corner letter raises wherever it sits.  The unit letter has no terms
+    and stays in the output words; the caller drops it from them once,
+    after all its adding, which is valid because dropping it is linear.
     """
+    entries = table.entries
     odd = 0
     has_unit = False
     for i, letter in enumerate(word):
-        entry = entries.get(letter)
-        if entry is None:
-            entry = entries[letter] = _letter_entry(cc, letter, conv)
-            if not entry[0]:
-                free.add(letter)
+        try:
+            entry = entries[letter]
+        except KeyError:  # met first: rare, so the lookup stays cheap
+            entry = table.entry(letter)
         terms = entry[odd]
         if terms and scale:
             head, tail = word[:i], word[i + 1:]
@@ -277,25 +362,25 @@ def _drop_units(raw) -> dict:
 
 
 def word_boundary(cc, word, conv: Conventions = DEFAULT) -> dict:
-    """Leibniz extension of the letter boundary to words.
+    """Leibniz extension of the letter boundary to code words.
 
     A word of letters the table knows to be boundary-free has no
     boundary, and returns at once; any other word goes through the
     Leibniz loop that dga_differential shares (_leibniz_into).
     """
-    table_cc, table_conv, entries, free = _table
+    table_cc, table_conv, table = _table
     if table_cc is not cc or table_conv is not conv:
-        entries, free = _new_table(cc, conv)
-    if free.issuperset(word):
+        table = _new_table(cc, conv)
+    if table.free.issuperset(word):
         return {}
     out = {}
-    if _leibniz_into(out, word, 1, cc, conv, entries, free):
+    if _leibniz_into(out, word, 1, table):
         return _drop_units(out)
     return out
 
 
 def dga_differential(cc, vector, conv: Conventions = DEFAULT) -> dict:
-    """The differential on a vector (or single word) of the loop dga.
+    """The differential on a vector (or single word) of code words.
 
     Every word that is not boundary-free adds its boundary, times its
     coefficient, straight into one output dict, through the Leibniz loop
@@ -306,14 +391,15 @@ def dga_differential(cc, vector, conv: Conventions = DEFAULT) -> dict:
         return {}
     if isinstance(vector, tuple):
         vector = {vector: 1}
-    table_cc, table_conv, entries, free = _table
+    table_cc, table_conv, table = _table
     if table_cc is not cc or table_conv is not conv:
-        entries, free = _new_table(cc, conv)
+        table = _new_table(cc, conv)
+    free = table.free
     out = {}
     has_unit = False
     for word, c in vector.items():
         if not free.issuperset(word) \
-                and _leibniz_into(out, word, c, cc, conv, entries, free):
+                and _leibniz_into(out, word, c, table):
             has_unit = True
     return _drop_units(out) if has_unit else out
 
@@ -322,19 +408,27 @@ def dga_differential(cc, vector, conv: Conventions = DEFAULT) -> dict:
 
 class LoopAlgebra:
     """The based-loop dga of a collapsed complex, in the interface the
-    cyclic bar machinery expects.  Elements are words; the basis words
-    are built from tau letters only (pair and corner letters occur in
-    comparison-map images, and mu1 handles them, but they are not part
-    of the algebra's own basis).  Each element's degree and weight are
-    kept in tables by the instance: basis fills them for every word it
-    enumerates, graded off the word's prefix, and any other element is
-    computed once, on first use."""
+    cyclic bar machinery expects.  Elements are code words of the
+    complex's ``alphabet``; the basis words are built from its tau
+    letters only (pair and corner letters occur in comparison-map
+    images, and mu1 handles them, but they are not part of the algebra's
+    own basis).  Each element's degree and weight are kept in tables by
+    the instance: basis fills them for every word it enumerates, graded
+    off the word's prefix, and any other element is decoded and computed
+    once, on first use."""
 
     def __init__(self, cc: CollapsedComplex, conv: Conventions = DEFAULT):
         self.cc = cc
         self.conv = conv
-        self._degrees = _Memo(word_degree)
-        self._weights = _Memo(word_weight)
+        self._degrees = _Memo(lambda word: word_degree(self.decode(word)))
+        self._weights = _Memo(lambda word: word_weight(self.decode(word)))
+
+    @cached_property
+    def alphabet(self) -> Alphabet:
+        """The complex's alphabet, taken on first use; any alphabet of
+        the complex may be set in its place, since all give the same
+        codes."""
+        return _alphabet(self.cc)
 
     def degree(self, word) -> int:
         return self._degrees[word]
@@ -353,14 +447,18 @@ class LoopAlgebra:
         return {_product(x2, x1, self.conv): sign}
 
     def letters(self):
-        top = self.cc.source.dimension()
-        return [("tau", cell) for dim in range(1, top + 1)
-                for cell in self.cc.cells(dim=dim)]
+        """The codes of the alphabet, in order."""
+        return list(range(len(self.alphabet.letters)))
+
+    def decode(self, word):
+        """The word of letters an element stands for; cyclic_words sorts
+        its slots by these."""
+        return self.alphabet.decode(word)
 
     def basis(self, max_weight: int):
         """All nonempty tau words of weight <= max_weight, sorted, with
         the degree and weight of each put into the tables."""
-        words, degrees = _graded_tau_words(self, max_weight)
+        words, degrees = _graded_tau_words(self.alphabet, max_weight)
         words, degrees = words[1:], degrees[1:]  # past the empty word
         for word, degree in zip(words, degrees):
             self._degrees[word] = degree
@@ -369,14 +467,14 @@ class LoopAlgebra:
         return words
 
 
-def _tau_words(algebra, max_weight: int):
-    """The tau words of weight <= max_weight, the empty word first,
+def _tau_words(alphabet, max_weight: int):
+    """The tau code words of weight <= max_weight, the empty word first,
     sorted and in preorder (see bounded_words)."""
-    return bounded_words(sorted(algebra.letters()), letter_weight,
-                         max_weight)
+    return bounded_words(range(len(alphabet.letters)),
+                         alphabet.weights.__getitem__, max_weight)
 
 
-def _graded_tau_words(algebra, max_weight: int):
+def _graded_tau_words(alphabet, max_weight: int):
     """The list of _tau_words and the list of their degrees, for
     LoopAlgebra.basis, which needs the flat sorted list and each word's
     degree (based_loop_complex files its words by degree through
@@ -385,11 +483,11 @@ def _graded_tau_words(algebra, max_weight: int):
     The words come in preorder from the empty word, so the last shorter
     word seen is each word's prefix: prefix[n] holds the degree of the
     last word of length n, and a word's degree is its prefix's plus that
-    of its last letter, looked up in a per-call table.
+    of its last letter, read off the alphabet's degree table.
     """
-    words = list(_tau_words(algebra, max_weight))
+    words = list(_tau_words(alphabet, max_weight))
     degrees = []
-    letter = _Memo(letter_degree)
+    letter = alphabet.degrees
     prefix = [0] * (max_weight + 1)  # letters weigh at least 1
     for word in words:
         n = len(word)
@@ -403,7 +501,7 @@ def _graded_tau_words(algebra, max_weight: int):
 
 class LoopComplexModel(NamedTuple):
     complex: FreeComplex
-    words_by_degree: dict  # degree -> sorted list of words
+    words_by_degree: dict  # degree -> sorted list of code words
     max_weight: int
 
     def word_count(self) -> int:
@@ -411,10 +509,10 @@ class LoopComplexModel(NamedTuple):
 
 
 def loop_words(cc, max_weight: int, conv: Conventions = DEFAULT):
-    """Every word of the weight-capped loop dga, the unit included,
+    """Every code word of the weight-capped loop dga, the unit included,
     sorted."""
     _check_cap(max_weight)
-    return list(_tau_words(LoopAlgebra(cc, conv), max_weight))
+    return list(_tau_words(_alphabet(cc), max_weight))
 
 
 def based_loop_complex(cc, max_weight: int,
@@ -431,8 +529,10 @@ def based_loop_complex(cc, max_weight: int,
     them.
     """
     _check_cap(max_weight)
-    by_degree = _graded_words(sorted(LoopAlgebra(cc, conv).letters()),
-                              letter_weight, letter_degree, max_weight)
+    alphabet = _alphabet(cc)
+    by_degree = _graded_words(range(len(alphabet.letters)),
+                              alphabet.weights.__getitem__,
+                              alphabet.degrees.__getitem__, max_weight)
     complex_ = FreeComplex.from_basis(
         by_degree, lambda w: word_boundary(cc, w, conv))
     return LoopComplexModel(complex=complex_,
@@ -476,14 +576,22 @@ def adams_T(cc, cell, conv: Conventions = DEFAULT, *,
 
     With normalize=True (the default) output words that are degenerate
     in the cyclic bar sense (unit entry outside the special slot) are
-    dropped; the map is then valued in the normalized complex.
+    dropped; the map is then valued in the normalized complex.  The
+    entries are code words of the complex's alphabet.
     """
+    return _adams_T(_alphabet(cc), cell, conv, normalize)
+
+
+def _adams_T(alphabet, cell, conv, normalize) -> dict:
+    """adams_T in the alphabet of its complex, which _t_residual shares
+    across the cell and its faces."""
+    cc, code = alphabet.cc, alphabet.codes.get
     out = {}
     u = tuple(cell)
     k = len(u) - 1
     for d in range(1, k + 2):
         for js in combinations(range(k + 1), d):
-            letters = []
+            slots = []  # each slot's code word, first slot first
             ok = True
             for i in range(1, d + 1):
                 if i < d:
@@ -494,11 +602,11 @@ def adams_T(cc, cell, conv: Conventions = DEFAULT, *,
                 if letter is None:
                     ok = False
                     break
-                letters.append(letter)
+                slots.append(() if letter == UNIT_LETTER
+                             else (code(letter, letter),))
             if not ok:
                 continue
-            ccw = tuple(normalize_word((letters[i],))
-                        for i in range(d - 1, -1, -1))
+            ccw = tuple(reversed(slots))
             if normalize and () in ccw[1:]:
                 continue
             _add(out, ccw, _word_term_sign(conv, d, js[0], js[d - 1], k))
@@ -518,7 +626,7 @@ def adams_T(cc, cell, conv: Conventions = DEFAULT, *,
 class TVerification(NamedTuple):
     cells: tuple
     residuals: dict      # cell -> residual vector, nonzero entries only
-    corner_census: dict  # pi3-bearing word -> (plus count, minus count)
+    corner_census: dict  # pi3-bearing code word -> (plus count, minus count)
 
     @property
     def corners_balanced(self) -> bool:
@@ -541,9 +649,9 @@ def t_residual(cc, cell, conv: Conventions = DEFAULT, *,
 def _t_residual(algebra, cell, normalize, census) -> dict:
     """t_residual in the loop algebra of its complex and conventions,
     which t_residuals shares across its cells."""
-    cc, conv = algebra.cc, algebra.conv
+    cc, conv, alphabet = algebra.cc, algebra.conv, algebra.alphabet
     out = {}
-    for w, c in adams_T(cc, cell, conv, normalize=normalize).items():
+    for w, c in _adams_T(alphabet, cell, conv, normalize).items():
         for t, c2 in hochschild_b(algebra, w, c,
                                   arity=conv.hochschild_arity,
                                   normalize=normalize).items():
@@ -555,12 +663,13 @@ def _t_residual(algebra, cell, normalize, census) -> dict:
                     census[t] = (plus, minus - c2)
             _add(out, t, c2)
     for face, cf in cc.boundary(cell).items():
-        _axpy(out, adams_T(cc, face, conv, normalize=normalize), -cf)
+        _axpy(out, _adams_T(alphabet, face, conv, normalize), -cf)
     return out
 
 
 def _has_corner(ccword) -> bool:
-    return any(letter[0] == "pi3" for entry in ccword for letter in entry)
+    return any(type(letter) is not int and letter[0] == "pi3"
+               for entry in ccword for letter in entry)
 
 
 def t_residuals(cc, conv: Conventions = DEFAULT, *,
@@ -573,13 +682,15 @@ def t_residuals(cc, conv: Conventions = DEFAULT, *,
     cell.  The corner census, when passed, holds the tally of the cells
     yielded so far.  The image of a k-cell reaches weight k + 1, so a
     weight cap below that cannot even hold the map's values: that raises
-    a truncation error before any residual is computed.
+    a truncation error before any residual is computed.  A cap that is
+    not an int, or is negative, is refused first.
     """
     cells = []
     top = cc.source.dimension()
     for dim in range(1, top + 1):
         cells.extend(cc.cells(dim=dim))
     if max_weight is not None:
+        _check_cap(max_weight)
         overflow = [c for c in cells if len(c) > max_weight]
         if overflow:
             raise TruncationError(max_weight, overflow)
@@ -616,11 +727,13 @@ def format_letter(letter) -> str:
     return {"tau": "t", "pi2": "p", "pi3": "q"}[kind] + "[" + body + "]"
 
 
-def format_word(word) -> str:
+def format_word(word, alphabet: Alphabet) -> str:
+    """A code word of ``alphabet``, decoded and written out."""
     if not word:
         return "1"
-    return "*".join(format_letter(l) for l in word)
+    return "*".join(format_letter(l) for l in alphabet.decode(word))
 
 
-def format_cyclic_word(ccword) -> str:
-    return "(" + " ; ".join(format_word(w) for w in ccword) + ")"
+def format_cyclic_word(ccword, alphabet: Alphabet) -> str:
+    """A cyclic word of code words of ``alphabet``, written out."""
+    return "(" + " ; ".join(format_word(w, alphabet) for w in ccword) + ")"

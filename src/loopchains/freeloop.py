@@ -256,7 +256,7 @@ def _letter_winding(alg, letter) -> int:
     w = getattr(alg, "winding", None)
     if w is not None:
         return w(letter)
-    if letter[0] == "tau" and alg.letters() == [letter]:
+    if alg.letters() == [letter]:
         return 1  # a lone loop letter: the collapsed circle
     raise ValueError("letter %r does not wind around the circle" % (letter,))
 

@@ -29,13 +29,14 @@ Algebra interface.  Any object with
 works: the based-loop algebras built elsewhere in this package and the
 finite table algebras below both do.  The unit is the one element equal
 to unit(); a non-unital algebra returns None, which equals no element.
+An algebra whose elements are codes (the based-loop algebras) also has
+decode(x) -> what x stands for, and cyclic_words sorts by its repr.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from itertools import combinations
-from operator import itemgetter
 from random import Random
 from typing import NamedTuple
 
@@ -447,7 +448,8 @@ class _Memo(dict):
 
 def cyclic_words(algebra, max_weight: int, degree: int | range | None = None):
     """All normalized words of weight <= max_weight (and given degree),
-    sorted by length and then by the reprs of their slots.
+    sorted by length and then by the reprs of their slots, each slot
+    decoded first when the algebra has a ``decode``.
 
     The special slot ranges over the basis and, when the algebra has
     one, the unit; the other slots exclude the unit.  Non-unit elements
@@ -486,36 +488,39 @@ def cyclic_words(algebra, max_weight: int, degree: int | range | None = None):
         top = max(map(degree_of.__getitem__, basis), default=0)
         if top <= 0:
             max_len = (high - low) // (1 - top)
-    # the tails come in preorder, so the last shorter tail seen is each
-    # tail's prefix: weights[n], excess[n] and reprs[n] hold the weight,
-    # the sum of |x| - 1 and the tuple of slot reprs of the last tail of
-    # length n
-    buckets = {}  # (weight, excess) -> (length + 1, reprs, tail) triples
+    # rank[x] is x's place among the slots sorted by repr
+    decode = getattr(algebra, "decode", None)
+    label = repr if decode is None else lambda x: repr(decode(x))
+    rank = {x: i for i, x in enumerate(sorted(specials, key=label))}
+    # the tails come in preorder over the basis in rank order, so tails
+    # of one length come in the order of their slots' ranks, and each
+    # tail's place in the preorder keys it.  The last shorter tail seen
+    # is each tail's prefix: weights[n] and excess[n] hold the weight and
+    # the sum of |x| - 1 of the last tail of length n
+    buckets = {}  # (weight, excess) -> (length + 1, place, tail) triples
     weights = [0] * (max_weight + 1)
     excess = [0] * (max_weight + 1)
-    reprs = [()] * (max_weight + 1)
-    slot_repr = {x: repr(x) for x in specials}
-    for tail in bounded_words(basis, weight.__getitem__, max_weight,
-                              max_len):
+    for place, tail in enumerate(bounded_words(
+            sorted(basis, key=rank.__getitem__), weight.__getitem__,
+            max_weight, max_len)):
         n = len(tail)
         if n:
             x = tail[-1]
             weights[n] = weights[n - 1] + weight[x]
             excess[n] = excess[n - 1] + degree_of[x] - 1
-            reprs[n] = reprs[n - 1] + (slot_repr[x],)
         buckets.setdefault((weights[n], excess[n]), []).append(
-            (n + 1, reprs[n], tail))
+            (n + 1, place, tail))
     # word_degree is the special slot's degree plus the tail's excess.  A
-    # word sorts by its length and then by the reprs of its slots, here
-    # the special slot's repr and then the tail's tuple of them; the sort
-    # reads the key alone, so words with equal keys keep their order
-    keyed = [((length, slot_repr[first], key), (first,) + tail)
+    # word sorts by its length, then by its special slot's rank and then
+    # by its tail's place; no two words share a key, so the sort never
+    # compares the words themselves
+    keyed = [((length, rank[first], place), (first,) + tail)
              for first in specials
              for (w, e), bucket in buckets.items()
              if w + weight[first] <= max_weight
              and (degree is None or degree_of[first] + e in window)
-             for length, key, tail in bucket]
-    keyed.sort(key=itemgetter(0))
+             for length, place, tail in bucket]
+    keyed.sort()
     return [word for _, word in keyed]
 
 

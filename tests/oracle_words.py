@@ -1,10 +1,11 @@
 """Reference versions of eight word routines, written the plain way.
 
-``leibniz_word_boundary`` extends the letter boundary to words by
-recomputing every letter's boundary and every prefix degree at each
-slot, with no table and no running sign.  ``per_special_cyclic_words``
-enumerates the cyclic bar words with one bounded-word call per special
-slot, re-weighing the basis each time.  ``signkoszul_hochschild_b``
+``leibniz_word_boundary`` extends the letter boundary to words of
+letters (not code words) by recomputing every letter's boundary and
+every prefix degree at each slot, with no table and no running sign.
+``per_special_cyclic_words`` enumerates the cyclic bar words with one
+bounded-word call per special slot, re-weighing the basis each time,
+and sorts them by the reprs of their decoded slots.  ``signkoszul_hochschild_b``
 takes every sign of the cyclic bar differential from its own signkoszul
 call, summing the degrees of each run again.  ``sorted_basis`` sorts
 every bounded word instead of trusting the enumeration order.
@@ -56,7 +57,9 @@ def per_special_cyclic_words(algebra, max_weight, degree=None):
                                        max_weight - algebra.weight(first))]
     if degree is not None:
         words = [w for w in words if cc_word_degree(algebra, w) == degree]
-    return sorted(words, key=lambda w: (len(w), tuple(repr(x) for x in w)))
+    decode = getattr(algebra, "decode", lambda x: x)  # code words decoded
+    return sorted(words, key=lambda w: (len(w),
+                                        tuple(repr(decode(x)) for x in w)))
 
 
 def words_by_degree(algebra, max_weight):

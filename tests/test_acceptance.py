@@ -23,7 +23,7 @@ from loopchains.boxquot import (box_dot, box_slash, load_cube_family,
                                 quotient_homology_compare, random_cube,
                                 random_level, transpose_cancellation)
 from loopchains.cli import Workspace, resolve_conventions
-from loopchains.cobarloop import (LoopAlgebra, dga_differential,
+from loopchains.cobarloop import (Alphabet, LoopAlgebra, dga_differential,
                                   letter_boundary, loop_words,
                                   verify_T_chain_map, word_boundary)
 from loopchains.conventions import CHOICES, parse_ledger
@@ -75,9 +75,12 @@ def test_criterion_1_differentials_square_to_zero():
     for name, cap in (("s1_3", 6), ("boundary_delta3", 6), ("torus_7", 5),
                       ("rp2", 5)):
         cc = _cc(name)
-        for letter in LoopAlgebra(cc, CONV).letters():
-            assert not dga_differential(
-                cc, letter_boundary(cc, letter, CONV), CONV), (name, letter)
+        alphabet = Alphabet(cc)
+        for code in LoopAlgebra(cc, CONV).letters():
+            letter = alphabet.letters[code]
+            boundary = {alphabet.encode(w): c for w, c
+                        in letter_boundary(cc, letter, CONV).items()}
+            assert not dga_differential(cc, boundary, CONV), (name, letter)
         words = loop_words(cc, cap, CONV)
         counts[name] = len(words)
         bad = sum(1 for w in words

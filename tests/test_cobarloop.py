@@ -1,3 +1,4 @@
+import hashlib
 import pathlib
 from dataclasses import replace
 from random import Random
@@ -7,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from loopchains import cobarloop
 from loopchains.cobarloop import (
-    BoundaryUndefinedError, LoopAlgebra, TruncationError, UNIT_LETTER,
+    Alphabet, BoundaryUndefinedError, LoopAlgebra, TruncationError,
+    UNIT_LETTER,
     adams_T, based_loop_complex, degenerate_path, dga_differential,
     format_cyclic_word, format_letter, format_word, letter_degree,
     letter_weight, loop_words, make_tau, mu2, pi2_boundary, pi2_vanishes,
@@ -31,6 +33,25 @@ T123 = ("tau", (1, 2, 3))
 
 def _load(name):
     return collapse(load_complex(FIXTURES / name))
+
+
+# The loop dga takes and returns code words; the tests write words in
+# letters, encode what they pass in and decode what they compare.
+
+def _encoded(cc, word):
+    return Alphabet(cc).encode(word)
+
+
+def _decoded(cc, vector):
+    """A vector of code words of cc's alphabet, decoded."""
+    alphabet = Alphabet(cc)
+    return {alphabet.decode(w): c for w, c in vector.items()}
+
+
+def _coded(cc, vector):
+    """A vector of words of letters, encoded in cc's alphabet."""
+    alphabet = Alphabet(cc)
+    return {alphabet.encode(w): c for w, c in vector.items()}
 
 
 @pytest.fixture(scope="module")
@@ -139,12 +160,13 @@ def test_antipath_product_reverses_the_split_term(ball3):
 
 
 def test_word_boundary_leibniz_example(sphere2):
-    assert word_boundary(sphere2, (T12, T123)) == {
+    word = _encoded(sphere2, (T12, T123))
+    assert _decoded(sphere2, word_boundary(sphere2, word)) == {
         (T12, T13): -1,
         (T12, T12, T23): 1,
     }
     red = DEFAULT.flip("leibniz_prefix")
-    assert word_boundary(sphere2, (T12, T123), red) == {
+    assert _decoded(sphere2, word_boundary(sphere2, word, red)) == {
         (T12, T13): 1,
         (T12, T12, T23): -1,
     }
@@ -155,8 +177,9 @@ def test_reduced_prefix_breaks_the_square():
     # no longer squares to zero
     sphere2 = _load("boundary_delta3.json")
     red = DEFAULT.flip("leibniz_prefix")
-    dd = dga_differential(sphere2, word_boundary(sphere2, (T123, T123), red), red)
-    assert dd == {
+    dd = dga_differential(sphere2, word_boundary(
+        sphere2, _encoded(sphere2, (T123, T123)), red), red)
+    assert _decoded(sphere2, dd) == {
         (T12, T23, T12, T23): 2,
         (T12, T23, T13): -2,
     }
@@ -186,15 +209,15 @@ def test_pi2_boundary_produces_corners(ball3):
 # -- letter census of the collapsed models ------------------------------------
 
 def test_letter_censuses(circle, sphere2, torus):
-    assert LoopAlgebra(circle).letters() == [T12]
-    by_deg = {}
-    for letter in LoopAlgebra(sphere2).letters():
-        by_deg[letter_degree(letter)] = by_deg.get(letter_degree(letter), 0) + 1
-    assert by_deg == {0: 3, -1: 4}
-    by_deg = {}
-    for letter in LoopAlgebra(torus).letters():
-        by_deg[letter_degree(letter)] = by_deg.get(letter_degree(letter), 0) + 1
-    assert by_deg == {0: 15, -1: 14}
+    assert LoopAlgebra(circle).letters() == [0]
+    assert Alphabet(circle).letters == (T12,)
+    for cc, census in ((sphere2, {0: 3, -1: 4}), (torus, {0: 15, -1: 14})):
+        letters = Alphabet(cc).letters
+        by_deg = {}
+        for code in LoopAlgebra(cc).letters():
+            degree = letter_degree(letters[code])
+            by_deg[degree] = by_deg.get(degree, 0) + 1
+        assert by_deg == census
 
 
 # -- the materialized complex --------------------------------------------------
@@ -203,14 +226,27 @@ def test_circle_loop_words_count(circle):
     assert len(loop_words(circle, 6)) == 7  # unit plus six powers
 
 
+def _t_map(cc, cap):
+    return verify_T_chain_map(cc, max_weight=cap)
+
+
+def _first_residual(cc, cap):
+    return next(t_residuals(cc, max_weight=cap))
+
+
 def test_a_negative_weight_cap_is_refused(circle):
     with pytest.raises(ValueError, match="got -1"):
         loop_words(circle, -1)
     with pytest.raises(ValueError, match="got -2"):
         based_loop_complex(circle, -2)
-    # a cap that is not an int is refused by name, bool included
-    for cap in (True, False, 2.5):
-        for build in (loop_words, based_loop_complex):
+    for build in (_t_map, _first_residual):
+        with pytest.raises(ValueError, match="at least 0, got -1"):
+            build(circle, -1)
+    # a cap that is not an int is refused by name, bool included: the
+    # comparison map took 2.5 and 2.0 as caps and read True as 1
+    for cap in (True, False, 2.5, 2.0):
+        for build in (loop_words, based_loop_complex, _t_map,
+                      _first_residual):
             with pytest.raises(ValueError, match=f"weight cap must be an "
                                                  f"int, got {cap!r}"):
                 build(circle, cap)
@@ -221,10 +257,17 @@ FIXTURE_NAMES = ("s1_3", "boundary_delta3", "torus_7", "rp2")
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_loop_basis_matches_the_sorted_oracle(name):
-    alg = LoopAlgebra(_load(f"{name}.json"))
+    # decoded, the basis and loop_words are the sorted words on the tau
+    # letters of the cells
+    cc = _load(f"{name}.json")
+    alg = LoopAlgebra(cc)
+    letters = [("tau", cell) for dim in range(1, cc.source.dimension() + 1)
+               for cell in cc.cells(dim=dim)]
+    decode = alg.alphabet.decode
     for cap in range(5):
-        assert alg.basis(cap) == sorted_basis(alg.letters(), letter_weight,
-                                              cap), cap
+        want = sorted_basis(letters, letter_weight, cap)
+        assert [decode(w) for w in alg.basis(cap)] == want, cap
+        assert [decode(w) for w in loop_words(cc, cap)] == [()] + want, cap
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
@@ -233,25 +276,30 @@ def test_algebra_tables_match_the_word_functions(name):
     for order in CHOICES["mu2_order"][0]:
         conv = replace(DEFAULT, mu2_order=order)
         alg = LoopAlgebra(cc, conv)
+        alphabet = alg.alphabet
         basis = alg.basis(3)
+        letters = {w: alphabet.decode(w) for w in basis}
         # basis fills both tables, graded off each word's prefix, with
         # exactly its words; loop_words lists the same words after the
         # unit
-        assert dict(alg._degrees) == {w: word_degree(w) for w in basis}
-        assert dict(alg._weights) == {w: word_weight(w) for w in basis}
+        assert dict(alg._degrees) == {w: word_degree(letters[w])
+                                      for w in basis}
+        assert dict(alg._weights) == {w: word_weight(letters[w])
+                                      for w in basis}
         assert loop_words(cc, 3, conv) == [()] + basis
         by_weight = {w: [] for w in range(1, 4)}
         for word in basis:
-            assert alg.degree(word) == word_degree(word), word
-            assert alg.weight(word) == word_weight(word), word
-            by_weight[word_weight(word)].append(word)
+            assert alg.degree(word) == word_degree(letters[word]), word
+            assert alg.weight(word) == word_weight(letters[word]), word
+            by_weight[word_weight(letters[word])].append(word)
         # every product of two basis words that stays under the cap
         for w1, x1s in by_weight.items():
             for x1 in x1s:
                 for w2 in range(1, 4 - w1):
                     for x2 in by_weight[w2]:
-                        sign, product = mu2(x2, x1, conv)
-                        assert alg.mu2(x2, x1) == {product: sign}, (x2, x1)
+                        sign, product = mu2(letters[x2], letters[x1], conv)
+                        assert alg.mu2(x2, x1) == \
+                            {alphabet.encode(product): sign}, (x2, x1)
         # a loop word has degree <= 0, so a cyclic word has degree <= 0
         assert cyclic_words(alg, 3, degree=1) == []
 
@@ -271,13 +319,74 @@ def test_words_by_degree_lists_are_sorted(name):
             if cap == 0:
                 assert by_degree == {0: [()]}
             words = loop_words(cc, cap, conv)
-            degrees = [word_degree(w) for w in words]
+            decode = Alphabet(cc).decode
+            degrees = [word_degree(decode(w)) for w in words]
             assert list(by_degree) == list(dict.fromkeys(degrees)), \
                 (order, cap)
             for n, ws in by_degree.items():
                 assert ws == [w for w, d in zip(words, degrees) if d == n], \
                     (order, cap, n)
                 assert ws == sorted(ws), (order, cap, n)
+                assert [decode(w) for w in ws] == sorted(map(decode, ws)), \
+                    (order, cap, n)
+
+
+# sha256 of each fixture's cap-4 loop complex, its words decoded (see
+# _model_digest), taken before letters were coded as ints
+CAP_FOUR_DIGESTS = {
+    "s1_3":
+        "616524fb45ec89543ae62247344891c51a396d1a984bc844e4487a26d36f9c79",
+    "boundary_delta3":
+        "2e75e73ed220e58a4b0bcf4d618253e5a2b84435f3dd75061f437473ae4225aa",
+    "torus_7":
+        "e437a9b50c449219e186ba014b4b5d44962d0dee9bbab9faf5244368d9f8798c",
+    "rp2":
+        "3adacc474973dc10c3d0f438b799e162c8f1284c0bc2e0ef98abdc3da1d1ac43",
+}
+
+
+def _model_digest(model, decode):
+    """The words of each degree, decoded, in order, and then every
+    differential's shape and entries."""
+    h = hashlib.sha256()
+    for n, words in model.words_by_degree.items():
+        h.update(f"{n}:{[decode(w) for w in words]!r}\n".encode())
+    for n in sorted(model.complex.diffs):
+        m = model.complex.diffs[n]
+        h.update(f"{n}:{m.rows}x{m.cols}:{sorted(m.entries.items())!r}\n"
+                 .encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_loop_complexes_keep_their_words_and_matrices(name):
+    cc = _load(f"{name}.json")
+    model = based_loop_complex(cc, 4)
+    assert _model_digest(model, Alphabet(cc).decode) == \
+        CAP_FOUR_DIGESTS[name]
+
+
+def test_alphabet_codes_depend_on_the_complex_alone(sphere2, torus):
+    one, two = Alphabet(sphere2), Alphabet(sphere2)
+    letters = sorted(("tau", cell) for dim in (1, 2)
+                     for cell in sphere2.cells(dim=dim))
+    assert one.letters == two.letters == tuple(letters)
+    assert one.codes == two.codes == {l: i for i, l in enumerate(letters)}
+    # a T image and a boundary made before the table moves to another
+    # complex and other conventions equal those made after it comes back
+    word = one.encode((T12, T123))
+    image = adams_T(sphere2, (1, 2, 3))
+    boundary = word_boundary(sphere2, word)
+    flipped = DEFAULT.flip("leibniz_prefix")
+    word_boundary(torus, (0, 1), flipped)
+    assert cobarloop._table[:2] == (torus, flipped)
+    assert adams_T(sphere2, (1, 2, 3)) == image
+    assert word_boundary(sphere2, two.encode((T12, T123))) == boundary
+    assert cobarloop._table[0] is sphere2
+    assert _decoded(sphere2, boundary) == {(T12, T13): -1, (T12, T12, T23): 1}
+    assert {tuple(map(two.decode, w)): c for w, c in image.items()} == \
+        {tuple(map(one.decode, w)): c for w, c in adams_T(
+            sphere2, (1, 2, 3)).items()}
 
 
 def test_sphere_complex_is_a_complex(sphere2):
@@ -305,14 +414,15 @@ def test_loop_homology_at_weight_three(name, words, table):
 @given(st.integers(0, 10_000))
 def test_differential_properties_on_random_words(seed):
     sphere2 = _load("boundary_delta3.json")
-    letters = LoopAlgebra(sphere2).letters()
+    alg = LoopAlgebra(sphere2)
+    letters, decode = alg.letters(), alg.alphabet.decode
     rng = Random(seed)
     word = tuple(rng.choice(letters) for _ in range(rng.randint(1, 3)))
-    n, w = word_degree(word), word_weight(word)
+    n, w = word_degree(decode(word)), word_weight(decode(word))
     vec = word_boundary(sphere2, word)
     for out in vec:
-        assert word_degree(out) == n + 1
-        assert word_weight(out) <= w
+        assert word_degree(decode(out)) == n + 1
+        assert word_weight(decode(out)) <= w
     assert dga_differential(sphere2, vec) == {}
 
 
@@ -334,11 +444,13 @@ def letter_pool():
     complexes = [_load(f"{name}.json") for name in FIXTURE_NAMES]
     letters = {UNIT_LETTER}
     for cc in complexes:
-        letters.update(LoopAlgebra(cc).letters())
+        alphabet = Alphabet(cc)
+        letters.update(alphabet.letters)
         for dim in range(1, cc.source.dimension() + 1):
             for cell in cc.cells(dim=dim):
                 for ccword in adams_T(cc, cell):
-                    letters.update(l for entry in ccword for l in entry)
+                    letters.update(l for entry in ccword
+                                   for l in alphabet.decode(entry))
     edges = {l for l in letters if l[0] == "tau" and len(l[1]) == 2}
     alternating = {("tau", l[1] * 2) for l in edges}
     letters |= alternating
@@ -368,15 +480,31 @@ def test_word_boundary_matches_the_leibniz_reference(letter_pool, data):
         max_size=len(words)))))
     vector_first = data.draw(st.booleans())
     for cc, conv in pairs:
+        # each complex codes the same letters its own way
+        coded = _coded(cc, vector)
         if vector_first:
-            assert dga_differential(cc, vector, conv) == \
+            assert _decoded(cc, dga_differential(cc, coded, conv)) == \
                 _leibniz_vector(cc, vector, conv)
         for word in words:
-            assert word_boundary(cc, word, conv) == \
-                leibniz_word_boundary(cc, word, conv)
+            assert _decoded(cc, word_boundary(cc, _encoded(cc, word), conv)) \
+                == leibniz_word_boundary(cc, word, conv)
         if not vector_first:
-            assert dga_differential(cc, vector, conv) == \
+            assert _decoded(cc, dga_differential(cc, coded, conv)) == \
                 _leibniz_vector(cc, vector, conv)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_word_boundary_matches_the_leibniz_reference_on_every_word(name):
+    # every loop word at cap 3, decoded, under the ledger and each single
+    # flip of an entry that word boundaries read
+    cc = _load(f"{name}.json")
+    decode = Alphabet(cc).decode
+    words = loop_words(cc, 3)
+    for conv in BOUNDARY_CONVENTIONS:
+        for word in words:
+            got = word_boundary(cc, word, conv)
+            assert {decode(w): c for w, c in got.items()} == \
+                leibniz_word_boundary(cc, decode(word), conv), (conv, word)
 
 
 def test_word_boundary_drops_the_unit_wherever_it_sits(sphere2):
@@ -387,39 +515,41 @@ def test_word_boundary_drops_the_unit_wherever_it_sits(sphere2):
         for word in ((UNIT_LETTER, T123), (T123, UNIT_LETTER, T12),
                      (T12, T123, UNIT_LETTER),
                      (UNIT_LETTER, T123, UNIT_LETTER, T123)):
-            got = word_boundary(sphere2, word, conv)
+            got = _decoded(sphere2, word_boundary(
+                sphere2, _encoded(sphere2, word), conv))
             assert got and got == leibniz_word_boundary(sphere2, word, conv)
             assert all(UNIT_LETTER not in w for w in got)
 
 
 def test_word_boundary_caches_no_failure_and_hands_out_fresh_dicts(sphere2):
     q = ("pi3", (0, 1), (1, 2), (2, 1, 0))
+    code = Alphabet(sphere2).encode
     for word in ((q,), (T12, q), (T123, q, T12)):
         for _ in range(2):
             with pytest.raises(BoundaryUndefinedError, match="corner"):
-                word_boundary(sphere2, word)
+                word_boundary(sphere2, code(word))
     expected = {(T12, T13): -1, (T12, T12, T23): 1}
     for word, want in (((T12, T123), expected),
                        ((T123,), {(T13,): -1, (T12, T23): 1})):
-        got = word_boundary(sphere2, word)
-        assert got == want
+        got = word_boundary(sphere2, code(word))
+        assert _decoded(sphere2, got) == want
         got.clear()
-        got[(T12,)] = 5
-        assert word_boundary(sphere2, word) == want
+        got[code((T12,))] = 5
+        assert _decoded(sphere2, word_boundary(sphere2, code(word))) == want
     # a word of edge letters and units has no boundary, and each call
     # hands out its own empty dict
-    edges = (T12, T23, UNIT_LETTER, T13, T12)
+    edges = code((T12, T23, UNIT_LETTER, T13, T12))
     got = word_boundary(sphere2, edges)
     assert got == {}
-    got[(T12,)] = 5
+    got[code((T12,))] = 5
     again = word_boundary(sphere2, edges)
     assert again == {} and again is not got
     # a corner letter still raises beside a letter known to be
     # boundary-free, on either side of it
-    assert word_boundary(sphere2, (T12,)) == {}
+    assert word_boundary(sphere2, code((T12,))) == {}
     for word in ((T12, q), (q, T12)):
         with pytest.raises(BoundaryUndefinedError, match="corner"):
-            word_boundary(sphere2, word)
+            word_boundary(sphere2, code(word))
 
 
 def _leibniz_vector(cc, vector, conv):
@@ -447,24 +577,29 @@ def test_dga_differential_keeps_no_zero_coefficient(sphere2):
         # units in several entries, beside each other's terms
         {(U, T123): 1, (T123, U): 2, (T12, U, T123, U): -1, (T123, T12): 1},
     ]
+    square = _encoded(sphere2, (T123, T123))
     for conv in BOUNDARY_CONVENTIONS:
         # a boundary: under the ledger its words' boundaries cancel
-        for vector in vectors + [word_boundary(sphere2, (T123, T123), conv)]:
-            got = dga_differential(sphere2, vector, conv)
-            assert got == _leibniz_vector(sphere2, vector, conv)
+        boundary = _decoded(sphere2, word_boundary(sphere2, square, conv))
+        for vector in vectors + [boundary]:
+            got = dga_differential(sphere2, _coded(sphere2, vector), conv)
+            assert _decoded(sphere2, got) == \
+                _leibniz_vector(sphere2, vector, conv)
             assert 0 not in got.values()
             assert all(U not in w for w in got)
-    assert dga_differential(sphere2, {(T123,): 1, (U, T123): -1}) == {}
-    boundary = word_boundary(sphere2, (T123, T123))
+    assert dga_differential(sphere2, _coded(
+        sphere2, {(T123,): 1, (U, T123): -1})) == {}
+    boundary = word_boundary(sphere2, square)
     assert len(boundary) > 1 and dga_differential(sphere2, boundary) == {}
     # a corner letter in the middle of a vector raises, whatever its
     # coefficient, and gets no table entry
     q = ("pi3", (0, 1), (1, 2), (2, 1, 0))
     for c in (1, 0):
         with pytest.raises(BoundaryUndefinedError, match="corner"):
-            dga_differential(sphere2, {(T123,): 1, (T12, q): c, (T23,): 1})
+            dga_differential(sphere2, _coded(
+                sphere2, {(T123,): 1, (T12, q): c, (T23,): 1}))
         assert cobarloop._table[0] is sphere2
-        assert q not in cobarloop._table[2]
+        assert q not in cobarloop._table[2].entries
 
 
 @pytest.mark.parametrize("conv", (DEFAULT, DEFAULT.flip("leibniz_prefix")))
@@ -472,7 +607,8 @@ def test_dga_differential_matches_the_leibniz_reference_twice(sphere2, conv):
     # d and d.d against the reference; under the flipped prefix d.d does
     # not vanish on words with two letters that split, such as T123.T123,
     # so both sides have terms to agree on
-    words = LoopAlgebra(sphere2).basis(4)
+    alg = LoopAlgebra(sphere2)
+    words = [alg.decode(w) for w in alg.basis(4)]
     rng = Random(11)
     # the unit term of the edge pair letter P comes out of either slot of
     # P.P, with opposite signs under the ledger: those terms cancel
@@ -482,25 +618,35 @@ def test_dga_differential_matches_the_leibniz_reference_twice(sphere2, conv):
     vectors += [{w: rng.choice((-2, -1, 1, 3)) for w in rng.sample(words, 4)}
                 for _ in range(30)]
     # the boundary of a word: under the ledger its own terms cancel
-    vectors += [word_boundary(sphere2, w, conv) for w in words[::3]]
+    vectors += [_decoded(sphere2, word_boundary(
+        sphere2, _encoded(sphere2, w), conv)) for w in words[::3]]
     dd_terms = 0
     for vector in vectors:
-        once = dga_differential(sphere2, vector, conv)
-        assert once == _leibniz_vector(sphere2, vector, conv)
+        once = dga_differential(sphere2, _coded(sphere2, vector), conv)
+        assert _decoded(sphere2, once) == \
+            _leibniz_vector(sphere2, vector, conv)
         twice = dga_differential(sphere2, once, conv)
-        assert twice == _leibniz_vector(sphere2, once, conv)
+        assert _decoded(sphere2, twice) == \
+            _leibniz_vector(sphere2, _decoded(sphere2, once), conv)
         dd_terms += len(twice)
     assert (dd_terms == 0) == (conv == DEFAULT)
     # a single word passes as a tuple, the unit word among them
     for word in ((), (T12,), (T12, T123), (P, P), words[-1]):
-        assert dga_differential(sphere2, word, conv) == \
+        assert _decoded(sphere2, dga_differential(
+            sphere2, _encoded(sphere2, word), conv)) == \
             leibniz_word_boundary(sphere2, word, conv)
 
 
 # -- the comparison map --------------------------------------------------------
 
+def _decoded_image(cc, image):
+    """A vector of cyclic words of code words, decoded."""
+    decode = Alphabet(cc).decode
+    return {tuple(map(decode, w)): c for w, c in image.items()}
+
+
 def test_comparison_map_on_an_edge(circle):
-    assert adams_T(circle, (1, 2)) == {
+    assert _decoded_image(circle, adams_T(circle, (1, 2))) == {
         ((("tau", (2, 1)),), (("tau", (1, 2)),)): -1,
         ((("pi2", (1, 2), (2, 1)),),): 1,
         ((("pi2", (2, 1), (1, 2)),),): -1,
@@ -520,7 +666,8 @@ def test_unnormalized_image_keeps_unit_slots(sphere2):
     cooked = adams_T(sphere2, (0, 1, 2), normalize=True)
     dropped = [cw for cw in raw if any(entry == () for entry in cw[1:])]
     assert len(raw) == 10 and len(cooked) == 8 and len(dropped) == 2
-    assert ((), (("tau", (0, 1, 2)),)) in cooked  # unit in the marked slot is fine
+    # unit in the marked slot is fine
+    assert ((), _encoded(sphere2, (("tau", (0, 1, 2)),))) in cooked
 
 
 def test_comparison_map_is_a_chain_map(circle, sphere2, ball3, torus):
@@ -608,7 +755,8 @@ def test_weight_cap_must_hold_the_image(sphere2):
 
 
 def test_cyclic_square_of_the_circle_generator(circle):
-    assert hochschild_b(LoopAlgebra(circle), ((T12,), (T12,))) == {}
+    t12 = _encoded(circle, (T12,))
+    assert hochschild_b(LoopAlgebra(circle), (t12, t12)) == {}
 
 
 # -- every sign convention is load-bearing -------------------------------------
@@ -639,11 +787,18 @@ def test_bsplit_flip_needs_a_three_dimensional_witness(sphere2, ball3):
 
 # -- formatting ----------------------------------------------------------------
 
-def test_formatting():
+def test_formatting(sphere2):
     assert format_letter(UNIT_LETTER) == "1"
     assert format_letter(T12) == "t[1,2]"
     assert format_letter(("pi2", (1, 2), (2, 1))) == "p[1,2|2,1]"
     assert format_letter(("pi3", (0, 1), (1, 2), (2, 1, 0))) == "q[0,1|1,2|2,1,0]"
-    assert format_word(()) == "1"
-    assert format_word((T12, T123)) == "t[1,2]*t[1,2,3]"
-    assert format_cyclic_word(((T12,), ())) == "(t[1,2] ; 1)"
+    # code words are decoded through their alphabet; a letter outside it
+    # is written as it stands
+    alphabet = Alphabet(sphere2)
+    assert format_word((), alphabet) == "1"
+    assert format_word(alphabet.encode((T12, T123)), alphabet) == \
+        "t[1,2]*t[1,2,3]"
+    assert format_word(alphabet.encode((T12, ("tau", (2, 0, 1)))),
+                       alphabet) == "t[1,2]*t[2,0,1]"
+    assert format_cyclic_word((alphabet.encode((T12,)), ()), alphabet) == \
+        "(t[1,2] ; 1)"

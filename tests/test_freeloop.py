@@ -4,7 +4,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loopchains.cobarloop import BoundaryUndefinedError, LoopAlgebra
+from loopchains.cobarloop import Alphabet, BoundaryUndefinedError, LoopAlgebra
 from loopchains.conventions import CHOICES, DEFAULT
 from loopchains.freeloop import (
     GAMMA, GAMMA_INV, SIGMA, CircleWordAlgebra, basepoint_degree,
@@ -20,11 +20,12 @@ from oracle_words import (dict_goodwillie_G, dict_loop_boundary,
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
-T12 = ("tau", (1, 2))
-T13 = ("tau", (1, 3))
-T23 = ("tau", (2, 3))
-T123 = ("tau", (1, 2, 3))
-Q012 = ("tau", (0, 1, 2))
+# the letters the words below are written in, as their codes in the
+# 2-sphere model's alphabet: the loop algebra takes code words
+T12, T13, T23, T123, Q012 = map(
+    Alphabet(collapse(load_complex(FIXTURES / "boundary_delta3.json"))).codes
+    .__getitem__, (("tau", (1, 2)), ("tau", (1, 3)), ("tau", (2, 3)),
+                   ("tau", (1, 2, 3)), ("tau", (0, 1, 2))))
 
 IN_BOUNDARY = DEFAULT.flip("iota_twist")
 

@@ -486,6 +486,18 @@ def circle_algebra():
     return loop_algebra("s1_3")
 
 
+def test_cyclic_words_keep_the_order_of_the_decoded_slot_reprs():
+    # the loop algebra's elements are code words, whose reprs sort apart
+    # from those of the words they stand for; the enumeration must keep
+    # the order of the decoded reprs, pinned from before letters were
+    # coded: sha256 of the decoded words, one repr a line
+    alg = loop_algebra("rp2")
+    words = [tuple(map(alg.decode, w)) for w in cyclic_words(alg, 3)]
+    assert len(words) == 9241
+    assert sha256("\n".join(map(repr, words)).encode()).hexdigest() == \
+        "001d6b144bdabfd220c29e5cfb330ba66068005302d13db4a5836b5384de798a"
+
+
 def test_cyclic_word_enumeration_on_the_circle():
     alg = circle_algebra()
     words = cyclic_words(alg, 3, degree=0)
