@@ -34,9 +34,9 @@ from .conventions import (CHOICES, DEFAULT, Conventions, LedgerError,
 from .exactalg import (IntMatrix, chain_map_check,
                        homology as graded_homology, smith_normal_form,
                        validate_complex)
-from .freeloop import (CircleWordAlgebra, basepoint_degree, g_residuals,
-                       goodwillie_G, loop_boundary, normalize, s1_example,
-                       verify_G_chain_map)
+from .freeloop import (CircleWordAlgebra, _g_residual, _g_words,
+                       basepoint_degree, goodwillie_G, loop_boundary,
+                       normalize, s1_example, verify_G_chain_map)
 from .hochschild import (TableDGA, _Memo, cc_degree, cc_of_morphism,
                          hh_truncated, hochschild_b, hochschild_b_vector,
                          identity_morphism, random_dga, word_degree)
@@ -158,7 +158,9 @@ class Workspace:
                           lambda: collapse(self.complex(name)))
 
     def alphabet(self, name):
-        """The alphabet of a fixture's collapsed complex."""
+        """The alphabet of a fixture's collapsed complex, which every
+        caller of the complex finds while the workspace holds it, so the
+        convention sweep fills each of its boundary tables once."""
         return self._memo(("alphabet", name),
                           lambda: Alphabet(self.collapsed(name)))
 
@@ -180,6 +182,25 @@ class Workspace:
         return self._memo(("hh", name, conv, max_weight), lambda: hh_truncated(
             self.algebra(name, conv), 0, max_weight,
             arity=conv.hochschild_arity))
+
+    def _cyclic_boundaries(self, name, conv):
+        """b(w) of a fixture's cyclic words under conv, each computed on
+        first use and kept per stage-one entries, which are all that b
+        reads, so stage two's assignments share them; see _release_sweep."""
+        def build():
+            alg = self.algebra(name, conv)
+            return _Memo(lambda word: hochschild_b(
+                alg, word, arity=conv.hochschild_arity))
+        return self._memo(("b", name, _stage_one(conv)), build)
+
+    def _release_sweep(self):
+        """Drop what only the convention sweep reads again: the kept b(w)
+        and the boundary tables of the fixtures' alphabets."""
+        for key in list(self._cache):
+            if key[0] == "b":
+                del self._cache[key]
+            elif key[0] == "alphabet":
+                self._cache[key]._tables.clear()
 
     def t_verification(self, name, conv):
         """verify_T_chain_map on a fixture, which the T suite shares with
@@ -218,9 +239,13 @@ STAGE_ONE = tuple(f.name for f in fields(Conventions)
                   if f.name not in STAGE_TWO)
 
 
+def _stage_one(conv):
+    return tuple(getattr(conv, entry) for entry in STAGE_ONE)
+
+
 def _t_key(name, conv):
     # T reads only the stage-one entries
-    return "T", name, tuple(getattr(conv, entry) for entry in STAGE_ONE)
+    return "T", name, _stage_one(conv)
 
 
 # The certifiers decide "not verify_T_chain_map(...).ok" and "not
@@ -231,6 +256,7 @@ def _t_key(name, conv):
 
 
 def _t_refuted(ws, name, conv):
+    ws.alphabet(name)  # held, so T's algebra shares its boundary tables
     cells, census = [], {}
     for cell, r in t_residuals(ws.collapsed(name), conv, census=census):
         if r:
@@ -243,8 +269,11 @@ def _t_refuted(ws, name, conv):
     return not v.ok
 
 
-def _g_refuted(alg, conv):
-    return any(r for _, r in g_residuals(alg, conv))
+def _g_refuted(ws, name, conv):
+    alg = ws.algebra(name, conv)
+    boundaries = ws._cyclic_boundaries(name, conv)
+    return any(_g_residual(alg, w, boundaries[w], conv)
+               for w in _g_words(alg))
 
 
 # The pinned words above are written in letters; the loop dga takes and
@@ -300,13 +329,12 @@ def _certify_stage_two(ws: Workspace, conv: Conventions):
     and inclusion entries against G with stage one already certified, by
     checking in turn G's two-slot image spot and G's chain condition over
     the circle and the 2-sphere algebras."""
-    circle_alg = ws.algebra("s1_3", conv)
     sphere_alg = ws.algebra("boundary_delta3", conv)
     if _g_spot(sphere_alg, ((T123,), (Q012,)), conv) != SPOT_PAIR:
         return "two-slot image spot"
-    if _g_refuted(circle_alg, conv):
+    if _g_refuted(ws, "s1_3", conv):
         return "chain condition fails over the circle algebra"
-    if _g_refuted(sphere_alg, conv):
+    if _g_refuted(ws, "boundary_delta3", conv):
         return "chain condition fails over the 2-sphere algebra"
     return None
 
@@ -351,17 +379,26 @@ def resolve_conventions(fixtures):
     assignments every earlier check passed.  Anything
     other than exactly one survivor per stage raises ResolutionError, for
     zero survivors with the full per-assignment failure list attached.
+
+    Work the assignments share is done once: the Workspace's alphabets
+    keep one boundary table per set of the entries a table reads, and
+    stage two keeps each cyclic word's b(w), which reads only stage-one
+    entries.  Both are dropped when the sweep ends.
     """
     ws = fixtures if isinstance(fixtures, Workspace) else Workspace(Path(fixtures))
     placeholder = {name: CHOICES[name][0][0] for name in STAGE_TWO}
-    base = _sweep_stage("stage one", STAGE_ONE, placeholder, ws,
-                        _certify_stage_one)
-    log = [f"stage one: 1 of {2 ** len(STAGE_ONE)} assignments certified"]
-    tail = _sweep_stage("stage two", STAGE_TWO, base, ws, _certify_stage_two)
-    log.append(f"stage two: 1 of {2 ** len(STAGE_TWO)} assignments certified")
+    try:
+        base = _sweep_stage("stage one", STAGE_ONE, placeholder, ws,
+                            _certify_stage_one)
+        tail = _sweep_stage("stage two", STAGE_TWO, base, ws,
+                            _certify_stage_two)
+    finally:
+        ws._release_sweep()
+    log = (f"stage one: 1 of {2 ** len(STAGE_ONE)} assignments certified",
+           f"stage two: 1 of {2 ** len(STAGE_TWO)} assignments certified")
     conv = Conventions(**{**base, **tail})
     validate(conv)
-    return conv, tuple(log)
+    return conv, log
 
 
 # -- suites ------------------------------------------------------------------------

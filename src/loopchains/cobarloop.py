@@ -47,7 +47,9 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import combinations
+from operator import attrgetter
 from typing import NamedTuple
+from weakref import WeakValueDictionary
 
 from .conventions import Conventions, DEFAULT
 from .exactalg import FreeComplex, _add, _axpy
@@ -140,13 +142,30 @@ def _product(x2, x1, conv):
     return normalize_word(x1 + x2 if conv.mu2_order == "path" else x2 + x1)
 
 
+# The conventions entries a letter's boundary terms (tau_degeneracy,
+# mu2_order, pi2_bsplit_sign) and its Leibniz parity (leibniz_prefix)
+# read: no other entry reaches the boundary code, so conventions that
+# agree on these share a boundary table.
+_boundary_key = attrgetter("tau_degeneracy", "mu2_order", "pi2_bsplit_sign",
+                           "leibniz_prefix")
+
+# Every live alphabet, by the identity of its complex, so that each
+# caller of a complex finds the alphabet another caller holds (see
+# _alphabet).  The entries are weak: an alphabet lives only as long as a
+# caller or the current table holds it, and it holds its complex, so an
+# id is not reused while its entry lives.
+_alphabets = WeakValueDictionary()
+
+
 class Alphabet:
     """The tau letters of a collapsed complex, each coded by its rank.
 
     ``letters`` holds the tau letters of the cells of dimension >= 1,
     sorted, so a code is an index into it and ``codes`` maps each letter
     back; ``degrees`` and ``weights`` hold each code's degree and weight.
-    The codes depend on the complex alone.
+    The codes depend on the complex alone.  ``_tables`` holds the
+    alphabet's boundary tables (see _table_for), which its holder may
+    clear.
     """
 
     def __init__(self, cc: CollapsedComplex):
@@ -156,6 +175,17 @@ class Alphabet:
         self.codes = {letter: code for code, letter in enumerate(self.letters)}
         self.degrees = [letter_degree(l) for l in self.letters]
         self.weights = [letter_weight(l) for l in self.letters]
+        self._tables = {}
+        _alphabets[id(cc)] = self
+
+    def _table_for(self, conv: Conventions):
+        """The boundary table under conv, shared by every conventions
+        value with the same entries of _boundary_key."""
+        key = _boundary_key(conv)
+        table = self._tables.get(key)
+        if table is None:
+            table = self._tables[key] = _Boundaries(self, conv)
+        return table
 
     def encode(self, word):
         """The code word of a word of letters: each letter of the
@@ -248,7 +278,8 @@ def letter_boundary(cc, letter, conv: Conventions = DEFAULT) -> dict:
 
 
 class _Boundaries:
-    """The boundary table of an alphabet under one conventions value.
+    """The boundary table of an alphabet under one conventions value,
+    which reads only the entries of _boundary_key.
 
     ``entries`` maps a letter of a code word (a code, or a letter
     outside the alphabet) to its entry: the letter's boundary terms as
@@ -287,26 +318,28 @@ class _Boundaries:
 
 
 # The boundary table of the most recent (complex, conventions) pair, as
-# (complex, conventions, table), matched by identity: one table at a
-# time, so memory does not grow with the number of conventions a sweep
+# (complex, conventions, table), matched by identity: the one table this
+# module holds, so its memory does not grow with the conventions a sweep
 # tries.  word_boundary and dga_differential check the pair once per
 # call and hand the table to _leibniz_into; only _new_table replaces it.
 _table = (None, None, None)
 
 
 def _new_table(cc, conv):
-    """Make a fresh table for the pair current and return it."""
+    """Make the pair current, with its alphabet's table, and return the
+    table."""
     global _table
-    table = _Boundaries(_alphabet(cc), conv)
+    table = _alphabet(cc)._table_for(conv)
     _table = (cc, conv, table)
     return table
 
 
 def _alphabet(cc):
-    """An alphabet of cc: the current table's when it serves cc, so a
-    sweep over conventions on one complex codes its letters once."""
-    table_cc, _, table = _table
-    return table.alphabet if table_cc is cc else Alphabet(cc)
+    """An alphabet of cc: the one a caller or the current table holds,
+    if any, so a sweep over conventions on a complex whose alphabet it
+    holds codes the letters once and fills each boundary table once; a
+    new one otherwise."""
+    return _alphabets.get(id(cc)) or Alphabet(cc)
 
 
 def _leibniz_into(out, word, scale, table) -> bool:
@@ -414,13 +447,15 @@ class LoopAlgebra:
     images, and mu1 handles them, but they are not part of the algebra's
     own basis).  Each element's degree and weight are kept in tables by
     the instance: basis fills them for every word it enumerates, graded
-    off the word's prefix, and any other element is decoded and computed
-    once, on first use."""
+    off the word's prefix, and any other element's are computed once, on
+    first use; its degree is summed over the alphabet's per-code degree
+    table, with letters outside the alphabet graded one by one."""
 
     def __init__(self, cc: CollapsedComplex, conv: Conventions = DEFAULT):
         self.cc = cc
         self.conv = conv
-        self._degrees = _Memo(lambda word: word_degree(self.decode(word)))
+        self._degrees = _Memo(
+            lambda word: _code_degree(self.alphabet.degrees, word))
         self._weights = _Memo(lambda word: word_weight(self.decode(word)))
 
     @cached_property
@@ -465,6 +500,13 @@ class LoopAlgebra:
             # a tau letter weighs 1 - its degree
             self._weights[word] = len(word) - degree
         return words
+
+
+def _code_degree(degrees, word) -> int:
+    """The degree of a code word: degrees[code] for each code, and
+    letter_degree for each letter outside the alphabet."""
+    return sum([degrees[x] if type(x) is int else letter_degree(x)
+                for x in word])
 
 
 def _tau_words(alphabet, max_weight: int):

@@ -132,8 +132,15 @@ class GVerification(NamedTuple):
 
 def g_residual(alg, word, conv: Conventions = DEFAULT) -> dict:
     """G(b(word)) - (-1)^s d(G(word)), empty when the square commutes."""
-    res = goodwillie_G(alg, hochschild_b(alg, word,
-                                         arity=conv.hochschild_arity), conv)
+    return _g_residual(alg, word, hochschild_b(
+        alg, word, arity=conv.hochschild_arity), conv)
+
+
+def _g_residual(alg, word, boundary, conv) -> dict:
+    """g_residual with b(word) passed in as ``boundary``, which it does
+    not change: b reads no entry that only G and the wedge boundary read,
+    so a caller sweeping those entries may compute it once."""
+    res = goodwillie_G(alg, boundary, conv)
     s = (-1) ** (conv.g_parity_s % 2)
     _axpy(res, loop_boundary(alg, goodwillie_G(alg, word, conv), conv), -s)
     return res
@@ -151,13 +158,18 @@ def g_residuals(alg, conv: Conventions = DEFAULT, *, max_len=3,
     upstream).  A caller that stops at the first nonzero residual
     computes no later word.  A negative cap is refused.
     """
+    for w in _g_words(alg, max_len, max_weight):
+        yield w, g_residual(alg, w, conv)
+
+
+def _g_words(alg, max_len=3, max_weight=3):
+    """The words of g_residuals, in its order."""
     _check_cap(max_weight)
     slots = alg.basis(max_weight)
     unit_word = (alg.unit(),)
     # the empty word stands for the one-letter unit word
     for word in bounded_words(slots, alg.weight, max_weight, max_len):
-        w = word or unit_word
-        yield w, g_residual(alg, w, conv)
+        yield word or unit_word
 
 
 def verify_G_chain_map(alg, conv: Conventions = DEFAULT, *, max_len=3,

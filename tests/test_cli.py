@@ -15,15 +15,17 @@ from pathlib import Path
 
 import pytest
 
-from loopchains import boxquot, cli
+from loopchains import boxquot, cli, cobarloop
 from loopchains.cli import (STAGE_ONE, STAGE_TWO, SUITES, ResolutionError,
                             Workspace, _coverage_problems, _sweep_stage,
                             main, resolve_conventions)
 from loopchains.cobarloop import (BoundaryUndefinedError, LoopAlgebra,
-                                  TruncationError, verify_T_chain_map)
+                                  TruncationError, _Boundaries, adams_T,
+                                  letter_boundary, verify_T_chain_map)
 from loopchains.conventions import (CHOICES, DEFAULT, Conventions, LedgerError,
                                    parse_ledger, serialize_ledger)
-from loopchains.freeloop import verify_G_chain_map
+from loopchains.freeloop import _g_words, verify_G_chain_map
+from loopchains.hochschild import hochschild_b
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden"
@@ -236,8 +238,8 @@ def test_certifiers_give_the_reasons_of_the_full_verifiers(monkeypatch):
     ws = Workspace(FIXTURES)
     monkeypatch.setattr(cli, "_t_refuted", lambda ws, name, conv: not (
         verify_T_chain_map(ws.collapsed(name), conv).ok))
-    monkeypatch.setattr(cli, "_g_refuted",
-                        lambda alg, conv: not verify_G_chain_map(alg, conv).ok)
+    monkeypatch.setattr(cli, "_g_refuted", lambda ws, name, conv: not (
+        verify_G_chain_map(ws.algebra(name, conv), conv).ok))
     for name, seen in built.items():
         for conv, reason in seen:
             assert getattr(cli, name)(ws, conv) == reason, conv
@@ -260,6 +262,44 @@ def test_the_comparison_map_reads_no_stage_two_entry():
         assert want.ok and want.cells
         for entry in STAGE_TWO:
             assert verify_T_chain_map(cc, DEFAULT.flip(entry)) == want, (
+                name, entry)
+
+
+def test_the_sweeps_shared_work_reads_no_entry_outside_its_key():
+    # the premise of keying a boundary table by the four entries a
+    # letter's terms and parity read, and a kept b(w) by the stage-one
+    # entries: flipping any other entry changes neither
+    key = cobarloop._boundary_key
+    outside = [e for e in CHOICES if key(DEFAULT.flip(e)) == key(DEFAULT)]
+    assert set(CHOICES) - set(outside) == {
+        "tau_degeneracy", "mu2_order", "pi2_bsplit_sign", "leibniz_prefix"}
+    ws = Workspace(FIXTURES)
+    for name in cli.COMPLEX_FIXTURES + ("ball3",):
+        cc, alphabet = ws.collapsed(name), ws.alphabet(name)
+        letters = set(alphabet.letters)
+        for cell in cc.cells():
+            for ccword in adams_T(cc, cell):
+                letters.update(l for w in ccword for l in w
+                               if type(l) is not int and l[0] == "pi2")
+        assert len(letters) > len(alphabet.letters), name
+        letters = sorted(letters)
+        coded = [alphabet.encode((l,))[0] for l in letters]
+        want = _Boundaries(alphabet, DEFAULT)
+        for entry in outside:
+            conv = DEFAULT.flip(entry)
+            table = _Boundaries(alphabet, conv)
+            for letter, x in zip(letters, coded):
+                assert letter_boundary(cc, letter, conv) == \
+                    letter_boundary(cc, letter, DEFAULT), (name, entry, letter)
+                assert table.entry(x) == want.entry(x), (name, entry, letter)
+    for name in ("s1_3", "boundary_delta3"):
+        alg = LoopAlgebra(ws.collapsed(name), DEFAULT)
+        words = list(_g_words(alg))
+        assert words
+        want = [hochschild_b(alg, w) for w in words]
+        for entry in STAGE_TWO:
+            flipped = LoopAlgebra(alg.cc, DEFAULT.flip(entry))
+            assert [hochschild_b(flipped, w) for w in words] == want, (
                 name, entry)
 
 
@@ -375,6 +415,42 @@ def test_stage_two_reads_each_basis_once_per_workspace(monkeypatch):
     assert second.conv == other and first.basis(3) == second.basis(3)
     assert first._degrees is second._degrees
     assert first._weights is second._weights
+
+
+def test_the_sweep_does_its_shared_work_once(monkeypatch):
+    # one boundary table per (complex, entries it reads) and one b(w) per
+    # (fixture, stage-one entries, word), all dropped when the sweep ends
+    tables, boundaries = Counter(), Counter()
+    init = cobarloop._Boundaries.__init__
+
+    def counting_init(self, alphabet, conv):
+        tables[alphabet.cc.source.name, cobarloop._boundary_key(conv)] += 1
+        init(self, alphabet, conv)
+
+    real_b = cli.hochschild_b
+
+    def counting_b(alg, word, *args, **kwargs):
+        if isinstance(alg, LoopAlgebra):
+            boundaries[alg.cc.source.name, cli._stage_one(alg.conv),
+                       word] += 1
+        return real_b(alg, word, *args, **kwargs)
+
+    monkeypatch.setattr(cobarloop._Boundaries, "__init__", counting_init)
+    monkeypatch.setattr(cli, "hochschild_b", counting_b)
+    ws = Workspace(FIXTURES)
+    assert resolve_conventions(ws)[0] == DEFAULT
+    assert set(tables.values()) == {1}
+    assert {name for name, _ in tables} == {
+        "boundary of the 3-simplex", "solid 3-simplex",
+        "circle on three vertices"}
+    assert set(boundaries.values()) == {1}
+    assert {name for name, _, _ in boundaries} == {
+        "boundary of the 3-simplex", "circle on three vertices"}
+    alphabets = {key[1]: value for key, value in ws._cache.items()
+                 if key[0] == "alphabet"}
+    assert set(alphabets) == {"boundary_delta3", "ball3", "s1_3"}
+    assert all(not a._tables for a in alphabets.values())
+    assert not [key for key in ws._cache if key[0] == "b"]
 
 
 def test_sweep_rejects_domain_errors_and_lets_other_errors_through():

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import pathlib
 from dataclasses import replace
@@ -387,6 +388,55 @@ def test_alphabet_codes_depend_on_the_complex_alone(sphere2, torus):
     assert {tuple(map(two.decode, w)): c for w, c in image.items()} == \
         {tuple(map(one.decode, w)): c for w, c in adams_T(
             sphere2, (1, 2, 3)).items()}
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_algebra_degrees_of_words_outside_the_basis(name):
+    # a word outside the basis is graded off the alphabet's degree table,
+    # with each letter outside the alphabet graded on its own: words that
+    # mix codes with the pair letters and the wrap-path tau letters of T
+    # images, the unit letter and corner letters
+    cc = _load(f"{name}.json")
+    alg = LoopAlgebra(cc)
+    alphabet = alg.alphabet
+    outside = {UNIT_LETTER, ("pi3", (0, 1), (1, 2), (2, 1, 0)),
+               ("pi3", (0, 1, 2), (2, 1), (1, 0))}
+    for cell in cc.cells():
+        for ccword in adams_T(cc, cell):
+            outside.update(l for w in ccword for l in w if type(l) is not int)
+    assert any(l[0] == "pi2" for l in outside)
+    pool = sorted(outside) + list(range(len(alphabet.letters)))
+    rng = Random(name)
+    for _ in range(300):
+        word = tuple(rng.choice(pool) for _ in range(rng.randint(1, 5)))
+        assert alg.degree(word) == word_degree(alphabet.decode(word)), word
+    assert alg.degree(()) == 0
+
+
+def test_alphabets_keep_a_table_per_boundary_entries(sphere2, torus):
+    # an alphabet a caller holds is the one the loop dga finds; its
+    # tables are keyed by the four entries a boundary reads, so
+    # conventions that differ elsewhere share one
+    word_boundary(torus, (0,))  # no table of the sphere is current
+    alphabet = Alphabet(sphere2)
+    assert cobarloop._alphabet(sphere2) is alphabet
+    word = alphabet.encode((T12, T123))
+    boundary = word_boundary(sphere2, word)
+    table = cobarloop._table[2]
+    assert list(alphabet._tables.values()) == [table]
+    for entry in ("hochschild_arity", "t_word_sign", "iota_twist"):
+        assert word_boundary(sphere2, word, DEFAULT.flip(entry)) == boundary
+        assert cobarloop._table[2] is table
+    flipped = DEFAULT.flip("leibniz_prefix")
+    assert word_boundary(sphere2, word, flipped) != boundary
+    assert len(alphabet._tables) == 2
+    assert LoopAlgebra(sphere2, flipped).alphabet is alphabet
+    # the registry is weak: once no caller and no current table holds an
+    # alphabet, the module keeps none of its complex
+    word_boundary(torus, (0,))
+    del alphabet, table
+    gc.collect()
+    assert id(sphere2) not in cobarloop._alphabets
 
 
 def test_sphere_complex_is_a_complex(sphere2):
