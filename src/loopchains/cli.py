@@ -165,13 +165,13 @@ class Workspace:
                           lambda: Alphabet(self.collapsed(name)))
 
     def algebra(self, name, conv):
-        """A fixture's loop algebra per assignment; all share the fixture's
-        alphabet and conv-free tables."""
+        """A fixture's loop algebra per assignment; all take the fixture's
+        alphabet, with its degree and weight tables, and share one basis
+        memo."""
         def build():
+            self.alphabet(name)  # held, so the algebra takes it
             alg = LoopAlgebra(self.collapsed(name), conv)
-            alg.alphabet = self.alphabet(name)
-            alg._degrees, alg._weights, bases = self._memo(("tables", name), lambda: (
-                alg._degrees, alg._weights, _Memo(alg.basis)))
+            bases = self._memo(("bases", name), lambda: _Memo(alg.basis))
             alg.basis = lambda max_weight: list(bases[max_weight])
             return alg
         return self._memo(("algebra", name, conv), build)

@@ -45,7 +45,7 @@ in, so the resolution harness can flip entries one at a time.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import partial
 from itertools import combinations
 from operator import attrgetter
 from typing import NamedTuple
@@ -157,15 +157,25 @@ _boundary_key = attrgetter("tau_degeneracy", "mu2_order", "pi2_bsplit_sign",
 _alphabets = WeakValueDictionary()
 
 
+class _WordTable(_Memo):
+    """A _Memo that keeps only what LoopAlgebra.basis puts in it: any
+    other word is graded at each lookup, so one-off words do not stay."""
+
+    def __missing__(self, word):
+        return self.rule(word)
+
+
 class Alphabet:
     """The tau letters of a collapsed complex, each coded by its rank.
 
     ``letters`` holds the tau letters of the cells of dimension >= 1,
     sorted, so a code is an index into it and ``codes`` maps each letter
-    back; ``degrees`` and ``weights`` hold each code's degree and weight.
-    The codes depend on the complex alone.  ``_tables`` holds the
-    alphabet's boundary tables (see _table_for), which its holder may
-    clear.
+    back; ``degrees``, ``weights`` and ``reprs`` hold each code's degree,
+    weight and letter repr.  The codes depend on the complex alone, and
+    so do ``word_degrees`` and ``word_weights``, the degree and weight
+    tables of the basis words, which every loop algebra of the complex
+    shares.  ``_tables`` holds the alphabet's boundary tables (see
+    _table_for), which its holder may clear.
     """
 
     def __init__(self, cc: CollapsedComplex):
@@ -175,6 +185,10 @@ class Alphabet:
         self.codes = {letter: code for code, letter in enumerate(self.letters)}
         self.degrees = [letter_degree(l) for l in self.letters]
         self.weights = [letter_weight(l) for l in self.letters]
+        self.word_degrees = _WordTable(partial(_code_degree, self.degrees))
+        self.word_weights = _WordTable(
+            lambda word: word_weight(self.decode(word)))
+        self.reprs = None  # made by the first LoopAlgebra.label
         self._tables = {}
         _alphabets[id(cc)] = self
 
@@ -445,31 +459,18 @@ class LoopAlgebra:
     complex's ``alphabet``; the basis words are built from its tau
     letters only (pair and corner letters occur in comparison-map
     images, and mu1 handles them, but they are not part of the algebra's
-    own basis).  Each element's degree and weight are kept in tables by
-    the instance: basis fills them for every word it enumerates, graded
-    off the word's prefix, and any other element's are computed once, on
-    first use; its degree is summed over the alphabet's per-code degree
-    table, with letters outside the alphabet graded one by one."""
+    own basis).  ``degree`` and ``weight`` are lookups in the alphabet's
+    word tables, which belong to the complex, so a lookup of an element
+    in them opens no Python frame."""
 
     def __init__(self, cc: CollapsedComplex, conv: Conventions = DEFAULT):
         self.cc = cc
         self.conv = conv
-        self._degrees = _Memo(
-            lambda word: _code_degree(self.alphabet.degrees, word))
-        self._weights = _Memo(lambda word: word_weight(self.decode(word)))
-
-    @cached_property
-    def alphabet(self) -> Alphabet:
-        """The complex's alphabet, taken on first use; any alphabet of
-        the complex may be set in its place, since all give the same
-        codes."""
-        return _alphabet(self.cc)
-
-    def degree(self, word) -> int:
-        return self._degrees[word]
-
-    def weight(self, word) -> int:
-        return self._weights[word]
+        self.alphabet = _alphabet(cc)  # one a caller holds, if any
+        self._degrees = self.alphabet.word_degrees
+        self._weights = self.alphabet.word_weights
+        self.degree = self._degrees.__getitem__
+        self.weight = self._weights.__getitem__
 
     def unit(self):
         return ()
@@ -486,20 +487,27 @@ class LoopAlgebra:
         return list(range(len(self.alphabet.letters)))
 
     def decode(self, word):
-        """The word of letters an element stands for; cyclic_words sorts
-        its slots by these."""
+        """The word of letters an element stands for."""
         return self.alphabet.decode(word)
+
+    def label(self, word) -> str:
+        """repr(self.decode(word)), from the alphabet's letter reprs."""
+        alphabet = self.alphabet
+        if alphabet.reprs is None:
+            alphabet.reprs = [repr(l) for l in alphabet.letters]
+        reprs = alphabet.reprs
+        parts = [reprs[x] if type(x) is int else repr(x) for x in word]
+        return f"({parts[0]},)" if len(parts) == 1 else f"({', '.join(parts)})"
 
     def basis(self, max_weight: int):
         """All nonempty tau words of weight <= max_weight, sorted, with
-        the degree and weight of each put into the tables."""
+        the degree and weight of each and of the unit put in the tables."""
         words, degrees = _graded_tau_words(self.alphabet, max_weight)
-        words, degrees = words[1:], degrees[1:]  # past the empty word
         for word, degree in zip(words, degrees):
             self._degrees[word] = degree
             # a tau letter weighs 1 - its degree
             self._weights[word] = len(word) - degree
-        return words
+        return words[1:]  # past the empty word
 
 
 def _code_degree(degrees, word) -> int:

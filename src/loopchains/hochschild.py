@@ -29,8 +29,9 @@ Algebra interface.  Any object with
 works: the based-loop algebras built elsewhere in this package and the
 finite table algebras below both do.  The unit is the one element equal
 to unit(); a non-unital algebra returns None, which equals no element.
-An algebra whose elements are codes (the based-loop algebras) also has
-decode(x) -> what x stands for, and cyclic_words sorts by its repr.
+An algebra may also have label(x) -> str, by which cyclic_words orders
+its slots; repr is the default.  The based-loop algebras, whose elements
+are codes, label each by the repr of the word it stands for.
 """
 
 from __future__ import annotations
@@ -106,26 +107,48 @@ def hochschild_b(algebra, word, coeff=1, *, arity="argument_count",
     """
     _check_arity(arity)
     d = len(word)
+    degree = algebra.degree
     # maltese(i, j) = run[j] - run[i - 1]: reduced degrees of a_i..a_j,
     # where a_i = word[d - i] counts slots from the right
     run = [0]
     for x in reversed(word):
-        run.append(run[-1] + algebra.degree(x) + 1)
+        run.append(run[-1] + degree(x) + 1)
     unit = algebra.unit()  # None, which equals no element, if non-unital
     dropped = unit if normalize else None
-    # (head, vector, tail, exponent, element to drop) of each family
-    parts = []
+    degenerate = normalize and unit in word[1:]
+    out = {}
 
     # inner terms: mu_j eats slots i+1 .. i+j, 1 <= i+j < d, so it fills
     # slot k = d - i - j >= 1; the sign is maltese(1, i)
     for i in range(d - 1):
         k = d - i - 1
         suffix = word[k + 1:]
-        parts.append((word[:k], algebra.mu1(word[k]), suffix, run[i],
-                      dropped))
+        sign = -coeff if run[i] % 2 else coeff
+        head = word[:k]
+        for element, c in algebra.mu1(word[k]).items():
+            if element == dropped:
+                continue
+            w = head + (element,) + suffix
+            if degenerate and unit in w[1:]:
+                continue
+            c = out.get(w, 0) + sign * c
+            if c:
+                out[w] = c
+            else:
+                out.pop(w, None)
         if k > 1:
-            parts.append((word[:k - 1], algebra.mu2(word[k - 1], word[k]),
-                          suffix, run[i], dropped))
+            head = word[:k - 1]
+            for element, c in algebra.mu2(word[k - 1], word[k]).items():
+                if element == dropped:
+                    continue
+                w = head + (element,) + suffix
+                if degenerate and unit in w[1:]:
+                    continue
+                c = out.get(w, 0) + sign * c
+                if c:
+                    out[w] = c
+                else:
+                    out.pop(w, None)
 
     # wrap terms: the product swallows a_d together with a_i..a_1, and
     # the skipped slots a_{i+j}..a_{i+1} become the tail of the output;
@@ -147,24 +170,17 @@ def hochschild_b(algebra, word, coeff=1, *, arity="argument_count",
             # bullet(i, i + j) = maltese(1, i) (1 + maltese(i + 1, d))
             #                    + maltese(i + j + 1, d - 1)
             bullet = run[i] * (1 + run[d] - run[i]) + run[d - 1] - run[i + j]
-            parts.append(((), product, word[d - i - j:d - i],
-                          bullet + run[i + j] - run[i] + 1, None))
-
-    out = {}
-    degenerate = normalize and unit in word[1:]
-    for head, vector, tail, exponent, drop in parts:
-        signed = -coeff if exponent % 2 else coeff
-        for element, c in vector.items():
-            if element == drop:
-                continue
-            w = head + (element,) + tail
-            if degenerate and unit in w[1:]:
-                continue
-            c = out.get(w, 0) + signed * c
-            if c:
-                out[w] = c
-            else:
-                out.pop(w, None)
+            sign = -coeff if (bullet + run[i + j] - run[i] + 1) % 2 else coeff
+            tail = word[d - i - j:d - i]
+            for element, c in product.items():
+                w = (element,) + tail
+                if degenerate and unit in w[1:]:
+                    continue
+                c = out.get(w, 0) + sign * c
+                if c:
+                    out[w] = c
+                else:
+                    out.pop(w, None)
     return out
 
 
@@ -448,8 +464,8 @@ class _Memo(dict):
 
 def cyclic_words(algebra, max_weight: int, degree: int | range | None = None):
     """All normalized words of weight <= max_weight (and given degree),
-    sorted by length and then by the reprs of their slots, each slot
-    decoded first when the algebra has a ``decode``.
+    sorted by length and then by the labels of their slots: the
+    algebra's ``label`` when it has one, else repr.
 
     The special slot ranges over the basis and, when the algebra has
     one, the unit; the other slots exclude the unit.  Non-unit elements
@@ -488,9 +504,8 @@ def cyclic_words(algebra, max_weight: int, degree: int | range | None = None):
         top = max(map(degree_of.__getitem__, basis), default=0)
         if top <= 0:
             max_len = (high - low) // (1 - top)
-    # rank[x] is x's place among the slots sorted by repr
-    decode = getattr(algebra, "decode", None)
-    label = repr if decode is None else lambda x: repr(decode(x))
+    # rank[x] is x's place among the slots sorted by label
+    label = getattr(algebra, "label", repr)
     rank = {x: i for i, x in enumerate(sorted(specials, key=label))}
     # the tails come in preorder over the basis in rank order, so tails
     # of one length come in the order of their slots' ranks, and each
@@ -544,12 +559,10 @@ def hh_truncated(algebra, degree: int, max_weight: int, *,
     window = range(degree - 1, degree + 2)
     layers = {n: [] for n in window}
     lower = {n: [] for n in window}
-    slot_degree = _Memo(algebra.degree).__getitem__
-    slot_weight = _Memo(algebra.weight).__getitem__
     for word in cyclic_words(algebra, max_weight, degree=window):
-        n = sum(map(slot_degree, word)) - len(word) + 1  # word_degree
+        n = sum(map(algebra.degree, word)) - len(word) + 1  # word_degree
         layers[n].append(word)
-        if sum(map(slot_weight, word)) < max_weight:
+        if sum(map(algebra.weight, word)) < max_weight:
             lower[n].append(word)
     complex_, summary = _hh_at(algebra, degree, layers, arity)
     if max_weight >= 1:

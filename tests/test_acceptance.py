@@ -254,6 +254,21 @@ def test_criterion_8_truncated_cyclic_ranks():
              "the stable count is 1")
 
 
+def test_criterion_8_truncated_cyclic_bar_on_a_3_manifold():
+    # the slow cyclic-bar case on the 3-sphere (the boundary of the
+    # 4-simplex, not a report fixture): raw capped groups at cap 4, not
+    # H_*(LS^3), since classes of weight 4 may still die at cap 5
+    sphere3 = LoopAlgebra(_cc("boundary_delta4"), CONV)
+    groups = {}
+    for degree in (0, -1):
+        summary = hh_truncated(sphere3, degree, 4,
+                               arity=CONV.hochschild_arity).summary
+        groups[degree] = (summary.rank, summary.torsion)
+    assert groups == {0: (205, ()), -1: (320, (3,) * 6)}, groups
+    _pass(8, "capped cyclic bar of the 3-sphere at cap 4: rank 205 in "
+             "degree 0, rank 320 and (Z/3)^6 in degree -1")
+
+
 # -- 9: the convention space has one survivor ---------------------------------------
 
 def certify(conv):

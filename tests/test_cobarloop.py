@@ -280,13 +280,16 @@ def test_algebra_tables_match_the_word_functions(name):
         alphabet = alg.alphabet
         basis = alg.basis(3)
         letters = {w: alphabet.decode(w) for w in basis}
-        # basis fills both tables, graded off each word's prefix, with
-        # exactly its words; loop_words lists the same words after the
-        # unit
-        assert dict(alg._degrees) == {w: word_degree(letters[w])
-                                      for w in basis}
-        assert dict(alg._weights) == {w: word_weight(letters[w])
-                                      for w in basis}
+        # basis fills the alphabet's tables, graded off each word's
+        # prefix: every basis word is in them, and every entry, whoever
+        # made it, is the word function's value of its decoded word;
+        # loop_words lists the same words after the unit
+        degrees, weights = alphabet.word_degrees, alphabet.word_weights
+        assert set(basis) <= degrees.keys() and set(basis) <= weights.keys()
+        for word, n in degrees.items():
+            assert n == word_degree(alphabet.decode(word)), word
+        for word, n in weights.items():
+            assert n == word_weight(alphabet.decode(word)), word
         assert loop_words(cc, 3, conv) == [()] + basis
         by_weight = {w: [] for w in range(1, 4)}
         for word in basis:
@@ -411,6 +414,43 @@ def test_algebra_degrees_of_words_outside_the_basis(name):
         word = tuple(rng.choice(pool) for _ in range(rng.randint(1, 5)))
         assert alg.degree(word) == word_degree(alphabet.decode(word)), word
     assert alg.degree(()) == 0
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES + ("boundary_delta4",))
+def test_labels_are_the_reprs_of_the_decoded_words(name):
+    # label joins the alphabet's letter reprs; it must read exactly as
+    # the repr of the decoded word, on the basis, on the unit and on
+    # words that hold the unit letter or a pair letter
+    cc = _load(f"{name}.json")
+    alg = LoopAlgebra(cc)
+    pairs = sorted({l for cell in cc.cells() for ccword in adams_T(cc, cell)
+                    for w in ccword for l in w if type(l) is not int})
+    assert any(l[0] == "pi2" for l in pairs)
+    basis = alg.basis(4)
+    words = [(), (UNIT_LETTER,), (0, UNIT_LETTER), (UNIT_LETTER, 0, 0)]
+    words += [(l,) for l in pairs] + [(0, l) for l in pairs]
+    for word in basis + words:
+        assert alg.label(word) == repr(alg.decode(word)), word
+
+
+def test_algebras_of_a_complex_share_their_tables(sphere2):
+    # the degree and weight tables belong to the complex's alphabet, so
+    # algebras under different conventions read and fill the same ones
+    one = LoopAlgebra(sphere2)
+    two = LoopAlgebra(sphere2, DEFAULT.flip("mu2_order"))
+    assert one.alphabet is two.alphabet
+    assert one._degrees is two._degrees is one.alphabet.word_degrees
+    assert one._weights is two._weights is one.alphabet.word_weights
+    word = one.basis(3)[-1]
+    assert word in two._degrees and word in two._weights
+    assert two.degree(word) == word_degree(two.decode(word))
+    # the unit is in them; a word basis does not list is graded, not kept
+    assert one.degree(()) == one.weight(()) == 0 and () in two._degrees
+    pair = ("pi2", (0, 1, 2), (2, 3, 0))
+    for word in ((0, pair), word + word):
+        assert one.degree(word) == word_degree(one.decode(word))
+        assert one.weight(word) == word_weight(one.decode(word))
+        assert word not in one._degrees and word not in one._weights
 
 
 def test_alphabets_keep_a_table_per_boundary_entries(sphere2, torus):

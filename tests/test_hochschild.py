@@ -498,6 +498,71 @@ def test_cyclic_words_keep_the_order_of_the_decoded_slot_reprs():
         "001d6b144bdabfd220c29e5cfb330ba66068005302d13db4a5836b5384de798a"
 
 
+def _bar_digest(alg, vector):
+    """sha256 of each (word, coeff) of ``vector`` and its b, decoded, one
+    line per word, the terms in the order b gives them."""
+    h = sha256()
+
+    def decode(word):
+        return tuple(map(alg.decode, word))
+    for word, c in vector:
+        terms = [(decode(t), x) for t, x in hochschild_b(alg, word, c).items()]
+        h.update(f"{decode(word)!r} {c}: {terms!r}\n".encode())
+    return h.hexdigest()
+
+
+# pinned before the loop algebra's tables moved onto its alphabet and b
+# stopped listing its term families
+HH_CAPPED_DIGESTS = (
+    ("s1_3", 3, 10,
+     "aeb81a00315cc4f1a6d9a7ba6d880f06a5c9d9669f4f1780d29eb6df792c0bc6"),
+    ("boundary_delta3", 3, 170,
+     "f8e9b00423bf78c59571c4e44a45af5d9a0d6a9eb2095b767349dcee55e38dc9"),
+    ("boundary_delta3", 4, 683,
+     "783220f9c7dffa353ea3ef92ed14fd82e18c448f16a1dcc8bdbae06d184e5b7f"),
+    ("torus_7", 2, 720,
+     "5337c49b0900339c50549b54a27200494f96b1a64255f934d023701e016d3e5a"),
+    ("rp2", 2, 331,
+     "2c71c6dfccc6a15584dbdfa09066f112ea82feaf390fa34f0a825ce4a20f8d58"),
+)
+T_IMAGE_DIGESTS = {
+    "s1_3": "202b6f06b051e19523ff321c5e444e37197ed4443652b6d2afb041b35afceb32",
+    "boundary_delta3":
+        "b51265ccfa9036ed11d218712310488b2ce9460cf3ba39e624f0abde6f9f17c8",
+    "torus_7":
+        "99324f9f3e1f6121f8e69c53591a2b2910591935193aa0d727ae3905fa37a2d2",
+    "rp2": "9bcae7c92dbc07c659413c9ee6f0239329052e0b7540827ddca3a8fcf0e6a6f0",
+}
+
+
+@pytest.mark.parametrize("name, cap, count, digest", HH_CAPPED_DIGESTS)
+def test_hh_capped_words_and_boundaries_are_pinned(name, cap, count, digest):
+    # the words hh_truncated enumerates at degree 0 and their b
+    alg = loop_algebra(name)
+    words = cyclic_words(alg, cap, range(-1, 2))
+    assert len(words) == count
+    assert _bar_digest(alg, [(w, 1) for w in words]) == digest
+
+
+@pytest.mark.parametrize("name", sorted(T_IMAGE_DIGESTS))
+def test_t_image_boundaries_are_pinned(name):
+    from loopchains.cobarloop import adams_T
+    alg = loop_algebra(name)
+    vector = [item for cell in alg.cc.cells() if len(cell) > 1
+              for item in adams_T(alg.cc, cell).items()]
+    assert _bar_digest(alg, vector) == T_IMAGE_DIGESTS[name]
+
+
+def test_g_word_boundaries_are_pinned():
+    # the rp2 words the G check reads, the empty word read as the unit
+    alg = loop_algebra("rp2")
+    words = [w or (alg.unit(),)
+             for w in bounded_words(alg.basis(3), alg.weight, 3, 2)]
+    assert len(words) == 3621
+    assert _bar_digest(alg, [(w, 1) for w in words]) == \
+        "922634f198a5d023a5e8b1b70bb2630e840811361b240abd6878e2b0a9bdff71"
+
+
 def test_cyclic_word_enumeration_on_the_circle():
     alg = circle_algebra()
     words = cyclic_words(alg, 3, degree=0)
