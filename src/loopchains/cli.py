@@ -136,8 +136,9 @@ class ResolutionError(RuntimeError):
 
 class Workspace:
     """Fixture directory plus caches for the derived objects the suites
-    and the report share, each built once.  The solid 3-simplex "ball3"
-    is built inline: it needs no fixture."""
+    and the report share, each built once; a fixture's loop state lives
+    on its alphabet.  The solid 3-simplex "ball3" is built inline: it
+    needs no fixture."""
 
     def __init__(self, fixtures: Path):
         self.fixtures = fixtures
@@ -154,27 +155,19 @@ class Workspace:
             self.fixtures / (name + ".json")))
 
     def collapsed(self, name):
-        return self._memo(("collapsed", name),
-                          lambda: collapse(self.complex(name)))
+        return self.alphabet(name).cc
 
     def alphabet(self, name):
-        """The alphabet of a fixture's collapsed complex, which every
-        caller of the complex finds while the workspace holds it, so the
-        convention sweep fills each of its boundary tables once."""
+        """The alphabet of a fixture's collapsed complex: the one memo of
+        its loop state, which every caller of the complex finds while the
+        workspace holds it, so the algebras of every assignment share its
+        bases and the convention sweep fills each boundary table once."""
         return self._memo(("alphabet", name),
-                          lambda: Alphabet(self.collapsed(name)))
+                          lambda: Alphabet(collapse(self.complex(name))))
 
     def algebra(self, name, conv):
-        """A fixture's loop algebra per assignment; all take the fixture's
-        alphabet, with its degree and weight tables, and share one basis
-        memo."""
-        def build():
-            self.alphabet(name)  # held, so the algebra takes it
-            alg = LoopAlgebra(self.collapsed(name), conv)
-            bases = self._memo(("bases", name), lambda: _Memo(alg.basis))
-            alg.basis = lambda max_weight: list(bases[max_weight])
-            return alg
-        return self._memo(("algebra", name, conv), build)
+        """A fixture's loop algebra under conv, on the fixture's alphabet."""
+        return LoopAlgebra(self.collapsed(name), conv)
 
     def hh(self, name, conv, max_weight):
         """Degree-0 truncated cyclic homology of a fixture's loop algebra,
@@ -256,7 +249,6 @@ def _t_key(name, conv):
 
 
 def _t_refuted(ws, name, conv):
-    ws.alphabet(name)  # held, so T's algebra shares its boundary tables
     cells, census = [], {}
     for cell, r in t_residuals(ws.collapsed(name), conv, census=census):
         if r:

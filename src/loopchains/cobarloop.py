@@ -46,7 +46,7 @@ in, so the resolution harness can flip entries one at a time.
 from __future__ import annotations
 
 from functools import partial
-from itertools import combinations
+from itertools import chain, combinations
 from operator import attrgetter
 from typing import NamedTuple
 from weakref import WeakValueDictionary
@@ -158,7 +158,7 @@ _alphabets = WeakValueDictionary()
 
 
 class _WordTable(_Memo):
-    """A _Memo that keeps only what LoopAlgebra.basis puts in it: any
+    """A _Memo that keeps only what Alphabet.basis puts in it: any
     other word is graded at each lookup, so one-off words do not stay."""
 
     def __missing__(self, word):
@@ -172,10 +172,11 @@ class Alphabet:
     sorted, so a code is an index into it and ``codes`` maps each letter
     back; ``degrees``, ``weights`` and ``reprs`` hold each code's degree,
     weight and letter repr.  The codes depend on the complex alone, and
-    so do ``word_degrees`` and ``word_weights``, the degree and weight
-    tables of the basis words, which every loop algebra of the complex
-    shares.  ``_tables`` holds the alphabet's boundary tables (see
-    _table_for), which its holder may clear.
+    so do each cap's basis (see basis) and ``word_degrees`` and
+    ``word_weights``, the degree and weight tables of the basis words,
+    which every loop algebra of the complex shares.  ``_tables`` holds
+    the alphabet's boundary tables (see _table_for), which its holder
+    may clear.
     """
 
     def __init__(self, cc: CollapsedComplex):
@@ -189,8 +190,29 @@ class Alphabet:
         self.word_weights = _WordTable(
             lambda word: word_weight(self.decode(word)))
         self.reprs = None  # made by the first LoopAlgebra.label
+        self._bases = {}
         self._tables = {}
         _alphabets[id(cc)] = self
+
+    def basis(self, max_weight: int):
+        """The nonempty tau code words of weight <= max_weight, sorted,
+        enumerated once per cap by _graded_words, with the degree and
+        weight of each and of the unit put in the word tables.  The list
+        is kept: a caller copies it before changing it."""
+        _check_cap(max_weight)  # first: True would find the cap-1 entry
+        words = self._bases.get(max_weight)
+        if words is None:
+            by_degree = _graded_words(range(len(self.letters)),
+                                      self.weights.__getitem__,
+                                      self.degrees.__getitem__, max_weight)
+            for degree, batch in by_degree.items():
+                self.word_degrees.update(dict.fromkeys(batch, degree))
+                # a tau letter weighs 1 - its degree
+                self.word_weights.update(
+                    {word: len(word) - degree for word in batch})
+            words = self._bases[max_weight] = sorted(
+                chain.from_iterable(by_degree.values()))[1:]  # past ()
+        return words
 
     def _table_for(self, conv: Conventions):
         """The boundary table under conv, shared by every conventions
@@ -500,14 +522,9 @@ class LoopAlgebra:
         return f"({parts[0]},)" if len(parts) == 1 else f"({', '.join(parts)})"
 
     def basis(self, max_weight: int):
-        """All nonempty tau words of weight <= max_weight, sorted, with
-        the degree and weight of each and of the unit put in the tables."""
-        words, degrees = _graded_tau_words(self.alphabet, max_weight)
-        for word, degree in zip(words, degrees):
-            self._degrees[word] = degree
-            # a tau letter weighs 1 - its degree
-            self._weights[word] = len(word) - degree
-        return words[1:]  # past the empty word
+        """All nonempty tau words of weight <= max_weight, sorted: a copy
+        of the alphabet's list (see Alphabet.basis)."""
+        return list(self.alphabet.basis(max_weight))
 
 
 def _code_degree(degrees, word) -> int:
@@ -515,36 +532,6 @@ def _code_degree(degrees, word) -> int:
     letter_degree for each letter outside the alphabet."""
     return sum([degrees[x] if type(x) is int else letter_degree(x)
                 for x in word])
-
-
-def _tau_words(alphabet, max_weight: int):
-    """The tau code words of weight <= max_weight, the empty word first,
-    sorted and in preorder (see bounded_words)."""
-    return bounded_words(range(len(alphabet.letters)),
-                         alphabet.weights.__getitem__, max_weight)
-
-
-def _graded_tau_words(alphabet, max_weight: int):
-    """The list of _tau_words and the list of their degrees, for
-    LoopAlgebra.basis, which needs the flat sorted list and each word's
-    degree (based_loop_complex files its words by degree through
-    _graded_words instead).
-
-    The words come in preorder from the empty word, so the last shorter
-    word seen is each word's prefix: prefix[n] holds the degree of the
-    last word of length n, and a word's degree is its prefix's plus that
-    of its last letter, read off the alphabet's degree table.
-    """
-    words = list(_tau_words(alphabet, max_weight))
-    degrees = []
-    letter = alphabet.degrees
-    prefix = [0] * (max_weight + 1)  # letters weigh at least 1
-    for word in words:
-        n = len(word)
-        if n:
-            prefix[n] = prefix[n - 1] + letter[word[-1]]
-        degrees.append(prefix[n])
-    return words, degrees
 
 
 # -- the loop complex, materialized -------------------------------------------
@@ -562,7 +549,9 @@ def loop_words(cc, max_weight: int, conv: Conventions = DEFAULT):
     """Every code word of the weight-capped loop dga, the unit included,
     sorted."""
     _check_cap(max_weight)
-    return list(_tau_words(_alphabet(cc), max_weight))
+    alphabet = _alphabet(cc)
+    return list(bounded_words(range(len(alphabet.letters)),
+                              alphabet.weights.__getitem__, max_weight))
 
 
 def based_loop_complex(cc, max_weight: int,

@@ -258,7 +258,8 @@ class CircleWordAlgebra:
 
     def basis(self, max_weight: int):
         """All nonempty words of length <= max_weight, sorted; in the
-        strict picture only the reduced ones."""
+        strict picture only the reduced ones; a bad cap is refused."""
+        _check_cap(max_weight)
         words = bounded_words(sorted(self.letters()), lambda letter: 1,
                               max_weight)
         return [w for w in words if w and self._reduce(w) == w]

@@ -414,7 +414,9 @@ def _graded_words(letters, weight, grade, max_weight: int) -> dict:
     node carrying its grade sum.  A leaf batch is split by the grade of
     its letters once per room, before the walk, and each part is filed
     by one extend, so no leaf word is handled one at a time in Python.
-    Every weight must be >= 1; a negative cap gives no words.
+    Every weight must be >= 1; a negative cap gives no words.  It is the
+    walker of every graded loop word list: each alphabet's basis (see
+    cobarloop.Alphabet.basis) and the based loop complex.
     """
     fits, leaves, leafy = _room_tables(letters, weight, max_weight)
     if max_weight < 0:

@@ -19,9 +19,9 @@ from loopchains import boxquot, cli, cobarloop
 from loopchains.cli import (STAGE_ONE, STAGE_TWO, SUITES, ResolutionError,
                             Workspace, _coverage_problems, _sweep_stage,
                             main, resolve_conventions)
-from loopchains.cobarloop import (BoundaryUndefinedError, LoopAlgebra,
-                                  TruncationError, _Boundaries, adams_T,
-                                  letter_boundary, verify_T_chain_map)
+from loopchains.cobarloop import (Alphabet, BoundaryUndefinedError,
+                                  LoopAlgebra, TruncationError, _Boundaries,
+                                  adams_T, letter_boundary, verify_T_chain_map)
 from loopchains.conventions import (CHOICES, DEFAULT, Conventions, LedgerError,
                                    parse_ledger, serialize_ledger)
 from loopchains.freeloop import _g_words, verify_G_chain_map
@@ -396,15 +396,17 @@ def test_first_failing_reasons_of_both_stages():
 
 def test_stage_two_reads_each_basis_once_per_workspace(monkeypatch):
     # the basis does not depend on the conventions, so the per-assignment
-    # algebras of a fixture share it: stage two reads each fixture's once
+    # algebras of a fixture share their alphabet's: stage two enumerates
+    # each fixture's once
     calls = []
-    real = LoopAlgebra.basis
+    real = Alphabet.basis
 
     def counting(self, max_weight):
-        calls.append((self.cc.source.name, max_weight))
+        if max_weight not in self._bases:
+            calls.append((self.cc.source.name, max_weight))
         return real(self, max_weight)
 
-    monkeypatch.setattr(LoopAlgebra, "basis", counting)
+    monkeypatch.setattr(Alphabet, "basis", counting)
     conv, _ = resolve_conventions(FIXTURES)
     assert conv == DEFAULT
     assert sorted(calls) == [("boundary of the 3-simplex", 3),
@@ -415,6 +417,18 @@ def test_stage_two_reads_each_basis_once_per_workspace(monkeypatch):
     assert second.conv == other and first.basis(3) == second.basis(3)
     assert first._degrees is second._degrees
     assert first._weights is second._weights
+
+
+@pytest.mark.parametrize("name", ("s1_3", "boundary_delta3", "torus_7", "rp2",
+                                  "boundary_delta4", "ball3"))
+def test_the_alphabet_holds_a_fixture_s_loop_state(name):
+    # asked first for the collapsed complex, the workspace makes its one
+    # memo, the alphabet: the registry and every algebra find that one
+    ws = Workspace(FIXTURES)
+    assert ws.collapsed(name) is ws.alphabet(name).cc
+    assert cobarloop._alphabet(ws.collapsed(name)) is ws.alphabet(name)
+    for conv in (DEFAULT, DEFAULT.flip("mu2_order")):
+        assert ws.algebra(name, conv).alphabet is ws.alphabet(name)
 
 
 def test_the_sweep_does_its_shared_work_once(monkeypatch):

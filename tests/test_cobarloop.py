@@ -308,6 +308,61 @@ def test_algebra_tables_match_the_word_functions(name):
         assert cyclic_words(alg, 3, degree=1) == []
 
 
+BAD_CAPS = ((True, "an int, got True"), (2.5, "an int, got 2.5"),
+            (-1, "at least 0, got -1"))
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES + ("boundary_delta4",))
+def test_the_basis_refuses_a_bad_weight_cap(name):
+    # the basis read True as cap 1, raised a bare TypeError on 2.5 and
+    # gave [] on -1; a kept cap-1 basis must not answer True either
+    alg = LoopAlgebra(_load(f"{name}.json"))
+    alg.basis(1)
+    for cap, says in BAD_CAPS:
+        for basis in (alg.basis, alg.alphabet.basis):
+            with pytest.raises(ValueError, match=f"weight cap must be {says}"):
+                basis(cap)
+
+
+def test_the_alphabet_enumerates_each_cap_once(monkeypatch):
+    # two algebras of one complex under different conventions share the
+    # alphabet's basis: one enumeration, one kept list, a copy per read
+    calls = []
+    graded = cobarloop._graded_words
+
+    def counting(letters, weight, grade, max_weight):
+        calls.append(max_weight)
+        return graded(letters, weight, grade, max_weight)
+
+    monkeypatch.setattr(cobarloop, "_graded_words", counting)
+    alphabet = Alphabet(_load("torus_7.json"))
+    first = LoopAlgebra(alphabet.cc, DEFAULT)
+    second = LoopAlgebra(alphabet.cc, DEFAULT.flip("mu2_order"))
+    assert first.alphabet is alphabet and second.alphabet is alphabet
+    words = alphabet.basis(3)
+    assert alphabet.basis(3) is words
+    kept = list(words)
+    copy = first.basis(3)
+    assert copy == kept and copy is not words
+    copy.reverse()
+    copy.append(())
+    assert second.basis(3) == kept and alphabet.basis(3) == kept
+    assert calls == [3]
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_the_basis_fills_the_word_tables(name):
+    # a fresh alphabet's tables hold the basis words and the unit, and
+    # nothing else: other words are graded at each lookup
+    alphabet = Alphabet(_load(f"{name}.json"))
+    basis = alphabet.basis(3)
+    for table, rule in ((alphabet.word_degrees, word_degree),
+                        (alphabet.word_weights, word_weight)):
+        assert dict.keys(table) == set(basis) | {()}
+        for word, n in table.items():
+            assert n == rule(alphabet.decode(word)), word
+
+
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_words_by_degree_lists_are_sorted(name):
     # based_loop_complex files each word by degree inside the enumerator:

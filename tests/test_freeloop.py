@@ -325,6 +325,17 @@ def test_a_negative_weight_cap_is_refused(circle_alg):
             next(g_residuals(circle_alg, max_weight=cap))
 
 
+@pytest.mark.parametrize("strict", (False, True))
+def test_the_circle_basis_refuses_a_bad_weight_cap(strict):
+    # it read True as cap 1, raised a bare TypeError on 2.5 and gave []
+    # on -1
+    alg = CircleWordAlgebra(strict=strict)
+    for cap, says in ((True, "an int, got True"), (2.5, "an int, got 2.5"),
+                      (-1, "at least 0, got -1")):
+        with pytest.raises(ValueError, match=f"weight cap must be {says}"):
+            alg.basis(cap)
+
+
 def test_residual_of_a_single_word_is_exposed(sphere_alg):
     assert g_residual(sphere_alg, ((T123,), (T12,))) == {}
     bad = g_residual(sphere_alg, ((T123,), (T12,)),
