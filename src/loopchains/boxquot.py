@@ -965,6 +965,19 @@ def _find_generator(cube, gens, index):
     return None
 
 
+def _resolve(cube, gens, index):
+    """The generator matching cube as a map; a cube matching none joins
+    the generators of its dimension, and its faces are resolved next."""
+    gs, ix = gens[cube.dim], index[cube.dim]
+    j = _find_generator(cube, gs, ix)
+    if j is None:
+        j = ix[cube] = len(gs)
+        gs.append(cube)
+        for _, _, f in _signed_faces(cube):
+            _resolve(f, gens, index)
+    return gs[j]
+
+
 def quotient_homology_compare(family) -> QuotientComparison:
     """Compare the homology of the chain complex spanned by a face-closed
     cube family with the homology after dividing out the concatenation and
@@ -1013,21 +1026,11 @@ def quotient_homology_compare(family) -> QuotientComparison:
         for c in by_dim[n]:
             faces(c)
 
-    def resolve(cube):
-        gs, ix = gens[cube.dim], index[cube.dim]
-        j = _find_generator(cube, gs, ix)
-        if j is None:
-            j = ix[cube] = len(gs)
-            gs.append(cube)
-            for _, _, f in _signed_faces(cube):
-                resolve(f)
-        return gs[j]
-
     def relation(*terms):
         vec = {}
         for cube, coeff in terms:
             if not cube.is_degenerate:  # zero in the normalized chains
-                g = resolve(cube)
+                g = _resolve(cube, gens, index)
                 vec[g] = vec.get(g, 0) + coeff
         return vec
 

@@ -655,7 +655,7 @@ def _suite_freeloop(ws, conv, seed):
     slots = sphere_alg.basis(3)
     bad = idem_bad = 0
     for _ in range(100):
-        w1 = rng.choice(slots + [()])
+        w1 = rng.choice([*slots, ()])
         w2 = rng.choice(slots) + rng.choice(((), rng.choice(slots)))
         gen = normalize(sphere_alg, {("wedge", w1, w2): 1}, conv)
         if loop_boundary(sphere_alg, loop_boundary(sphere_alg, gen, conv),

@@ -17,17 +17,19 @@ Words multiply by concatenation with the loop-composition twist
 that is degenerate (two cyclically adjacent vertices equal) gives the
 zero letter; a path that is exactly a spanning-tree edge gives the unit.
 
-Code words.  Each collapsed complex has one alphabet (Alphabet): the tau
-letters of its cells of dimension >= 1, sorted, each coded by its rank
-as a small int.  The codes depend on the complex alone, so every
+Code words.  Each collapsed complex has one alphabet (Alphabet), the
+owner of its loop state: the tau letters of its cells of dimension >= 1,
+sorted, each coded by its rank as a small int, and every per-letter and
+per-word fact the loop dga reads (grades, reprs, word tables, bases and
+boundary tables).  The codes depend on the complex alone, so every
 alphabet of a complex gives the same codes, and code words sort as the
 words they stand for.  A code word is a word with each alphabet letter
 replaced by its code; any other letter (the unit letter, a pair or
 corner letter, or a tau letter on a path that is not a cell, such as
-the wrap path (2, 0, 1) of a T image) stays in it as it is.
-``Alphabet.decode`` gives back the word a code word stands for and
-``Alphabet.encode`` codes a word; ``format_word`` and
-``format_cyclic_word`` decode through the alphabet they are given.
+the wrap path (2, 0, 1) of a T image) stays in it as it is.  A
+``LoopAlgebra`` is a view of its complex's alphabet under one
+conventions value; ``format_word`` and ``format_cyclic_word`` decode
+through the alphabet they are given.
 
 Code words are what the loop dga takes and returns: ``loop_words``,
 ``word_boundary``, ``dga_differential``, every ``LoopAlgebra`` method
@@ -35,9 +37,9 @@ Code words are what the loop dga takes and returns: ``loop_words``,
 ``based_loop_complex``, and the images and residuals of ``adams_T``,
 ``t_residual``, ``t_residuals`` and ``verify_T_chain_map``.  The letter
 functions (``make_tau``, ``letter_degree``, ``letter_weight``,
-``word_degree``, ``word_weight``, ``mu2``, ``tau_boundary``,
-``pi2_boundary`` and ``letter_boundary``) take and return letters: they
-define the tables an alphabet codes.
+``word_degree``, ``mu2``, ``tau_boundary``, ``pi2_boundary`` and
+``letter_boundary``) take and return letters: they define the tables an
+alphabet codes.
 
 Every sign and ordering choice is read off the Conventions value passed
 in, so the resolution harness can flip entries one at a time.
@@ -119,10 +121,6 @@ def word_degree(word) -> int:
     return sum(letter_degree(l) for l in word)
 
 
-def word_weight(word) -> int:
-    return sum(letter_weight(l) for l in word)
-
-
 def normalize_word(letters):
     """The tuple ``letters`` with every unit letter dropped: a unit
     letter in a word is a unit factor, so the word is the same element
@@ -152,8 +150,8 @@ _boundary_key = attrgetter("tau_degeneracy", "mu2_order", "pi2_bsplit_sign",
 # Every live alphabet, by the identity of its complex, so that each
 # caller of a complex finds the alphabet another caller holds (see
 # _alphabet).  The entries are weak: an alphabet lives only as long as a
-# caller or the current table holds it, and it holds its complex, so an
-# id is not reused while its entry lives.
+# caller holds it, and it holds its complex, so an id is not reused while
+# its entry lives.
 _alphabets = WeakValueDictionary()
 
 
@@ -166,17 +164,17 @@ class _WordTable(_Memo):
 
 
 class Alphabet:
-    """The tau letters of a collapsed complex, each coded by its rank.
+    """The tau letters of a collapsed complex, each coded by its rank,
+    and every fact the loop dga reads of them.
 
     ``letters`` holds the tau letters of the cells of dimension >= 1,
     sorted, so a code is an index into it and ``codes`` maps each letter
-    back; ``degrees``, ``weights`` and ``reprs`` hold each code's degree,
-    weight and letter repr.  The codes depend on the complex alone, and
-    so do each cap's basis (see basis) and ``word_degrees`` and
-    ``word_weights``, the degree and weight tables of the basis words,
-    which every loop algebra of the complex shares.  ``_tables`` holds
-    the alphabet's boundary tables (see _table_for), which its holder
-    may clear.
+    back; ``degrees`` and ``weights`` hold each code's degree and weight.
+    The codes depend on the complex alone, and so do each cap's basis
+    (see basis) and ``word_degrees`` and ``word_weights``, the degree and
+    weight tables of the basis words.  ``_tables`` holds the boundary
+    tables (see _table_for), which the alphabet's holder may clear.  None
+    of these refers back to the alphabet, so reference counting frees it.
     """
 
     def __init__(self, cc: CollapsedComplex):
@@ -186,19 +184,20 @@ class Alphabet:
         self.codes = {letter: code for code, letter in enumerate(self.letters)}
         self.degrees = [letter_degree(l) for l in self.letters]
         self.weights = [letter_weight(l) for l in self.letters]
-        self.word_degrees = _WordTable(partial(_code_degree, self.degrees))
+        self.word_degrees = _WordTable(
+            partial(_code_sum, self.degrees, letter_degree))
         self.word_weights = _WordTable(
-            lambda word: word_weight(self.decode(word)))
-        self.reprs = None  # made by the first LoopAlgebra.label
+            partial(_code_sum, self.weights, letter_weight))
+        self._reprs = None  # made by the first label
         self._bases = {}
         self._tables = {}
         _alphabets[id(cc)] = self
 
     def basis(self, max_weight: int):
-        """The nonempty tau code words of weight <= max_weight, sorted,
-        enumerated once per cap by _graded_words, with the degree and
-        weight of each and of the unit put in the word tables.  The list
-        is kept: a caller copies it before changing it."""
+        """The nonempty tau code words of weight <= max_weight, as a
+        sorted tuple, enumerated once per cap by _graded_words, with the
+        degree and weight of each and of the unit put in the word
+        tables."""
         _check_cap(max_weight)  # first: True would find the cap-1 entry
         words = self._bases.get(max_weight)
         if words is None:
@@ -210,8 +209,8 @@ class Alphabet:
                 # a tau letter weighs 1 - its degree
                 self.word_weights.update(
                     {word: len(word) - degree for word in batch})
-            words = self._bases[max_weight] = sorted(
-                chain.from_iterable(by_degree.values()))[1:]  # past ()
+            words = self._bases[max_weight] = tuple(sorted(
+                chain.from_iterable(by_degree.values())))[1:]  # past ()
         return words
 
     def _table_for(self, conv: Conventions):
@@ -232,6 +231,21 @@ class Alphabet:
         """The word of letters a code word stands for."""
         letters = self.letters
         return tuple(letters[x] if type(x) is int else x for x in word)
+
+    def label(self, word) -> str:
+        """repr(self.decode(word)), from letter reprs made once."""
+        reprs = self._reprs
+        if reprs is None:
+            reprs = self._reprs = [repr(l) for l in self.letters]
+        parts = [reprs[x] if type(x) is int else repr(x) for x in word]
+        return f"({parts[0]},)" if len(parts) == 1 else f"({', '.join(parts)})"
+
+
+def _code_sum(per_code, per_letter, word) -> int:
+    """The grade of a code word, the one rule of both word tables:
+    per_code[x] for each code x, per_letter(x) for any other letter."""
+    return sum([per_code[x] if type(x) is int else per_letter(x)
+                for x in word])
 
 
 # -- boundaries ---------------------------------------------------------------
@@ -315,7 +329,8 @@ def letter_boundary(cc, letter, conv: Conventions = DEFAULT) -> dict:
 
 class _Boundaries:
     """The boundary table of an alphabet under one conventions value,
-    which reads only the entries of _boundary_key.
+    which reads only the entries of _boundary_key.  It keeps the
+    alphabet's per-code data, not the alphabet, which holds the table.
 
     ``entries`` maps a letter of a code word (a code, or a letter
     outside the alphabet) to its entry: the letter's boundary terms as
@@ -328,23 +343,24 @@ class _Boundaries:
     """
 
     def __init__(self, alphabet: Alphabet, conv: Conventions):
-        self.alphabet = alphabet
+        self.cc, self.letters = alphabet.cc, alphabet.letters
+        self.codes, self.degrees = alphabet.codes, alphabet.degrees
         self.conv = conv
         self.entries = {}
         self.free = set()
 
     def entry(self, x):
         """Make, keep and return the entry of a letter met first."""
-        alphabet, conv = self.alphabet, self.conv
+        letters, conv = self.letters, self.conv
         if type(x) is int:
-            if not 0 <= x < len(alphabet.letters):
+            if not 0 <= x < len(letters):
                 raise ValueError(f"no letter has the code {x}")
-            letter, degree = alphabet.letters[x], alphabet.degrees[x]
+            letter, degree = letters[x], self.degrees[x]
         else:
             letter, degree = x, letter_degree(x)
-        code = alphabet.codes.get  # encode, inline: this runs per table
+        code = self.codes.get  # encode, inline: this runs per table
         plus = tuple([(tuple([code(l, l) for l in t]), c) for t, c
-                      in letter_boundary(alphabet.cc, letter, conv).items()])
+                      in letter_boundary(self.cc, letter, conv).items()])
         minus = tuple((t, -c) for t, c in plus)
         parity = (degree + (conv.leibniz_prefix == "reduced")) % 2
         entry = self.entries[x] = plus, minus, parity, letter == UNIT_LETTER
@@ -371,10 +387,10 @@ def _new_table(cc, conv):
 
 
 def _alphabet(cc):
-    """An alphabet of cc: the one a caller or the current table holds,
-    if any, so a sweep over conventions on a complex whose alphabet it
-    holds codes the letters once and fills each boundary table once; a
-    new one otherwise."""
+    """An alphabet of cc: the one a caller holds, if any, so a sweep
+    over conventions on a complex whose alphabet it holds codes the
+    letters once and fills each boundary table once; a new one
+    otherwise."""
     return _alphabets.get(id(cc)) or Alphabet(cc)
 
 
@@ -481,18 +497,18 @@ class LoopAlgebra:
     complex's ``alphabet``; the basis words are built from its tau
     letters only (pair and corner letters occur in comparison-map
     images, and mu1 handles them, but they are not part of the algebra's
-    own basis).  ``degree`` and ``weight`` are lookups in the alphabet's
-    word tables, which belong to the complex, so a lookup of an element
-    in them opens no Python frame."""
+    own basis).  It is a view of the alphabet: ``degree`` and ``weight``
+    are lookups in its word tables, which open no Python frame, and
+    ``decode``, ``label`` and ``basis`` are the alphabet's."""
 
     def __init__(self, cc: CollapsedComplex, conv: Conventions = DEFAULT):
         self.cc = cc
         self.conv = conv
-        self.alphabet = _alphabet(cc)  # one a caller holds, if any
-        self._degrees = self.alphabet.word_degrees
-        self._weights = self.alphabet.word_weights
-        self.degree = self._degrees.__getitem__
-        self.weight = self._weights.__getitem__
+        self.alphabet = alphabet = _alphabet(cc)  # one a caller holds, if any
+        self.degree = alphabet.word_degrees.__getitem__
+        self.weight = alphabet.word_weights.__getitem__
+        self.decode = alphabet.decode
+        self.label = alphabet.label
 
     def unit(self):
         return ()
@@ -501,37 +517,17 @@ class LoopAlgebra:
         return word_boundary(self.cc, word, self.conv)
 
     def mu2(self, x2, x1) -> dict:
-        sign = -1 if self._degrees[x1] % 2 else 1
+        sign = -1 if self.degree(x1) % 2 else 1
         return {_product(x2, x1, self.conv): sign}
 
     def letters(self):
         """The codes of the alphabet, in order."""
         return list(range(len(self.alphabet.letters)))
 
-    def decode(self, word):
-        """The word of letters an element stands for."""
-        return self.alphabet.decode(word)
-
-    def label(self, word) -> str:
-        """repr(self.decode(word)), from the alphabet's letter reprs."""
-        alphabet = self.alphabet
-        if alphabet.reprs is None:
-            alphabet.reprs = [repr(l) for l in alphabet.letters]
-        reprs = alphabet.reprs
-        parts = [reprs[x] if type(x) is int else repr(x) for x in word]
-        return f"({parts[0]},)" if len(parts) == 1 else f"({', '.join(parts)})"
-
     def basis(self, max_weight: int):
-        """All nonempty tau words of weight <= max_weight, sorted: a copy
-        of the alphabet's list (see Alphabet.basis)."""
-        return list(self.alphabet.basis(max_weight))
-
-
-def _code_degree(degrees, word) -> int:
-    """The degree of a code word: degrees[code] for each code, and
-    letter_degree for each letter outside the alphabet."""
-    return sum([degrees[x] if type(x) is int else letter_degree(x)
-                for x in word])
+        """All nonempty tau words of weight <= max_weight, sorted: the
+        alphabet's tuple (see Alphabet.basis)."""
+        return self.alphabet.basis(max_weight)
 
 
 # -- the loop complex, materialized -------------------------------------------

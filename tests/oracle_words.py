@@ -1,5 +1,7 @@
-"""Reference versions of eight word routines, written the plain way.
+"""Reference versions of nine word routines, written the plain way.
 
+``word_weight`` sums the weights of the letters of a word of letters
+(not a code word), which the alphabet's weight table must agree with.
 ``leibniz_word_boundary`` extends the letter boundary to words of
 letters (not code words) by recomputing every letter's boundary and
 every prefix degree at each slot, with no table and no running sign.
@@ -15,18 +17,23 @@ reads the three degrees it needs.
 ``dict_normalize``, ``dict_loop_boundary`` and ``dict_goodwillie_G`` are
 the free-loop normal form, boundary and comparison map with every term
 added through ``_add`` and every sign taken as a power of -1 where it is
-used.  All eight are slow on purpose; the tests compare the fast
+used.  The other eight are slow on purpose; the tests compare the fast
 routines against them, the free-loop ones down to the insertion order of
 the dicts they return.
 """
 
-from loopchains.cobarloop import letter_boundary, normalize_word, word_degree
+from loopchains.cobarloop import (letter_boundary, letter_weight,
+                                  normalize_word, word_degree)
 from loopchains.exactalg import FreeComplex, HomologySummary, _add, homology
 from loopchains.freeloop import _split_exponents
 from loopchains.hochschild import (TruncatedHomology, bounded_words,
                                    cyclic_words, hochschild_b, is_degenerate)
 from loopchains.hochschild import word_degree as cc_word_degree
 from loopchains.signkoszul import bullet_exponent, maltese_exponent
+
+
+def word_weight(word) -> int:
+    return sum(letter_weight(l) for l in word)
 
 
 def leibniz_word_boundary(cc, word, conv):

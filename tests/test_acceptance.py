@@ -101,7 +101,7 @@ def test_criterion_1_differentials_square_to_zero():
     alg = LoopAlgebra(_cc("boundary_delta3"), CONV)
     slots = alg.basis(3)
     for _ in range(100):
-        w1 = rng.choice(slots + [()])
+        w1 = rng.choice([*slots, ()])
         w2 = rng.choice(slots) + rng.choice(((), rng.choice(slots)))
         gen = normalize(alg, {("wedge", w1, w2): 1}, CONV)
         assert not loop_boundary(alg, loop_boundary(alg, gen, CONV),

@@ -2,6 +2,7 @@
 resolution harness, and the coverage cross-check."""
 
 import contextlib
+import gc
 import io
 import itertools
 import json
@@ -9,6 +10,7 @@ import os
 import shutil
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -415,8 +417,8 @@ def test_stage_two_reads_each_basis_once_per_workspace(monkeypatch):
     other = replace(DEFAULT, iota_twist="in_boundary")
     first, second = ws.algebra("s1_3", DEFAULT), ws.algebra("s1_3", other)
     assert second.conv == other and first.basis(3) == second.basis(3)
-    assert first._degrees is second._degrees
-    assert first._weights is second._weights
+    assert first.alphabet.word_degrees is second.alphabet.word_degrees
+    assert first.alphabet.word_weights is second.alphabet.word_weights
 
 
 @pytest.mark.parametrize("name", ("s1_3", "boundary_delta3", "torus_7", "rp2",
@@ -429,6 +431,52 @@ def test_the_alphabet_holds_a_fixture_s_loop_state(name):
     assert cobarloop._alphabet(ws.collapsed(name)) is ws.alphabet(name)
     for conv in (DEFAULT, DEFAULT.flip("mu2_order")):
         assert ws.algebra(name, conv).alphabet is ws.alphabet(name)
+
+
+@contextlib.contextmanager
+def _no_cyclic_collector():
+    """gc off for the block, after a full collection; on exit it is back
+    on, with its debug flags and garbage list as they were."""
+    gc.collect()
+    was_on, flags, kept = gc.isenabled(), gc.get_debug(), gc.garbage[:]
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.set_debug(flags)
+        gc.garbage[:] = kept
+        if was_on:
+            gc.enable()
+
+
+def test_a_finished_report_leaves_nothing_to_the_cyclic_collector():
+    # a tsv and a json report in one interpreter: every loopchains object
+    # they made is freed by reference count, so the collector, which
+    # would otherwise free them later, finds none
+    with _no_cyclic_collector():
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        del gc.garbage[:]
+        for fmt in ("tsv", "json"):
+            code, _, _ = fx("report", "--format", fmt)
+            assert code == 0
+        gc.collect()
+        left = Counter(type(o).__qualname__ for o in gc.garbage
+                       if type(o).__module__.startswith("loopchains"))
+    assert not left, left
+
+
+def test_a_dropped_workspace_frees_its_alphabets():
+    # with the collector off, the last reference to a workspace that ran
+    # the sweep takes its alphabets with it
+    with _no_cyclic_collector():
+        ws = Workspace(FIXTURES)
+        resolve_conventions(ws)
+        refs = {key[1]: weakref.ref(value)
+                for key, value in ws._cache.items() if key[0] == "alphabet"}
+        assert sorted(refs) == ["ball3", "boundary_delta3", "s1_3"]
+        del ws
+        assert {name: ref() for name, ref in refs.items()} == \
+            dict.fromkeys(refs)
 
 
 def test_the_sweep_does_its_shared_work_once(monkeypatch):

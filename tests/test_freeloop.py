@@ -152,7 +152,7 @@ def test_boundary_squares_to_zero(sphere_alg):
     rng = Random(5)
     slots = sphere_alg.basis(3)
     for _ in range(100):
-        w1 = rng.choice(slots + [()])
+        w1 = rng.choice([*slots, ()])
         w2 = rng.choice(slots) + rng.choice(((), rng.choice(slots)))
         gen = normalize(sphere_alg, {("wedge", w1, w2): 1})
         dd = loop_boundary(sphere_alg, loop_boundary(sphere_alg, gen))
@@ -293,7 +293,7 @@ def test_G_path_matches_the_dict_oracle_on_seeded_wedges(sphere_alg, axis):
     for _ in range(60):
         chain = {}
         for _ in range(rng.randint(1, 3)):
-            w1 = rng.choice(slots + [()])
+            w1 = rng.choice([*slots, ()])
             w2 = rng.choice(slots) + rng.choice(((), rng.choice(slots)))
             chain[("wedge", w1, w2)] = rng.choice((-2, -1, 1, 2))
         chain[("iota", rng.choice(slots))] = rng.choice((-1, 1))

@@ -431,7 +431,10 @@ def test_graded_words_file_bounded_words_by_grade(drawn, max_weight):
 
 
 def test_bounded_words_is_lazy():
+    # an iterator, checked before anything is drawn: an eager
+    # bounded_words fails here instead of building 2^41 words
     words = bounded_words(["a", "b"], lambda x: 1, 40)
+    assert iter(words) is words
     assert next(words) == ()
     assert len(next(words)) == 1
 
@@ -439,11 +442,14 @@ def test_bounded_words_is_lazy():
 def test_bounded_words_is_lazy_at_leafy_nodes():
     # every child of the root is a leaf under max_len 1
     words = bounded_words(["a", "b"], lambda x: 1, 40, max_len=1)
+    assert iter(words) is words
     assert next(words) == ()
     assert list(words) == [("a",), ("b",)]
     # a^39 is the first node with room for one letter only; the words
     # after its batch still come one at a time out of 2^41 - 1
-    head = list(islice(bounded_words(["a", "b"], lambda x: 1, 40), 45))
+    words = bounded_words(["a", "b"], lambda x: 1, 40)
+    assert iter(words) is words
+    head = list(islice(words, 45))
     a, b = ("a",), ("b",)
     assert head[:41] == [a * n for n in range(41)]
     assert head[41:] == [a * 39 + b, a * 38 + b, a * 38 + b + a,
