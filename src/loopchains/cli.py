@@ -159,15 +159,15 @@ class Workspace:
 
     def alphabet(self, name):
         """The alphabet of a fixture's collapsed complex: the one memo of
-        its loop state, which every caller of the complex finds while the
-        workspace holds it, so the algebras of every assignment share its
-        bases and the convention sweep fills each boundary table once."""
+        its loop state, which the suites and the sweep pass to every loop
+        operation, so the algebras of every assignment share its bases
+        and the convention sweep fills each boundary table once."""
         return self._memo(("alphabet", name),
                           lambda: Alphabet(collapse(self.complex(name))))
 
     def algebra(self, name, conv):
         """A fixture's loop algebra under conv, on the fixture's alphabet."""
-        return LoopAlgebra(self.collapsed(name), conv)
+        return LoopAlgebra(self.alphabet(name), conv)
 
     def hh(self, name, conv, max_weight):
         """Degree-0 truncated cyclic homology of a fixture's loop algebra,
@@ -200,7 +200,7 @@ class Workspace:
         the convention sweep: a survivor's completed residual loop (see
         _t_refuted) serves every assignment with its stage-one entries."""
         return self._memo(_t_key(name, conv),
-                          lambda: verify_T_chain_map(self.collapsed(name), conv))
+                          lambda: verify_T_chain_map(self.alphabet(name), conv))
 
     def sweep(self):
         """The sign-identity sweep the signs suite and the report share."""
@@ -250,7 +250,7 @@ def _t_key(name, conv):
 
 def _t_refuted(ws, name, conv):
     cells, census = [], {}
-    for cell, r in t_residuals(ws.collapsed(name), conv, census=census):
+    for cell, r in t_residuals(ws.alphabet(name), conv, census=census):
         if r:
             return True
         cells.append(cell)
@@ -282,10 +282,9 @@ def _decoded(alphabet, vector):
 
 def _leibniz_census(ws, conv):
     """The boundary of the 2-sphere word T12.T123, decoded."""
-    alphabet = ws.alphabet("boundary_delta3")
-    vector = word_boundary(ws.collapsed("boundary_delta3"),
-                           alphabet.encode((T12, T123)), conv)
-    return {alphabet.decode(w): c for w, c in vector.items()}
+    alg = ws.algebra("boundary_delta3", conv)
+    vector = alg.mu1(alg.alphabet.encode((T12, T123)))
+    return {alg.decode(w): c for w, c in vector.items()}
 
 
 def _g_spot(alg, word, conv):
@@ -372,10 +371,11 @@ def resolve_conventions(fixtures):
     other than exactly one survivor per stage raises ResolutionError, for
     zero survivors with the full per-assignment failure list attached.
 
-    Work the assignments share is done once: the Workspace's alphabets
-    keep one boundary table per set of the entries a table reads, and
-    stage two keeps each cyclic word's b(w), which reads only stage-one
-    entries.  Both are dropped when the sweep ends.
+    Work the assignments share is done once: the checks pass each
+    fixture's Workspace alphabet, which keeps one boundary table per set
+    of the entries a table reads, and stage two keeps each cyclic word's
+    b(w), which reads only stage-one entries.  Both are dropped when the
+    sweep ends.
     """
     ws = fixtures if isinstance(fixtures, Workspace) else Workspace(Path(fixtures))
     placeholder = {name: CHOICES[name][0][0] for name in STAGE_TWO}
@@ -531,13 +531,13 @@ def _suite_cobar(ws, conv, seed):
                  HOMOLOGY_TABLE[name])
         ck.check(f"{name}: cell differential squares to zero",
                  validate_complex(chain_complex(sc)).ok)
-        cc = ws.collapsed(name)
         alphabet = ws.alphabet(name)
         census = {}
         for code in ws.algebra(name, conv).letters():
             degree = letter_degree(alphabet.letters[code])
             census[degree] = census.get(degree, 0) + 1
-            if dga_differential(cc, word_boundary(cc, (code,), conv), conv):
+            if dga_differential(alphabet, word_boundary(alphabet, (code,),
+                                                        conv), conv):
                 ck.check(f"{name}: d^2 on generator", False,
                          format_word((code,), alphabet))
         ck.equal(f"{name}: loop generator census", census,
@@ -551,24 +551,22 @@ def _suite_cobar(ws, conv, seed):
     ck.equal("tetrahedron face census",
              tau_boundary(ws.collapsed("ball3"), (0, 1, 2, 3), conv),
              BALL_CENSUS)
-    sphere = ws.collapsed("boundary_delta3")
     ck.equal("two-letter product rule census", _leibniz_census(ws, conv),
              LEIBNIZ_CENSUS)
     for name, cap in (("s1_3", 6), ("boundary_delta3", 4), ("torus_7", 3),
                       ("rp2", 3)):
-        cc = ws.collapsed(name)
-        bad = sum(1 for word in loop_words(cc, cap, conv)
-                  if dga_differential(cc, word_boundary(cc, word, conv),
-                                      conv))
+        alg = ws.algebra(name, conv)
+        bad = sum(1 for word in loop_words(alg.alphabet, cap, conv)
+                  if dga_differential(alg.alphabet, alg.mu1(word), conv))
         ck.check(f"{name}: d^2 vanishes through weight {cap}", bad == 0,
                  f"{bad} words fail")
-    model = based_loop_complex(sphere, 4, conv)
+    model = based_loop_complex(ws.alphabet("boundary_delta3"), 4, conv)
     ck.equal("2-sphere model word count at weight 4", model.word_count(), 273)
     dims = {d: len(words) for d, words in model.words_by_degree.items()}
     ck.equal("2-sphere model dimensions", dims, {-2: 16, -1: 136, 0: 121})
     ck.check("2-sphere model differential squares to zero",
              validate_complex(model.complex).ok)
-    circle_model = based_loop_complex(ws.collapsed("s1_3"), 6, conv)
+    circle_model = based_loop_complex(ws.alphabet("s1_3"), 6, conv)
     table = {n: (h.rank, h.torsion)
              for n, h in graded_homology(circle_model.complex).items()}
     ck.equal("circle model homology at weight 6", table, {0: (7, ())})
@@ -588,10 +586,9 @@ def _suite_t_chain_map(ws, conv, seed):
     ck.equal("splitting boundary spot",
              pi2_boundary(ws.collapsed("ball3"), (0, 1, 2), (2, 1, 0), conv),
              PI2_SPOT)
-    sphere = ws.collapsed("boundary_delta3")
+    sphere = ws.alphabet("boundary_delta3")
     ck.equal("triangle image spot",
-             _decoded(ws.alphabet("boundary_delta3"),
-                      adams_T(sphere, (0, 1, 2), conv)), ADAMS_SPOT)
+             _decoded(sphere, adams_T(sphere, (0, 1, 2), conv)), ADAMS_SPOT)
     ck.equal("triangle residual", t_residual(sphere, (0, 1, 2), conv), {})
     try:
         verify_T_chain_map(sphere, conv, max_weight=2)
@@ -829,10 +826,10 @@ def _suspected_typos(ws, conv):
             ("t_pair2_sign", "boundary_delta3", (0, 1, 2)),
             ("pi2_bsplit_sign", "ball3", (0, 1, 2, 3))):
         flipped = conv.flip(axis)
-        residual = t_residual(ws.collapsed(name), cell, flipped)
+        alphabet = ws.alphabet(name)
+        residual = t_residual(alphabet, cell, flipped)
         head = f"{axis} = {getattr(flipped, axis)} (the rejected reading)"
         if residual:
-            alphabet = ws.alphabet(name)
             text, coeff = min((format_cyclic_word(w, alphabet), c)
                               for w, c in residual.items())
             out.append(f"{head} breaks the comparison map on cell {cell}: "

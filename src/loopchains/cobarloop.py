@@ -17,26 +17,26 @@ Words multiply by concatenation with the loop-composition twist
 that is degenerate (two cyclically adjacent vertices equal) gives the
 zero letter; a path that is exactly a spanning-tree edge gives the unit.
 
-Code words.  Each collapsed complex has one alphabet (Alphabet), the
-owner of its loop state: the tau letters of its cells of dimension >= 1,
-sorted, each coded by its rank as a small int, and every per-letter and
+Code words.  A collapsed complex's loop state lives in an alphabet
+(Alphabet): the tau letters of its cells of dimension >= 1, sorted,
+each coded by its rank as a small int, and every per-letter and
 per-word fact the loop dga reads (grades, reprs, word tables, bases and
 boundary tables).  The codes depend on the complex alone, so every
 alphabet of a complex gives the same codes, and code words sort as the
 words they stand for.  A code word is a word with each alphabet letter
 replaced by its code; any other letter (the unit letter, a pair or
 corner letter, or a tau letter on a path that is not a cell, such as
-the wrap path (2, 0, 1) of a T image) stays in it as it is.  A
-``LoopAlgebra`` is a view of its complex's alphabet under one
-conventions value; ``format_word`` and ``format_cyclic_word`` decode
-through the alphabet they are given.
+the wrap path (2, 0, 1) of a T image) stays in it as it is.
 
-Code words are what the loop dga takes and returns: ``loop_words``,
-``word_boundary``, ``dga_differential``, every ``LoopAlgebra`` method
-(``letters`` lists the codes), the ``words_by_degree`` of
-``based_loop_complex``, and the images and residuals of ``adams_T``,
-``t_residual``, ``t_residuals`` and ``verify_T_chain_map``.  The letter
-functions (``make_tau``, ``letter_degree``, ``letter_weight``,
+The loop operations (``loop_words``, ``word_boundary``,
+``dga_differential``, ``LoopAlgebra``, ``based_loop_complex``,
+``adams_T``, ``t_residual``, ``t_residuals`` and ``verify_T_chain_map``)
+take an alphabet, or a collapsed complex to make a new one of, and take
+and return code words: callers share loop state by passing alphabets.
+A ``LoopAlgebra`` is a view of an alphabet under one conventions value
+(``letters`` lists the codes); ``format_word`` and
+``format_cyclic_word`` decode through the alphabet they are given.  The
+letter functions (``make_tau``, ``letter_degree``, ``letter_weight``,
 ``word_degree``, ``mu2``, ``tau_boundary``, ``pi2_boundary`` and
 ``letter_boundary``) take and return letters: they define the tables an
 alphabet codes.
@@ -51,7 +51,6 @@ from functools import partial
 from itertools import chain, combinations
 from operator import attrgetter
 from typing import NamedTuple
-from weakref import WeakValueDictionary
 
 from .conventions import Conventions, DEFAULT
 from .exactalg import FreeComplex, _add, _axpy
@@ -147,14 +146,6 @@ def _product(x2, x1, conv):
 _boundary_key = attrgetter("tau_degeneracy", "mu2_order", "pi2_bsplit_sign",
                            "leibniz_prefix")
 
-# Every live alphabet, by the identity of its complex, so that each
-# caller of a complex finds the alphabet another caller holds (see
-# _alphabet).  The entries are weak: an alphabet lives only as long as a
-# caller holds it, and it holds its complex, so an id is not reused while
-# its entry lives.
-_alphabets = WeakValueDictionary()
-
-
 class _WordTable(_Memo):
     """A _Memo that keeps only what Alphabet.basis puts in it: any
     other word is graded at each lookup, so one-off words do not stay."""
@@ -178,6 +169,9 @@ class Alphabet:
     """
 
     def __init__(self, cc: CollapsedComplex):
+        if not isinstance(cc, CollapsedComplex):
+            raise TypeError(f"the loop dga needs a collapsed complex, not a "
+                            f"{type(cc).__name__}: collapse it first")
         self.cc = cc
         self.letters = tuple(sorted(("tau", cell) for cell in cc.cells()
                                     if len(cell) > 1))
@@ -191,7 +185,6 @@ class Alphabet:
         self._reprs = None  # made by the first label
         self._bases = {}
         self._tables = {}
-        _alphabets[id(cc)] = self
 
     def basis(self, max_weight: int):
         """The nonempty tau code words of weight <= max_weight, as a
@@ -369,29 +362,29 @@ class _Boundaries:
         return entry
 
 
-# The boundary table of the most recent (complex, conventions) pair, as
-# (complex, conventions, table), matched by identity: the one table this
-# module holds, so its memory does not grow with the conventions a sweep
-# tries.  word_boundary and dga_differential check the pair once per
-# call and hand the table to _leibniz_into; only _new_table replaces it.
+def _alphabet(source):
+    """source if it is an alphabet, else a new alphabet of the collapsed
+    complex source."""
+    return source if isinstance(source, Alphabet) else Alphabet(source)
+
+
+# The boundary table of the most recent complex passed bare to
+# word_boundary or dga_differential, as (complex, conventions, table),
+# matched by identity, so a loop of such calls on one pair makes one
+# alphabet and fills one table.  It keeps the table, not its alphabet;
+# a call given an alphabet uses the alphabet's table and leaves it.
 _table = (None, None, None)
 
 
-def _new_table(cc, conv):
-    """Make the pair current, with its alphabet's table, and return the
-    table."""
+def _table_of(source, conv):
+    """The boundary table of an alphabet under conv, or of a new
+    alphabet of a bare complex, which becomes _table's."""
     global _table
-    table = _alphabet(cc)._table_for(conv)
-    _table = (cc, conv, table)
+    if isinstance(source, Alphabet):
+        return source._table_for(conv)
+    table = Alphabet(source)._table_for(conv)
+    _table = (source, conv, table)
     return table
-
-
-def _alphabet(cc):
-    """An alphabet of cc: the one a caller holds, if any, so a sweep
-    over conventions on a complex whose alphabet it holds codes the
-    letters once and fills each boundary table once; a new one
-    otherwise."""
-    return _alphabets.get(id(cc)) or Alphabet(cc)
 
 
 def _leibniz_into(out, word, scale, table) -> bool:
@@ -447,15 +440,19 @@ def _drop_units(raw) -> dict:
 
 
 def word_boundary(cc, word, conv: Conventions = DEFAULT) -> dict:
-    """Leibniz extension of the letter boundary to code words.
-
-    A word of letters the table knows to be boundary-free has no
-    boundary, and returns at once; any other word goes through the
-    Leibniz loop that dga_differential shares (_leibniz_into).
-    """
+    """Leibniz extension of the letter boundary to code words (see
+    _boundary)."""
     table_cc, table_conv, table = _table
     if table_cc is not cc or table_conv is not conv:
-        table = _new_table(cc, conv)
+        table = _table_of(cc, conv)
+    return _boundary(table, word)
+
+
+def _boundary(table, word) -> dict:
+    """The boundary of a code word under a boundary table.  A word of
+    letters the table knows to be boundary-free has none, and returns at
+    once; any other word goes through the Leibniz loop that
+    dga_differential shares (_leibniz_into)."""
     if table.free.issuperset(word):
         return {}
     out = {}
@@ -478,7 +475,7 @@ def dga_differential(cc, vector, conv: Conventions = DEFAULT) -> dict:
         vector = {vector: 1}
     table_cc, table_conv, table = _table
     if table_cc is not cc or table_conv is not conv:
-        table = _new_table(cc, conv)
+        table = _table_of(cc, conv)
     free = table.free
     out = {}
     has_unit = False
@@ -493,18 +490,20 @@ def dga_differential(cc, vector, conv: Conventions = DEFAULT) -> dict:
 
 class LoopAlgebra:
     """The based-loop dga of a collapsed complex, in the interface the
-    cyclic bar machinery expects.  Elements are code words of the
-    complex's ``alphabet``; the basis words are built from its tau
-    letters only (pair and corner letters occur in comparison-map
-    images, and mu1 handles them, but they are not part of the algebra's
-    own basis).  It is a view of the alphabet: ``degree`` and ``weight``
-    are lookups in its word tables, which open no Python frame, and
-    ``decode``, ``label`` and ``basis`` are the alphabet's."""
+    cyclic bar machinery expects.  Elements are code words of its
+    ``alphabet``; the basis words are built from its tau letters only
+    (pair and corner letters occur in comparison-map images, and mu1
+    handles them, but they are not part of the algebra's own basis).  It
+    is a view of the alphabet: ``degree`` and ``weight`` are lookups in
+    its word tables, which open no Python frame, ``decode``, ``label``
+    and ``basis`` are the alphabet's, and mu1 reads its boundary
+    table under conv."""
 
-    def __init__(self, cc: CollapsedComplex, conv: Conventions = DEFAULT):
-        self.cc = cc
+    def __init__(self, cc, conv: Conventions = DEFAULT):
+        self.alphabet = alphabet = _alphabet(cc)
+        self.cc = alphabet.cc
         self.conv = conv
-        self.alphabet = alphabet = _alphabet(cc)  # one a caller holds, if any
+        self._boundaries = alphabet._table_for(conv)
         self.degree = alphabet.word_degrees.__getitem__
         self.weight = alphabet.word_weights.__getitem__
         self.decode = alphabet.decode
@@ -514,7 +513,7 @@ class LoopAlgebra:
         return ()
 
     def mu1(self, word) -> dict:
-        return word_boundary(self.cc, word, self.conv)
+        return _boundary(self._boundaries, word)
 
     def mu2(self, x2, x1) -> dict:
         sign = -1 if self.degree(x1) % 2 else 1
@@ -569,7 +568,7 @@ def based_loop_complex(cc, max_weight: int,
                               alphabet.weights.__getitem__,
                               alphabet.degrees.__getitem__, max_weight)
     complex_ = FreeComplex.from_basis(
-        by_degree, lambda w: word_boundary(cc, w, conv))
+        by_degree, partial(_boundary, alphabet._table_for(conv)))
     return LoopComplexModel(complex=complex_,
                             words_by_degree=by_degree, max_weight=max_weight)
 
@@ -612,14 +611,9 @@ def adams_T(cc, cell, conv: Conventions = DEFAULT, *,
     With normalize=True (the default) output words that are degenerate
     in the cyclic bar sense (unit entry outside the special slot) are
     dropped; the map is then valued in the normalized complex.  The
-    entries are code words of the complex's alphabet.
+    entries are code words of the alphabet.
     """
-    return _adams_T(_alphabet(cc), cell, conv, normalize)
-
-
-def _adams_T(alphabet, cell, conv, normalize) -> dict:
-    """adams_T in the alphabet of its complex, which _t_residual shares
-    across the cell and its faces."""
+    alphabet = _alphabet(cc)
     cc, code = alphabet.cc, alphabet.codes.get
     out = {}
     u = tuple(cell)
@@ -686,7 +680,7 @@ def _t_residual(algebra, cell, normalize, census) -> dict:
     which t_residuals shares across its cells."""
     cc, conv, alphabet = algebra.cc, algebra.conv, algebra.alphabet
     out = {}
-    for w, c in _adams_T(alphabet, cell, conv, normalize).items():
+    for w, c in adams_T(alphabet, cell, conv, normalize=normalize).items():
         for t, c2 in hochschild_b(algebra, w, c,
                                   arity=conv.hochschild_arity,
                                   normalize=normalize).items():
@@ -698,7 +692,7 @@ def _t_residual(algebra, cell, normalize, census) -> dict:
                     census[t] = (plus, minus - c2)
             _add(out, t, c2)
     for face, cf in cc.boundary(cell).items():
-        _axpy(out, _adams_T(alphabet, face, conv, normalize), -cf)
+        _axpy(out, adams_T(alphabet, face, conv, normalize=normalize), -cf)
     return out
 
 
@@ -720,6 +714,8 @@ def t_residuals(cc, conv: Conventions = DEFAULT, *,
     a truncation error before any residual is computed.  A cap that is
     not an int, or is negative, is refused first.
     """
+    algebra = LoopAlgebra(cc, conv)
+    cc = algebra.cc
     cells = []
     top = cc.source.dimension()
     for dim in range(1, top + 1):
@@ -729,7 +725,6 @@ def t_residuals(cc, conv: Conventions = DEFAULT, *,
         overflow = [c for c in cells if len(c) > max_weight]
         if overflow:
             raise TruncationError(max_weight, overflow)
-    algebra = LoopAlgebra(cc, conv)
     for cell in cells:
         yield cell, _t_residual(algebra, cell, normalize, census)
 

@@ -319,17 +319,18 @@ def test_report_decides_the_survivors_t_once(monkeypatch):
     # T on the 2-sphere and the solid simplex runs once under the active
     # stage-one entries: the sweep's survivor, which the T suite reads
     # back.  Each report has a fresh Workspace and decides them again.
+    # Both are given the fixture's alphabet.
     residual_loops, verified = [], []
     real_loop, real_verify = cli.t_residuals, cli.verify_T_chain_map
 
-    def loop(cc, conv, **kwargs):
+    def loop(alphabet, conv, **kwargs):
         if all(getattr(conv, e) == getattr(DEFAULT, e) for e in STAGE_ONE):
-            residual_loops.append(cc.source.name)
-        return real_loop(cc, conv, **kwargs)
+            residual_loops.append(alphabet.cc.source.name)
+        return real_loop(alphabet, conv, **kwargs)
 
-    def verify(cc, conv, **kwargs):
-        verified.append(cc.source.name)
-        return real_verify(cc, conv, **kwargs)
+    def verify(alphabet, conv, **kwargs):
+        verified.append(alphabet.cc.source.name)
+        return real_verify(alphabet, conv, **kwargs)
 
     monkeypatch.setattr(cli, "t_residuals", loop)
     monkeypatch.setattr(cli, "verify_T_chain_map", verify)
@@ -425,12 +426,13 @@ def test_stage_two_reads_each_basis_once_per_workspace(monkeypatch):
                                   "boundary_delta4", "ball3"))
 def test_the_alphabet_holds_a_fixture_s_loop_state(name):
     # asked first for the collapsed complex, the workspace makes its one
-    # memo, the alphabet: the registry and every algebra find that one
+    # memo, the alphabet, and passes it to every algebra; the bare
+    # complex gets an alphabet of its own
     ws = Workspace(FIXTURES)
     assert ws.collapsed(name) is ws.alphabet(name).cc
-    assert cobarloop._alphabet(ws.collapsed(name)) is ws.alphabet(name)
     for conv in (DEFAULT, DEFAULT.flip("mu2_order")):
         assert ws.algebra(name, conv).alphabet is ws.alphabet(name)
+    assert LoopAlgebra(ws.collapsed(name)).alphabet is not ws.alphabet(name)
 
 
 @contextlib.contextmanager
@@ -480,10 +482,16 @@ def test_a_dropped_workspace_frees_its_alphabets():
 
 
 def test_the_sweep_does_its_shared_work_once(monkeypatch):
-    # one boundary table per (complex, entries it reads) and one b(w) per
-    # (fixture, stage-one entries, word), all dropped when the sweep ends
-    tables, boundaries = Counter(), Counter()
+    # one alphabet per complex, one boundary table per (complex, entries
+    # it reads) and one b(w) per (fixture, stage-one entries, word), the
+    # tables and b(w) dropped when the sweep ends
+    alphabets, tables, boundaries = Counter(), Counter(), Counter()
     init = cobarloop._Boundaries.__init__
+    init_alphabet = Alphabet.__init__
+
+    def counting_alphabet(self, cc):
+        alphabets[cc.source.name] += 1
+        init_alphabet(self, cc)
 
     def counting_init(self, alphabet, conv):
         tables[alphabet.cc.source.name, cobarloop._boundary_key(conv)] += 1
@@ -497,10 +505,13 @@ def test_the_sweep_does_its_shared_work_once(monkeypatch):
                        word] += 1
         return real_b(alg, word, *args, **kwargs)
 
+    monkeypatch.setattr(Alphabet, "__init__", counting_alphabet)
     monkeypatch.setattr(cobarloop._Boundaries, "__init__", counting_init)
     monkeypatch.setattr(cli, "hochschild_b", counting_b)
     ws = Workspace(FIXTURES)
     assert resolve_conventions(ws)[0] == DEFAULT
+    assert alphabets == {"boundary of the 3-simplex": 1, "solid 3-simplex": 1,
+                         "circle on three vertices": 1}
     assert set(tables.values()) == {1}
     assert {name for name, _ in tables} == {
         "boundary of the 3-simplex", "solid 3-simplex",

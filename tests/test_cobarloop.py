@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import pathlib
+import weakref
 from dataclasses import replace
 from random import Random
 
@@ -337,8 +338,8 @@ def test_the_alphabet_enumerates_each_cap_once(monkeypatch):
 
     monkeypatch.setattr(cobarloop, "_graded_words", counting)
     alphabet = Alphabet(_load("torus_7.json"))
-    first = LoopAlgebra(alphabet.cc, DEFAULT)
-    second = LoopAlgebra(alphabet.cc, DEFAULT.flip("mu2_order"))
+    first = LoopAlgebra(alphabet, DEFAULT)
+    second = LoopAlgebra(alphabet, DEFAULT.flip("mu2_order"))
     assert first.alphabet is alphabet and second.alphabet is alphabet
     words = alphabet.basis(3)
     assert type(words) is tuple and words == tuple(sorted(words))
@@ -428,16 +429,22 @@ def test_alphabet_codes_depend_on_the_complex_alone(sphere2, torus):
                      for cell in sphere2.cells(dim=dim))
     assert one.letters == two.letters == tuple(letters)
     assert one.codes == two.codes == {l: i for i, l in enumerate(letters)}
-    # a T image and a boundary made before the table moves to another
-    # complex and other conventions equal those made after it comes back
+    # a T image and a boundary made in one alphabet equal those made in
+    # the other, and those made on the bare complex before the slot of
+    # bare calls moves to another complex and other conventions equal
+    # those made after it comes back; a call given an alphabet leaves it
     word = one.encode((T12, T123))
-    image = adams_T(sphere2, (1, 2, 3))
-    boundary = word_boundary(sphere2, word)
+    image = adams_T(one, (1, 2, 3))
+    boundary = word_boundary(one, word)
+    assert adams_T(sphere2, (1, 2, 3)) == image
+    assert word_boundary(sphere2, word) == boundary
+    assert cobarloop._table[0] is sphere2
     flipped = DEFAULT.flip("leibniz_prefix")
     word_boundary(torus, (0, 1), flipped)
+    assert adams_T(two, (1, 2, 3)) == image
+    assert word_boundary(two, two.encode((T12, T123))) == boundary
     assert cobarloop._table[:2] == (torus, flipped)
-    assert adams_T(sphere2, (1, 2, 3)) == image
-    assert word_boundary(sphere2, two.encode((T12, T123))) == boundary
+    assert word_boundary(sphere2, word) == boundary
     assert cobarloop._table[0] is sphere2
     assert _decoded(sphere2, boundary) == {(T12, T13): -1, (T12, T12, T23): 1}
     assert {tuple(map(two.decode, w)): c for w, c in image.items()} == \
@@ -486,11 +493,13 @@ def test_labels_are_the_reprs_of_the_decoded_words(name):
 
 
 def test_algebras_of_a_complex_share_their_tables(sphere2):
-    # the degree and weight tables belong to the complex's alphabet, so
-    # algebras under different conventions read and fill the same ones
-    one = LoopAlgebra(sphere2)
-    two = LoopAlgebra(sphere2, DEFAULT.flip("mu2_order"))
-    assert one.alphabet is two.alphabet
+    # the degree and weight tables belong to the alphabet, so algebras
+    # under different conventions on one alphabet read and fill the same
+    # ones
+    alphabet = Alphabet(sphere2)
+    one = LoopAlgebra(alphabet)
+    two = LoopAlgebra(alphabet, DEFAULT.flip("mu2_order"))
+    assert one.alphabet is two.alphabet is alphabet
     degrees, weights = one.alphabet.word_degrees, one.alphabet.word_weights
     word = one.basis(3)[-1]
     assert word in degrees and word in weights
@@ -504,30 +513,117 @@ def test_algebras_of_a_complex_share_their_tables(sphere2):
         assert word not in degrees and word not in weights
 
 
-def test_alphabets_keep_a_table_per_boundary_entries(sphere2, torus):
-    # an alphabet a caller holds is the one the loop dga finds; its
-    # tables are keyed by the four entries a boundary reads, so
-    # conventions that differ elsewhere share one
-    word_boundary(torus, (0,))  # no table of the sphere is current
+def test_alphabets_keep_a_table_per_boundary_entries(sphere2):
+    # the loop dga fills the tables of the alphabet it is given; they are
+    # keyed by the four entries a boundary reads, so conventions that
+    # differ elsewhere share one, and every algebra on the alphabet binds
+    # the table of its conventions
     alphabet = Alphabet(sphere2)
-    assert cobarloop._alphabet(sphere2) is alphabet
     word = alphabet.encode((T12, T123))
-    boundary = word_boundary(sphere2, word)
-    table = cobarloop._table[2]
-    assert list(alphabet._tables.values()) == [table]
+    boundary = word_boundary(alphabet, word)
+    table, = alphabet._tables.values()
     for entry in ("hochschild_arity", "t_word_sign", "iota_twist"):
-        assert word_boundary(sphere2, word, DEFAULT.flip(entry)) == boundary
-        assert cobarloop._table[2] is table
+        conv = DEFAULT.flip(entry)
+        assert word_boundary(alphabet, word, conv) == boundary
+        assert LoopAlgebra(alphabet, conv)._boundaries is table
     flipped = DEFAULT.flip("leibniz_prefix")
-    assert word_boundary(sphere2, word, flipped) != boundary
+    assert word_boundary(alphabet, word, flipped) != boundary
     assert len(alphabet._tables) == 2
-    assert LoopAlgebra(sphere2, flipped).alphabet is alphabet
-    # the registry is weak: once no caller holds an alphabet, the module
-    # keeps none of its complex
-    word_boundary(torus, (0,))
-    del alphabet, table
+    assert LoopAlgebra(alphabet, flipped).mu1(word) == \
+        word_boundary(alphabet, word, flipped)
+    # a bare complex gets a new alphabet, whose table the slot keeps
+    assert word_boundary(sphere2, word) == boundary
+    assert cobarloop._table[0] is sphere2
+    assert cobarloop._table[2] is not table
+    assert len(alphabet._tables) == 2
+
+
+def _loop_operations(source):
+    """Every public loop operation run on source, a collapsed complex or
+    an alphabet of one, at small caps: {operation: its output}, with the
+    code words of the outputs decoded."""
+    alg = LoopAlgebra(source)
+    cc, decode = alg.cc, alg.decode
+    image = {cell: adams_T(source, cell) for cell in cc.cells()
+             if len(cell) > 1}
+    basis = alg.basis(3)
+    v = verify_T_chain_map(source)
+    return {
+        "loop_words": [decode(w) for w in loop_words(source, 3)],
+        "based_loop_complex": _model_digest(based_loop_complex(source, 3),
+                                            decode),
+        "adams_T": {cell: {tuple(map(decode, w)): c for w, c in t.items()}
+                    for cell, t in image.items()},
+        "t_residual": {cell: t_residual(source, cell) for cell in image},
+        "t_residuals": list(t_residuals(source)),
+        "verify_T_chain_map": (v.cells, v.residuals, v.ok),
+        "word_boundary": [_decoded(cc, word_boundary(source, w))
+                          for w in basis],
+        "dga_differential": _decoded(cc, dga_differential(
+            source, {w: 1 for w in basis[::7]})),
+        "basis": [decode(w) for w in basis],
+        "mu1": [_decoded(cc, alg.mu1(w)) for w in basis],
+    }
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_every_loop_operation_reads_a_complex_and_its_alphabet_alike(name):
+    cc = _load(f"{name}.json")
+    assert _loop_operations(Alphabet(cc)) == _loop_operations(cc)
+
+
+def test_every_loop_operation_refuses_an_uncollapsed_complex():
+    # a complex that was never collapsed would make tree edges letters
+    sc = load_complex(FIXTURES / "rp2.json")
+    calls = (
+        lambda: Alphabet(sc), lambda: LoopAlgebra(sc),
+        lambda: loop_words(sc, 2), lambda: based_loop_complex(sc, 2),
+        lambda: word_boundary(sc, (0,)),
+        lambda: dga_differential(sc, {(0,): 1}),
+        lambda: adams_T(sc, (0, 1, 2)), lambda: t_residual(sc, (0, 1, 2)),
+        lambda: next(t_residuals(sc)), lambda: verify_T_chain_map(sc))
+    for call in calls:
+        with pytest.raises(TypeError,
+                           match="not a SimplicialComplex: collapse it"):
+            call()
+
+
+def test_two_alphabets_of_a_complex_keep_their_own_state(sphere2):
+    # what an algebra fills belongs to the alphabet it was given, so a
+    # second alphabet of the same complex starts empty and stays apart
+    one, two = Alphabet(sphere2), Alphabet(sphere2)
+    flipped = DEFAULT.flip("leibniz_prefix")
+    for conv in (DEFAULT, flipped):
+        alg = LoopAlgebra(one, conv)
+        for w in alg.basis(3):
+            alg.mu1(w)
+    assert list(one._bases) == [3] and len(one._tables) == 2
+    assert not two._bases and not two._tables
+    words = one.basis(2)
+    bases, tables = dict(one._bases), dict(one._tables)
+    alg = LoopAlgebra(two, flipped)
+    assert alg.basis(2) == words and alg.basis(2) is not words
+    assert list(two._bases) == [2] and len(two._tables) == 1
+    assert alg._boundaries is not one._table_for(flipped)
+    assert one._bases == bases and one._tables == tables
+    assert all(one._tables[k] is t for k, t in tables.items())
+
+
+def test_an_alphabet_is_freed_once_its_caller_drops_it(sphere2):
+    # nothing an operation keeps, the slot of bare calls included, holds
+    # on to an alphabet passed to it: with the cyclic collector off, the
+    # caller's last reference takes it
+    alphabet = Alphabet(sphere2)
+    ref = weakref.ref(alphabet)
     gc.collect()
-    assert id(sphere2) not in cobarloop._alphabets
+    gc.disable()
+    try:
+        _loop_operations(alphabet)
+        word_boundary(sphere2, (0,))
+        del alphabet
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_sphere_complex_is_a_complex(sphere2):
@@ -735,7 +831,12 @@ def test_dga_differential_keeps_no_zero_coefficient(sphere2):
     # a corner letter in the middle of a vector raises, whatever its
     # coefficient, and gets no table entry
     q = ("pi3", (0, 1), (1, 2), (2, 1, 0))
+    alphabet = Alphabet(sphere2)
     for c in (1, 0):
+        with pytest.raises(BoundaryUndefinedError, match="corner"):
+            dga_differential(alphabet, _coded(
+                sphere2, {(T123,): 1, (T12, q): c, (T23,): 1}))
+        assert q not in alphabet._table_for(DEFAULT).entries
         with pytest.raises(BoundaryUndefinedError, match="corner"):
             dga_differential(sphere2, _coded(
                 sphere2, {(T123,): 1, (T12, q): c, (T23,): 1}))
