@@ -297,10 +297,10 @@ class PLCube:
         self._hash = hash((breakpoints, tuple(sorted(values.items()))))
 
     @classmethod
-    def constant(cls, dim, point, target=None) -> "PLCube":
+    def constant(cls, dim, point) -> "PLCube":
         pt = tuple(_frac(x) for x in point)
         vals = {idx: pt for idx in product((0, 1), repeat=dim)}
-        return cls(((ZERO, ONE),) * dim, vals, target)
+        return cls(((ZERO, ONE),) * dim, vals)
 
     @classmethod
     def from_function(cls, breakpoints, fn, target=None) -> "PLCube":

@@ -547,7 +547,7 @@ def _suite_cobar(ws, conv, seed):
         ck.check(f"{name}: collapse projection is a chain map",
                  chain_map_check(_collapse_projection(sc, cc),
                                  chain_complex(sc),
-                                 collapsed_chain_complex(cc), 1).ok)
+                                 collapsed_chain_complex(cc)).ok)
     ck.equal("tetrahedron face census",
              tau_boundary(ws.collapsed("ball3"), (0, 1, 2, 3), conv),
              BALL_CENSUS)

@@ -1,5 +1,5 @@
 """Based-loop chains of a collapsed complex, and the comparison map into
-the cyclic bar complex.
+the normalized cyclic bar complex.
 
 The loop algebra is generated by letters over vertex paths:
 
@@ -20,13 +20,16 @@ zero letter; a path that is exactly a spanning-tree edge gives the unit.
 Code words.  A collapsed complex's loop state lives in an alphabet
 (Alphabet): the tau letters of its cells of dimension >= 1, sorted,
 each coded by its rank as a small int, and every per-letter and
-per-word fact the loop dga reads (grades, reprs, word tables, bases and
+per-word fact the loop dga reads (grades, word tables, bases and
 boundary tables).  The codes depend on the complex alone, so every
 alphabet of a complex gives the same codes, and code words sort as the
-words they stand for.  A code word is a word with each alphabet letter
-replaced by its code; any other letter (the unit letter, a pair or
-corner letter, or a tau letter on a path that is not a cell, such as
-the wrap path (2, 0, 1) of a T image) stays in it as it is.
+words they stand for.  So the cyclic bar words of a loop algebra, which
+hochschild.cyclic_words sorts by length and then by the words
+themselves, come in the order of the decoded words.  A code word is a
+word with each alphabet letter replaced by its code; any other letter
+(the unit letter, a pair or corner letter, or a tau letter on a path
+that is not a cell, such as the wrap path (2, 0, 1) of a T image) stays
+in it as it is.
 
 The loop operations (``loop_words``, ``word_boundary``,
 ``dga_differential``, ``LoopAlgebra``, ``based_loop_complex``,
@@ -182,7 +185,6 @@ class Alphabet:
             partial(_code_sum, self.degrees, letter_degree))
         self.word_weights = _WordTable(
             partial(_code_sum, self.weights, letter_weight))
-        self._reprs = None  # made by the first label
         self._bases = {}
         self._tables = {}
 
@@ -224,14 +226,6 @@ class Alphabet:
         """The word of letters a code word stands for."""
         letters = self.letters
         return tuple(letters[x] if type(x) is int else x for x in word)
-
-    def label(self, word) -> str:
-        """repr(self.decode(word)), from letter reprs made once."""
-        reprs = self._reprs
-        if reprs is None:
-            reprs = self._reprs = [repr(l) for l in self.letters]
-        parts = [reprs[x] if type(x) is int else repr(x) for x in word]
-        return f"({parts[0]},)" if len(parts) == 1 else f"({', '.join(parts)})"
 
 
 def _code_sum(per_code, per_letter, word) -> int:
@@ -495,9 +489,9 @@ class LoopAlgebra:
     (pair and corner letters occur in comparison-map images, and mu1
     handles them, but they are not part of the algebra's own basis).  It
     is a view of the alphabet: ``degree`` and ``weight`` are lookups in
-    its word tables, which open no Python frame, ``decode``, ``label``
-    and ``basis`` are the alphabet's, and mu1 reads its boundary
-    table under conv."""
+    its word tables, which open no Python frame, ``decode`` and
+    ``basis`` are the alphabet's, and mu1 reads its boundary table under
+    conv."""
 
     def __init__(self, cc, conv: Conventions = DEFAULT):
         self.alphabet = alphabet = _alphabet(cc)
@@ -507,7 +501,6 @@ class LoopAlgebra:
         self.degree = alphabet.word_degrees.__getitem__
         self.weight = alphabet.word_weights.__getitem__
         self.decode = alphabet.decode
-        self.label = alphabet.label
 
     def unit(self):
         return ()
@@ -593,25 +586,23 @@ def _pair_second_sign(conv, j1, j2, k) -> int:
     return (-1) ** (e % 2)
 
 
-def adams_T(cc, cell, conv: Conventions = DEFAULT, *,
-            normalize: bool = True) -> dict:
-    """Image of a cell in the cyclic bar complex of the loop dga.
+def adams_T(cc, cell, conv: Conventions = DEFAULT) -> dict:
+    """Image of a cell in the normalized cyclic bar complex of the loop
+    dga.
 
     Word terms: for each division 0 <= j_1 < ... < j_d <= k of the
     cell's vertex list, the slots are the runs between consecutive
     division points, the last slot wrapping around through the end and
     the start; the output entry order is slots reversed, the wrap slot
     leftmost (special).  A degenerate slot path kills the term; a
-    tree-edge slot becomes the unit word and stays as an entry.
+    tree-edge slot becomes the unit word, which the normalized complex
+    keeps in the special slot only.
 
     Pair terms: for each j_1 < j_2 both orientations of the cut pair of
     paths occur as single-entry words, when the pair is not supported on
     a collapsed edge.
 
-    With normalize=True (the default) output words that are degenerate
-    in the cyclic bar sense (unit entry outside the special slot) are
-    dropped; the map is then valued in the normalized complex.  The
-    entries are code words of the alphabet.
+    The entries are code words of the alphabet.
     """
     alphabet = _alphabet(cc)
     cc, code = alphabet.cc, alphabet.codes.get
@@ -636,7 +627,7 @@ def adams_T(cc, cell, conv: Conventions = DEFAULT, *,
             if not ok:
                 continue
             ccw = tuple(reversed(slots))
-            if normalize and () in ccw[1:]:
+            if () in ccw[1:]:
                 continue
             _add(out, ccw, _word_term_sign(conv, d, js[0], js[d - 1], k))
     for j1, j2 in combinations(range(k + 1), 2):
@@ -666,24 +657,22 @@ class TVerification(NamedTuple):
         return not self.residuals and self.corners_balanced
 
 
-def t_residual(cc, cell, conv: Conventions = DEFAULT, *,
-               normalize: bool = True, census: dict | None = None) -> dict:
+def t_residual(cc, cell, conv: Conventions = DEFAULT) -> dict:
     """b(T(cell)) - T(cellular boundary of cell); zero iff T is a chain
-    map at this cell.  When a census dict is passed, every corner-letter
-    word produced by the bar differential is tallied there with its sign
-    before any cancellation."""
-    return _t_residual(LoopAlgebra(cc, conv), cell, normalize, census)
+    map at this cell."""
+    return _t_residual(LoopAlgebra(cc, conv), cell, None)
 
 
-def _t_residual(algebra, cell, normalize, census) -> dict:
+def _t_residual(algebra, cell, census) -> dict:
     """t_residual in the loop algebra of its complex and conventions,
-    which t_residuals shares across its cells."""
+    which t_residuals shares across its cells.  When a census dict is
+    passed, every corner-letter word produced by the bar differential is
+    tallied there with its sign before any cancellation."""
     cc, conv, alphabet = algebra.cc, algebra.conv, algebra.alphabet
     out = {}
-    for w, c in adams_T(alphabet, cell, conv, normalize=normalize).items():
+    for w, c in adams_T(alphabet, cell, conv).items():
         for t, c2 in hochschild_b(algebra, w, c,
-                                  arity=conv.hochschild_arity,
-                                  normalize=normalize).items():
+                                  arity=conv.hochschild_arity).items():
             if census is not None and _has_corner(t):
                 plus, minus = census.get(t, (0, 0))
                 if c2 > 0:
@@ -692,7 +681,7 @@ def _t_residual(algebra, cell, normalize, census) -> dict:
                     census[t] = (plus, minus - c2)
             _add(out, t, c2)
     for face, cf in cc.boundary(cell).items():
-        _axpy(out, adams_T(alphabet, face, conv, normalize=normalize), -cf)
+        _axpy(out, adams_T(alphabet, face, conv), -cf)
     return out
 
 
@@ -702,16 +691,16 @@ def _has_corner(ccword) -> bool:
 
 
 def t_residuals(cc, conv: Conventions = DEFAULT, *,
-                max_weight: int | None = None, normalize: bool = True,
-                census: dict | None = None):
+                max_weight: int | None = None, census: dict | None = None):
     """Yield (cell, residual) for every surviving positive cell, lazily,
     in dimension order, zero residuals included.
 
     A caller that stops at the first nonzero residual computes no later
     cell.  The corner census, when passed, holds the tally of the cells
-    yielded so far.  The image of a k-cell reaches weight k + 1, so a
-    weight cap below that cannot even hold the map's values: that raises
-    a truncation error before any residual is computed.  A cap that is
+    yielded so far (see _t_residual).  The image of a k-cell reaches
+    weight k + 1, so a weight cap below that cannot even hold the map's
+    values: that raises a truncation error before any residual is
+    computed.  A cap that is
     not an int, or is negative, is refused first.
     """
     algebra = LoopAlgebra(cc, conv)
@@ -726,12 +715,11 @@ def t_residuals(cc, conv: Conventions = DEFAULT, *,
         if overflow:
             raise TruncationError(max_weight, overflow)
     for cell in cells:
-        yield cell, _t_residual(algebra, cell, normalize, census)
+        yield cell, _t_residual(algebra, cell, census)
 
 
 def verify_T_chain_map(cc, conv: Conventions = DEFAULT, *,
-                       max_weight: int | None = None,
-                       normalize: bool = True) -> TVerification:
+                       max_weight: int | None = None) -> TVerification:
     """Residual of the comparison map on every surviving positive cell
     (see t_residuals); ok when every residual vanishes and the corner
     terms cancel in pairs."""
@@ -739,7 +727,7 @@ def verify_T_chain_map(cc, conv: Conventions = DEFAULT, *,
     residuals = {}
     census = {}
     for cell, r in t_residuals(cc, conv, max_weight=max_weight,
-                               normalize=normalize, census=census):
+                               census=census):
         cells.append(cell)
         if r:
             residuals[cell] = r

@@ -41,6 +41,8 @@ class IntMatrix:
 
     Entries are kept in a dict keyed by (row, col); zeros are never
     stored.  Shape is explicit so zero matrices of any shape exist.
+    Matrices are written in place, so they compare by value but do not
+    hash.
     """
 
     __slots__ = ("rows", "cols", "entries")
@@ -68,11 +70,6 @@ class IntMatrix:
                 m[i, j] = v
         return m
 
-    def copy(self) -> "IntMatrix":
-        m = IntMatrix(self.rows, self.cols)
-        m.entries = dict(self.entries)
-        return m
-
     def __getitem__(self, key) -> int:
         return self.entries.get(key, 0)
 
@@ -96,35 +93,10 @@ class IntMatrix:
                 and self.rows == other.rows and self.cols == other.cols
                 and self.entries == other.entries)
 
-    def __hash__(self):
-        return hash((self.rows, self.cols, frozenset(self.entries.items())))
-
     def __repr__(self):
         if self.rows * self.cols <= 36:
             return f"IntMatrix({self.to_rows()!r})"
         return f"IntMatrix({self.rows}x{self.cols}, {len(self.entries)} nonzero)"
-
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeError("shape mismatch in addition")
-        m = self.copy()
-        for k, v in other.entries.items():
-            m[k] = m[k] + v
-        return m
-
-    def __neg__(self) -> "IntMatrix":
-        m = IntMatrix(self.rows, self.cols)
-        m.entries = {k: -v for k, v in self.entries.items()}
-        return m
-
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        return self + (-other)
-
-    def scale(self, c: int) -> "IntMatrix":
-        m = IntMatrix(self.rows, self.cols)
-        if c:
-            m.entries = {k: c * v for k, v in self.entries.items()}
-        return m
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -686,22 +658,19 @@ def quotient_homology(c: FreeComplex, relations: dict) -> dict:
     return homology(FreeComplex(dims, diffs))
 
 
-def chain_map_check(f: dict, source: FreeComplex, target: FreeComplex,
-                    sign: int = 1) -> ComplexVerdict:
-    """Verify f is a chain map up to a global sign.
+def chain_map_check(f: dict, source: FreeComplex,
+                    target: FreeComplex) -> ComplexVerdict:
+    """Verify f is a chain map.
 
     ``f`` maps degree n of the source to degree n of the target, given as
     {n: IntMatrix}.  The identity checked in each degree n is
 
-        f(n+1) @ d_source(n) == sign * d_target(n) @ f(n).
+        f(n+1) @ d_source(n) == d_target(n) @ f(n).
 
     Missing components of f are treated as zero maps.  Shape mismatches
     raise ShapeError; a failed identity comes back as a verdict naming
     the first bad degree.
     """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-
     def comp(n):
         m = f.get(n)
         if m is None:
@@ -715,12 +684,12 @@ def chain_map_check(f: dict, source: FreeComplex, target: FreeComplex,
     degrees = sorted(set(source.degrees()) | set(f))
     for n in degrees:
         lhs = comp(n + 1) @ source.diff(n)
-        rhs = (target.diff(n) @ comp(n)).scale(sign)
+        rhs = target.diff(n) @ comp(n)
         if lhs != rhs:
-            delta = lhs - rhs
-            bad = min(delta.entries)
+            bad = min(k for k in lhs.entries.keys() | rhs.entries.keys()
+                      if lhs[k] != rhs[k])
             return ComplexVerdict(
                 ok=False, first_failing_degree=n,
                 message=(f"chain map identity fails from degree {n}: "
-                         f"entry {bad} differs by {delta[bad]}"))
+                         f"entry {bad} differs by {lhs[bad] - rhs[bad]}"))
     return ComplexVerdict(ok=True)

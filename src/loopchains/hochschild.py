@@ -3,9 +3,10 @@
 Words are tuples (a_d, ..., a_1), stored leftmost-first with 1-based
 index arithmetic throughout (a_i is word[d - i]).  The leftmost entry
 a_d is the special slot: it may hold the unit, while a word with a unit
-in any other slot is degenerate and treated as zero.  The differential
-keeps that subspace invariant, so dropping degenerate output words (the
-default) is the quotient differential of the normalized complex.
+in any other slot is degenerate and treated as zero.  The complex is
+the normalized one: the differential keeps the degenerate words a
+subspace, and dropping them from its output is the quotient
+differential.
 
 Degrees.  An entry of ordinary degree g contributes its reduced degree
 g + 1 to all sign bookkeeping, whose exponents come from signkoszul.
@@ -29,9 +30,8 @@ Algebra interface.  Any object with
 works: the based-loop algebras built elsewhere in this package and the
 finite table algebras below both do.  The unit is the one element equal
 to unit(); a non-unital algebra returns None, which equals no element.
-An algebra may also have label(x) -> str, by which cyclic_words orders
-its slots; repr is the default.  The based-loop algebras, whose elements
-are codes, label each by the repr of the word it stands for.
+The basis elements and the unit must compare with <, by which
+cyclic_words orders its slots.
 """
 
 from __future__ import annotations
@@ -77,8 +77,7 @@ def _check_arity(arity) -> None:
                          f"{', '.join(map(repr, _ARITIES))}, got {arity!r}")
 
 
-def hochschild_b(algebra, word, coeff=1, *, arity="argument_count",
-                 normalize=True):
+def hochschild_b(algebra, word, coeff=1, *, arity="argument_count"):
     """The cyclic bar differential of a single word, as {word: coeff}.
 
     Two families of terms.  Inner terms apply mu1 to one slot or mu2 to
@@ -95,15 +94,14 @@ def hochschild_b(algebra, word, coeff=1, *, arity="argument_count",
     algebra.  The latter is kept only so the resolution harness can
     demonstrate that it fails.  Any other value is refused.
 
-    With ``normalize`` (the default) degenerate output words are
-    dropped, and degeneracy is tested once per word.  An inner term
-    keeps the special slot and the other slots of the input, but for
-    the one slot it fills; a wrap term puts its product in the special
-    slot and keeps a run of the input's other slots.  So when the input
-    has no unit outside its special slot, a term is degenerate exactly
-    when it is an inner term that writes the unit into the slot it
-    fills.  An input with a unit in another slot has every output word
-    tested in full.
+    Degenerate output words are dropped, and degeneracy is tested once
+    per word.  An inner term keeps the special slot and the other slots
+    of the input, but for the one slot it fills; a wrap term puts its
+    product in the special slot and keeps a run of the input's other
+    slots.  So when the input has no unit outside its special slot, a
+    term is degenerate exactly when it is an inner term that writes the
+    unit into the slot it fills.  An input with a unit in another slot
+    has every output word tested in full.
     """
     _check_arity(arity)
     d = len(word)
@@ -114,8 +112,7 @@ def hochschild_b(algebra, word, coeff=1, *, arity="argument_count",
     for x in reversed(word):
         run.append(run[-1] + degree(x) + 1)
     unit = algebra.unit()  # None, which equals no element, if non-unital
-    dropped = unit if normalize else None
-    degenerate = normalize and unit in word[1:]
+    degenerate = unit in word[1:]
     out = {}
 
     # inner terms: mu_j eats slots i+1 .. i+j, 1 <= i+j < d, so it fills
@@ -126,7 +123,7 @@ def hochschild_b(algebra, word, coeff=1, *, arity="argument_count",
         sign = -coeff if run[i] % 2 else coeff
         head = word[:k]
         for element, c in algebra.mu1(word[k]).items():
-            if element == dropped:
+            if element == unit:
                 continue
             w = head + (element,) + suffix
             if degenerate and unit in w[1:]:
@@ -139,7 +136,7 @@ def hochschild_b(algebra, word, coeff=1, *, arity="argument_count",
         if k > 1:
             head = word[:k - 1]
             for element, c in algebra.mu2(word[k - 1], word[k]).items():
-                if element == dropped:
+                if element == unit:
                     continue
                 w = head + (element,) + suffix
                 if degenerate and unit in w[1:]:
@@ -184,11 +181,11 @@ def hochschild_b(algebra, word, coeff=1, *, arity="argument_count",
     return out
 
 
-def hochschild_b_vector(algebra, vector, **kw):
-    _check_arity(kw.get("arity", "argument_count"))
+def hochschild_b_vector(algebra, vector, *, arity="argument_count"):
+    _check_arity(arity)
     out = {}
     for word, c in vector.items():
-        _axpy(out, hochschild_b(algebra, word, c, **kw), 1)
+        _axpy(out, hochschild_b(algebra, word, c, arity=arity), 1)
     return out
 
 
@@ -298,8 +295,8 @@ def identity_morphism(algebra) -> Morphism:
     return Morphism(algebra, algebra, {1: lambda args: {args[0]: 1}})
 
 
-def cc_of_morphism(morphism: Morphism, word, coeff=1, *, normalize=True) -> dict:
-    """Extension of a morphism to cyclic bar words.
+def cc_of_morphism(morphism: Morphism, word) -> dict:
+    """Extension of a morphism to normalized cyclic bar words.
 
     Division points 0 <= s_1 < ... < s_k <= d-1 cut the word into k
     blocks.  The special output slot collects the wrapped block
@@ -324,7 +321,7 @@ def cc_of_morphism(morphism: Morphism, word, coeff=1, *, normalize=True) -> dict
                 args = tuple(a(x) for x in range(s[t], s[t - 1], -1))
                 blocks.append(morphism.apply(len(args), args))
             # expand the tensor product of block vectors
-            partial = [((), coeff * sgn)]
+            partial = [((), sgn)]
             for block in blocks:
                 if not block:
                     partial = []
@@ -333,7 +330,7 @@ def cc_of_morphism(morphism: Morphism, word, coeff=1, *, normalize=True) -> dict
                            for entries, c in partial
                            for e, cc in block.items()]
             for entries, c in partial:
-                if normalize and is_degenerate(morphism.target, entries):
+                if is_degenerate(morphism.target, entries):
                     continue
                 _add(out, entries, c)
     return out
@@ -466,8 +463,7 @@ class _Memo(dict):
 
 def cyclic_words(algebra, max_weight: int, degree: int | range | None = None):
     """All normalized words of weight <= max_weight (and given degree),
-    sorted by length and then by the labels of their slots: the
-    algebra's ``label`` when it has one, else repr.
+    sorted by length and then by the words themselves.
 
     The special slot ranges over the basis and, when the algebra has
     one, the unit; the other slots exclude the unit.  Non-unit elements
@@ -506,20 +502,18 @@ def cyclic_words(algebra, max_weight: int, degree: int | range | None = None):
         top = max(map(degree_of.__getitem__, basis), default=0)
         if top <= 0:
             max_len = (high - low) // (1 - top)
-    # rank[x] is x's place among the slots sorted by label
-    label = getattr(algebra, "label", repr)
-    rank = {x: i for i, x in enumerate(sorted(specials, key=label))}
-    # the tails come in preorder over the basis in rank order, so tails
-    # of one length come in the order of their slots' ranks, and each
-    # tail's place in the preorder keys it.  The last shorter tail seen
-    # is each tail's prefix: weights[n] and excess[n] hold the weight and
-    # the sum of |x| - 1 of the last tail of length n
+    # rank[x] is x's place among the sorted slots
+    rank = {x: i for i, x in enumerate(sorted(specials))}
+    # the tails come in preorder over the sorted basis, so tails of one
+    # length come sorted, and each tail's place in the preorder keys it.
+    # The last shorter tail seen is each tail's prefix: weights[n] and
+    # excess[n] hold the weight and the sum of |x| - 1 of the last tail
+    # of length n
     buckets = {}  # (weight, excess) -> (length + 1, place, tail) triples
     weights = [0] * (max_weight + 1)
     excess = [0] * (max_weight + 1)
     for place, tail in enumerate(bounded_words(
-            sorted(basis, key=rank.__getitem__), weight.__getitem__,
-            max_weight, max_len)):
+            sorted(basis), weight.__getitem__, max_weight, max_len)):
         n = len(tail)
         if n:
             x = tail[-1]

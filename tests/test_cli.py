@@ -821,7 +821,7 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 @pytest.mark.parametrize("workload", ["hh-capped", "loop-residuals",
                                       "loop-homology", "report"])
-def test_bench_worker_counts_each_workload(workload):
+def test_bench_worker_counts_each_workload(workload, monkeypatch):
     # the harness fails a run only when its worker dies outside the checks,
     # as it does when the tracer cannot wrap or restore a layer
     run = subprocess.run([sys.executable, str(BENCH / "worker.py"),
@@ -831,3 +831,9 @@ def test_bench_worker_counts_each_workload(workload):
     out = json.loads(run.stdout.splitlines()[-1])
     assert out["restored"] is True
     assert [v["label"] for v in out["verdicts"] if not v["ok"]] == []
+    # every name the bench wraps on this workload is still called: a span
+    # the program stopped calling would read zero in every run
+    monkeypatch.syspath_prepend(str(BENCH))
+    import layers
+    assert sorted(set(layers.expected_spans(workload))
+                  - set(out["called"])) == []

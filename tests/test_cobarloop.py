@@ -475,23 +475,6 @@ def test_algebra_degrees_of_words_outside_the_basis(name):
     assert alg.degree(()) == 0
 
 
-@pytest.mark.parametrize("name", FIXTURE_NAMES + ("boundary_delta4",))
-def test_labels_are_the_reprs_of_the_decoded_words(name):
-    # label joins the alphabet's letter reprs; it must read exactly as
-    # the repr of the decoded word, on the basis, on the unit and on
-    # words that hold the unit letter or a pair letter
-    cc = _load(f"{name}.json")
-    alg = LoopAlgebra(cc)
-    pairs = sorted({l for cell in cc.cells() for ccword in adams_T(cc, cell)
-                    for w in ccword for l in w if type(l) is not int})
-    assert any(l[0] == "pi2" for l in pairs)
-    basis = alg.basis(4)
-    words = [(), (UNIT_LETTER,), (0, UNIT_LETTER), (UNIT_LETTER, 0, 0)]
-    words += [(l,) for l in pairs] + [(0, l) for l in pairs]
-    for word in [*basis, *words]:
-        assert alg.label(word) == repr(alg.decode(word)), word
-
-
 def test_algebras_of_a_complex_share_their_tables(sphere2):
     # the degree and weight tables belong to the alphabet, so algebras
     # under different conventions on one alphabet read and fill the same
@@ -904,12 +887,12 @@ def test_comparison_map_triangle_census(sphere2):
 
 
 def test_unnormalized_image_keeps_unit_slots(sphere2):
-    raw = adams_T(sphere2, (0, 1, 2), normalize=False)
-    cooked = adams_T(sphere2, (0, 1, 2), normalize=True)
-    dropped = [cw for cw in raw if any(entry == () for entry in cw[1:])]
-    assert len(raw) == 10 and len(cooked) == 8 and len(dropped) == 2
-    # unit in the marked slot is fine
-    assert ((), _encoded(sphere2, (("tau", (0, 1, 2)),))) in cooked
+    # the image is normalized: a tree-edge slot stays as the unit only in
+    # the marked slot, and the two words with a unit in another slot go
+    image = adams_T(sphere2, (0, 1, 2))
+    assert len(image) == 8
+    assert ((), _encoded(sphere2, (("tau", (0, 1, 2)),))) in image
+    assert not [cw for cw in image if () in cw[1:]]
 
 
 def test_comparison_map_is_a_chain_map(circle, sphere2, ball3, torus):
@@ -939,10 +922,7 @@ def test_residual_generator_matches_the_verifier(circle, sphere2, ball3,
         # cell by cell, against the single-cell residual
         cells = [c for dim in range(1, cc.source.dimension() + 1)
                  for c in cc.cells(dim=dim)]
-        one_by_one = {}
-        assert pairs == [(c, t_residual(cc, c, conv, census=one_by_one))
-                         for c in cells]
-        assert one_by_one == census
+        assert pairs == [(c, t_residual(cc, c, conv)) for c in cells]
 
 
 def test_residual_generator_computes_no_cell_past_its_caller(sphere2,
@@ -974,20 +954,14 @@ def test_residuals_share_one_loop_algebra(sphere2, torus, monkeypatch):
         # nonzero residuals
         for conv in (DEFAULT, DEFAULT.flip("t_word_sign")):
             built.clear()
-            census, alone = {}, {}
-            residuals = dict(t_residuals(cc, conv, census=census))
+            residuals = dict(t_residuals(cc, conv))
             assert len(residuals) > 1 and len(built) == 1
-            # each residual and the census are those of t_residual alone
+            # each residual is that of t_residual alone
             for cell, r in residuals.items():
-                assert t_residual(cc, cell, conv, census=alone) == r
+                assert t_residual(cc, cell, conv) == r
                 nonzero += bool(r)
-            assert alone == census
             assert len(built) == 1 + len(residuals)
     assert nonzero
-
-
-def test_comparison_map_works_unnormalized_too(sphere2):
-    assert verify_T_chain_map(sphere2, normalize=False).ok
 
 
 def test_weight_cap_must_hold_the_image(sphere2):

@@ -56,6 +56,13 @@ def test_matmul_shape_error():
         IntMatrix(2, 3) @ IntMatrix(2, 3)
 
 
+def test_matrices_are_unhashable():
+    # a matrix is written in place, so a hash of its entries would go
+    # stale in any set or dict that held it
+    with pytest.raises(TypeError):
+        hash(IntMatrix(1, 1))
+
+
 def test_from_rows_ragged():
     with pytest.raises(ShapeError):
         IntMatrix.from_rows([[1, 2], [3]])
@@ -426,9 +433,12 @@ def test_chain_map_identity_and_sign():
     d0 = IntMatrix.from_rows([[3]])
     c = FreeComplex({0: 1, 1: 1}, {0: d0})
     ident = {0: IntMatrix.from_rows([[1]]), 1: IntMatrix.from_rows([[1]])}
-    assert chain_map_check(ident, c, c, sign=1).ok
-    bad = chain_map_check(ident, c, c, sign=-1)
+    assert chain_map_check(ident, c, c).ok
+    # f1 d0 = [[6]] but d0 f0 = [[3]]: no chain map
+    doubled = {0: IntMatrix.from_rows([[1]]), 1: IntMatrix.from_rows([[2]])}
+    bad = chain_map_check(doubled, c, c)
     assert not bad.ok and bad.first_failing_degree == 0
+    assert bad.message.endswith("entry (0, 0) differs by 3")
 
 
 def test_chain_map_shape_error():

@@ -201,7 +201,7 @@ def test_degenerate_words_stay_degenerate():
         word[rng.randint(1, d - 1)] = "1"
         word = tuple(word)
         assert is_degenerate(alg, word)
-        assert hochschild_b(alg, word, normalize=True) == {}
+        assert hochschild_b(alg, word) == {}
 
 
 # -- classical oracle ---------------------------------------------------------
@@ -217,7 +217,7 @@ def test_degree_zero_dictionary_against_classical_operator():
     gens = list(degrees)
     for _ in range(200):
         word = tuple(rng.choice(gens) for _ in range(rng.randint(1, 5)))
-        mine = hochschild_b(dga, word, normalize=False)
+        mine = hochschild_b(dga, word)
         cl = classical_cyclic_b(dga, rev(word))
         assert mine == {rev(k): -c for k, c in cl.items()}
 
@@ -284,7 +284,7 @@ def test_identity_extension_is_identity():
 def cc_of_morphism_vector(morphism, vector):
     out = {}
     for word, c in vector.items():
-        _axpy(out, cc_of_morphism(morphism, word, c), 1)
+        _axpy(out, cc_of_morphism(morphism, word), c)
     return out
 
 
@@ -492,13 +492,25 @@ def circle_algebra():
     return loop_algebra("s1_3")
 
 
+def _in_repr_order(alg, words):
+    """``words`` sorted as cyclic_words once listed them, by length and
+    then by the reprs of their decoded slots, the order the digests
+    below were pinned in."""
+    return sorted(words, key=lambda w: (len(w),
+                                        [repr(alg.decode(x)) for x in w]))
+
+
 def test_cyclic_words_keep_the_order_of_the_decoded_slot_reprs():
-    # the loop algebra's elements are code words, whose reprs sort apart
-    # from those of the words they stand for; the enumeration must keep
-    # the order of the decoded reprs, pinned from before letters were
-    # coded: sha256 of the decoded words, one repr a line
+    # cyclic_words sorts by length and then by the code words, which sort
+    # as the words they stand for.  The set is pinned from before letters
+    # were coded: sha256 of the decoded words in the order of their slot
+    # reprs, one repr a line
     alg = loop_algebra("rp2")
-    words = [tuple(map(alg.decode, w)) for w in cyclic_words(alg, 3)]
+    words = cyclic_words(alg, 3)
+    assert words == sorted(words, key=lambda w: (len(w), w))
+    decoded = [tuple(map(alg.decode, w)) for w in words]
+    assert decoded == sorted(decoded, key=lambda w: (len(w), w))
+    words = [tuple(map(alg.decode, w)) for w in _in_repr_order(alg, words)]
     assert len(words) == 9241
     assert sha256("\n".join(map(repr, words)).encode()).hexdigest() == \
         "001d6b144bdabfd220c29e5cfb330ba66068005302d13db4a5836b5384de798a"
@@ -546,8 +558,10 @@ def test_hh_capped_words_and_boundaries_are_pinned(name, cap, count, digest):
     # the words hh_truncated enumerates at degree 0 and their b
     alg = loop_algebra(name)
     words = cyclic_words(alg, cap, range(-1, 2))
+    assert words == sorted(words, key=lambda w: (len(w), w))
     assert len(words) == count
-    assert _bar_digest(alg, [(w, 1) for w in words]) == digest
+    assert _bar_digest(alg, [(w, 1) for w in _in_repr_order(alg, words)]) \
+        == digest
 
 
 @pytest.mark.parametrize("name", sorted(T_IMAGE_DIGESTS))
@@ -662,14 +676,23 @@ class UncappedBasis(TableDGA):
 
 def test_cyclic_words_match_the_per_special_reference():
     for label, algebra, caps in _cyclic_word_cases():
+        decode = getattr(algebra, "decode", lambda x: x)
+
+        def words(*args, **kw):
+            # in the reference's order: by length, then slot reprs
+            return sorted(cyclic_words(algebra, *args, **kw),
+                          key=lambda w: (len(w),
+                                         tuple(repr(decode(x)) for x in w)))
         with pytest.raises(ValueError, match="got -1"):
             cyclic_words(algebra, -1)
         for cap in caps:
+            got = cyclic_words(algebra, cap)
+            assert got == sorted(got, key=lambda w: (len(w), w)), (label, cap)
             want = per_special_cyclic_words(algebra, cap)
-            assert cyclic_words(algebra, cap) == want, (label, cap)
+            assert words(cap) == want, (label, cap)
             degrees = [word_degree(algebra, w) for w in want]
             for degree in sorted(set(degrees)) + [7]:  # 7: no word
-                assert cyclic_words(algebra, cap, degree=degree) == \
+                assert words(cap, degree=degree) == \
                     [w for w, n in zip(want, degrees) if n == degree], \
                     (label, cap, degree)
             # degree windows: every degree in them, in the same order
@@ -678,7 +701,7 @@ def test_cyclic_words_match_the_per_special_reference():
                               max(degrees, default=0) + 2),
                         range(-1, 4, 2), range(6, 9), range(0, 0)]
             for window in windows:
-                assert cyclic_words(algebra, cap, degree=window) == \
+                assert words(cap, degree=window) == \
                     [w for w, n in zip(want, degrees) if n in window], \
                     (label, cap, window)
 
@@ -821,10 +844,9 @@ def test_hochschild_b_matches_the_signkoszul_reference():
                       for k in [1 + n % len(w)]]
         for word in words:
             for arity in ("argument_count", "subscript"):
-                for normalize in (True, False):
-                    kw = {"arity": arity, "normalize": normalize}
-                    got = hochschild_b(algebra, word, -2, **kw)
-                    want = signkoszul_hochschild_b(algebra, word, -2, **kw)
-                    # same terms in the same order
-                    assert list(got.items()) == list(want.items()), \
-                        (label, word, arity, normalize)
+                got = hochschild_b(algebra, word, -2, arity=arity)
+                want = signkoszul_hochschild_b(algebra, word, -2,
+                                               arity=arity)
+                # same terms in the same order
+                assert list(got.items()) == list(want.items()), \
+                    (label, word, arity)

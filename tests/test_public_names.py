@@ -12,6 +12,11 @@ Names resolve by module: a function ``f`` of module ``m`` is reached by
 module imports it from ``m``, or by ``m.f``.  A method is reached by
 any attribute of its name, whatever the receiver, including
 ``getattr(x, "name", ...)``.
+
+Every defaulted parameter of a public function, method or class is
+likewise passed by some call in ``src/`` or ``bench/``, the callee
+matched by the called name: a setting only tests flip is one more
+configuration of the package, and the exempt ones say why they stay.
 """
 
 import ast
@@ -109,3 +114,88 @@ def test_every_public_name_is_reached_outside_the_tests():
         and (key not in reached if isinstance(key, tuple)
              else key not in attributes))
     assert unreached == []
+
+
+# The defaulted parameters that only tests set, each with its reason.
+NEGATIVE_CONTROL = ("a negative control: the only way a test can make "
+                    "this certificate fail")
+OPTION_EXEMPT = {
+    "boxquot.box_slash(clamp_threshold)": NEGATIVE_CONTROL,
+    "boxquot.box_dot(center)": NEGATIVE_CONTROL,
+    "hochschild.TableDGA(weights)":
+        "the weight-rejection tests of bounded_words, cyclic_words and "
+        "hh_truncated reach those checks only through it",
+    "boxquot.random_cube(ambient)":
+        "the coarse-cube property test draws 1-D values",
+}
+
+
+def _options():
+    """[(qualified option, callee name, parameter, positional index or
+    None)] for every defaulted parameter of a public function, public
+    method or public class constructor.  The index counts from the first
+    argument a call writes, so it skips a method's self or cls."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = path.stem
+        tree = ast.parse(path.read_text())
+        defs = [(node.name, node.name, node, 0)
+                for node in _public_functions(tree.body)]
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            for node in cls.body:
+                if not isinstance(node, ast.FunctionDef):
+                    continue
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in node.decorator_list)
+                if node.name == "__init__":
+                    defs.append((cls.name, cls.name, node, 1))
+                elif not node.name.startswith("_"):
+                    defs.append((f"{cls.name}.{node.name}", node.name, node,
+                                 0 if static else 1))
+        for qualname, callee, node, skip in defs:
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            out += [(f"{module}.{qualname}({a.arg})", callee, a.arg,
+                     i - skip)
+                    for i, a in enumerate(positional) if i >= first]
+            out += [(f"{module}.{qualname}({a.arg})", callee, a.arg, None)
+                    for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                    if d is not None]
+    return out
+
+
+def _calls():
+    """{callee name: [(positional count, keyword names, has *args)]} for
+    every call in ``src/`` and ``bench/``, the callee named by the called
+    name or attribute; a ``**kw`` shows as the keyword name None."""
+    calls = {}
+    for path in [*PACKAGE.glob("*.py"), *(ROOT / "bench").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else \
+                func.attr if isinstance(func, ast.Attribute) else None
+            starred = sum(isinstance(a, ast.Starred) for a in node.args)
+            calls.setdefault(name, []).append((
+                len(node.args) - starred, {k.arg for k in node.keywords},
+                starred > 0))
+    return calls
+
+
+def test_every_option_is_set_by_the_program():
+    # a defaulted parameter that no call in the program passes is a
+    # setting only tests flip: one more configuration for a reader to
+    # learn, and code the program never runs.  A call passes it by
+    # keyword, by position, or through *args or **kw
+    calls = _calls()
+    unset = sorted(
+        option for option, callee, parameter, index in _options()
+        if not any(parameter in keywords or None in keywords
+                   or index is not None and (index < count or starred)
+                   for count, keywords, starred in calls.get(callee, ())))
+    # the exemptions must stay test-only, or they go
+    assert unset == sorted(OPTION_EXEMPT)
