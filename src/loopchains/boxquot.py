@@ -690,14 +690,11 @@ def split(cube: PLCube, level):
     i = cube.dim
     if i == 0:
         raise GeometryError("0-cubes have no last coordinate to split along")
-    if isinstance(level, PLCube):
-        c = constant_level(level)
-        if c is None:
-            raise GeometryError("split needs a constant level")
-    else:
-        c = _frac(level)
-    if not ZERO <= c <= ONE:
-        raise GeometryError(f"split level {c} outside [0, 1]")
+    level = _as_level(i - 1, level)
+    _require_unit_range(level)
+    c = constant_level(level)
+    if c is None:
+        raise GeometryError("split needs a constant level")
     lastbp = cube.breakpoints[-1]
     if not (i == 1 or c in lastbp or i in cube.degenerate_axes()):
         raise GeometryError("the split level must lie on the cube's last-axis grid")
@@ -1165,11 +1162,6 @@ def random_cube(rng, dim: int, ambient: int = 2) -> PLCube:
     return PLCube(tuple(bps), vals)
 
 
-def random_level(rng, dim: int, *, constant: bool = False) -> PLCube:
-    """A pseudo-random level on the dim-cube with values in [0, 1]."""
-    if constant:
-        return PLCube.constant(dim, (Fraction(rng.randint(1, 3), 4),))
-    bps = ((ZERO, ONE),) * dim
-    vals = {idx: (Fraction(rng.randint(0, 8), 8),)
-            for idx in product((0, 1), repeat=dim)}
-    return PLCube(bps, vals)
+def random_level(rng, dim: int) -> PLCube:
+    """A pseudo-random constant level on the dim-cube, in (0, 1)."""
+    return PLCube.constant(dim, (Fraction(rng.randint(1, 3), 4),))

@@ -27,9 +27,9 @@ words they stand for.  So the cyclic bar words of a loop algebra, which
 hochschild.cyclic_words sorts by length and then by the words
 themselves, come in the order of the decoded words.  A code word is a
 word with each alphabet letter replaced by its code; any other letter
-(the unit letter, a pair or corner letter, or a tau letter on a path
-that is not a cell, such as the wrap path (2, 0, 1) of a T image) stays
-in it as it is.
+(a pair or corner letter, or a tau letter on a path that is not a cell,
+such as the wrap path (2, 0, 1) of a T image) stays in it as it is.  A
+code word holds no unit letter: the boundary table refuses it.
 
 The loop operations (``loop_words``, ``word_boundary``,
 ``dga_differential``, ``LoopAlgebra``, ``based_loop_complex``,
@@ -321,12 +321,12 @@ class _Boundaries:
 
     ``entries`` maps a letter of a code word (a code, or a letter
     outside the alphabet) to its entry: the letter's boundary terms as
-    code words with their signs, the same terms negated, the parity (0
-    or 1) the letter adds to the Leibniz prefix exponent, and whether it
-    is the unit letter.  ``entry`` makes a letter's entry on first use,
-    and ``free`` collects the letters met whose boundary has no terms
-    (edge letters and the unit): a word made of these alone has no
-    boundary.  A letter whose boundary raises gets no entry.
+    code words with their signs, the same terms negated, and the parity
+    (0 or 1) the letter adds to the Leibniz prefix exponent.  ``entry``
+    makes a letter's entry on first use, and ``free`` collects the
+    letters met whose boundary has no terms (edge letters): a word made
+    of these alone has no boundary.  A letter whose boundary raises, and
+    the unit letter, which no code word holds, get no entry.
     """
 
     def __init__(self, alphabet: Alphabet, conv: Conventions):
@@ -343,6 +343,9 @@ class _Boundaries:
             if not 0 <= x < len(letters):
                 raise ValueError(f"no letter has the code {x}")
             letter, degree = letters[x], self.degrees[x]
+        elif x == UNIT_LETTER:
+            raise ValueError(f"a code word holds no unit letter {x!r}: "
+                             f"drop it (see normalize_word)")
         else:
             letter, degree = x, letter_degree(x)
         code = self.codes.get  # encode, inline: this runs per table
@@ -350,7 +353,7 @@ class _Boundaries:
                       in letter_boundary(self.cc, letter, conv).items()])
         minus = tuple((t, -c) for t, c in plus)
         parity = (degree + (conv.leibniz_prefix == "reduced")) % 2
-        entry = self.entries[x] = plus, minus, parity, letter == UNIT_LETTER
+        entry = self.entries[x] = plus, minus, parity
         if not plus:
             self.free.add(x)
         return entry
@@ -381,9 +384,8 @@ def _table_of(source, conv):
     return table
 
 
-def _leibniz_into(out, word, scale, table) -> bool:
-    """Add scale * d(word) into out, term by term, and say whether the
-    word holds the unit letter.
+def _leibniz_into(out, word, scale, table):
+    """Add scale * d(word) into out, term by term.
 
     The Leibniz loop of word_boundary and dga_differential, on a code
     word.  The terms of the letter in slot i carry the sign (-1)^e, where
@@ -393,13 +395,10 @@ def _leibniz_into(out, word, scale, table) -> bool:
     letter to add terms to an empty out stores them without lookups: a
     letter's terms are distinct words, so none of them can meet another.
     A zero scale adds nothing, but the letters are still looked up, so a
-    corner letter raises wherever it sits.  The unit letter has no terms
-    and stays in the output words; the caller drops it from them once,
-    after all its adding, which is valid because dropping it is linear.
+    corner letter raises wherever it sits.
     """
     entries = table.entries
     odd = 0
-    has_unit = False
     for i, letter in enumerate(word):
         try:
             entry = entries[letter]
@@ -419,18 +418,7 @@ def _leibniz_into(out, word, scale, table) -> bool:
             else:
                 for t, c in terms:
                     out[head + t + tail] = c * scale
-        elif entry[3]:
-            has_unit = True
         odd ^= entry[2]
-    return has_unit
-
-
-def _drop_units(raw) -> dict:
-    """raw with the unit letter dropped from every word."""
-    out = {}
-    for w, c in raw.items():
-        _add(out, normalize_word(w), c)
-    return out
 
 
 def word_boundary(cc, word, conv: Conventions = DEFAULT) -> dict:
@@ -450,34 +438,28 @@ def _boundary(table, word) -> dict:
     if table.free.issuperset(word):
         return {}
     out = {}
-    if _leibniz_into(out, word, 1, table):
-        return _drop_units(out)
+    _leibniz_into(out, word, 1, table)
     return out
 
 
 def dga_differential(cc, vector, conv: Conventions = DEFAULT) -> dict:
-    """The differential on a vector (or single word) of code words.
+    """The differential on a vector of code words.
 
     Every word that is not boundary-free adds its boundary, times its
     coefficient, straight into one output dict, through the Leibniz loop
-    word_boundary shares: no dict per word, and the unit is dropped from
-    the output words once, at the end.
+    word_boundary shares: no dict per word.
     """
     if not vector:
         return {}
-    if isinstance(vector, tuple):
-        vector = {vector: 1}
     table_cc, table_conv, table = _table
     if table_cc is not cc or table_conv is not conv:
         table = _table_of(cc, conv)
     free = table.free
     out = {}
-    has_unit = False
     for word, c in vector.items():
-        if not free.issuperset(word) \
-                and _leibniz_into(out, word, c, table):
-            has_unit = True
-    return _drop_units(out) if has_unit else out
+        if not free.issuperset(word):
+            _leibniz_into(out, word, c, table)
+    return out
 
 
 # -- the loop dga as a hochschild algebra -------------------------------------
@@ -535,7 +517,7 @@ class LoopComplexModel(NamedTuple):
 
 def loop_words(cc, max_weight: int, conv: Conventions = DEFAULT):
     """Every code word of the weight-capped loop dga, the unit included,
-    sorted."""
+    sorted.  The words read no conventions entry."""
     _check_cap(max_weight)
     alphabet = _alphabet(cc)
     return list(bounded_words(range(len(alphabet.letters)),

@@ -77,7 +77,6 @@ def loop_boundary(alg, chain, conv: Conventions = DEFAULT) -> dict:
     axes multiply one group each, so any flipped axis is detectable.
     """
     in_g = conv.iota_twist == "in_g"
-    concat = getattr(alg, "concat", tuple.__add__)
     axes = [1 if axis == "plus" else -1
             for axis in (conv.wedge_sign_left, conv.wedge_sign_right,
                          conv.wedge_sign_cat, conv.wedge_sign_swap)]
@@ -97,8 +96,8 @@ def loop_boundary(alg, chain, conv: Conventions = DEFAULT) -> dict:
             _add(raw, ("wedge", w, w2), cw * left)
         for w, cw in alg.mu1(w2).items():
             _add(raw, ("wedge", w1, w), cw * right)
-        _add(raw, ("iota", concat(w1, w2)), cat)
-        _add(raw, ("iota", concat(w2, w1)), swap)
+        _add(raw, ("iota", w1 + w2), cat)
+        _add(raw, ("iota", w2 + w1), swap)
         _axpy(out, normalize(alg, raw, conv), c)
     return out
 
@@ -146,24 +145,22 @@ def _g_residual(alg, word, boundary, conv) -> dict:
     return res
 
 
-def g_residuals(alg, conv: Conventions = DEFAULT, *, max_len=3,
-                max_weight=3):
-    """Yield (word, residual) for every word of bounded length and
-    weight, lazily, zero residuals included.
+def _g_words(alg, max_len=3, max_weight=3):
+    """Yield every cyclic word of at most max_len slots and weight at
+    most max_weight, lazily: the words verify_G_chain_map checks.
 
     The slots hold basis elements.  The unit is checked only as the
     one-letter word ``(unit,)``: it may sit in the special slot alone,
     and longer words that start with the unit are not checked (words
     with the unit in any other slot are degenerate and already zero
-    upstream).  A caller that stops at the first nonzero residual
-    computes no later word.  A negative cap is refused.
+    upstream).  A max_len that is not an int of at least 1, or a weight
+    cap that is not an int or is negative, is refused.
     """
-    for w in _g_words(alg, max_len, max_weight):
-        yield w, g_residual(alg, w, conv)
-
-
-def _g_words(alg, max_len=3, max_weight=3):
-    """The words of g_residuals, in its order."""
+    # bool is an int subclass, but True is no length cap
+    if not isinstance(max_len, int) or isinstance(max_len, bool) \
+            or max_len < 1:
+        raise ValueError(f"max_len must be an int of at least 1, "
+                         f"not {max_len!r}")
     _check_cap(max_weight)
     slots = alg.basis(max_weight)
     unit_word = (alg.unit(),)
@@ -174,12 +171,12 @@ def _g_words(alg, max_len=3, max_weight=3):
 
 def verify_G_chain_map(alg, conv: Conventions = DEFAULT, *, max_len=3,
                        max_weight=3) -> GVerification:
-    """Residual check over every word of g_residuals."""
+    """Residual check (see g_residual) over every word of _g_words."""
     failures = {}
     checked = 0
-    for w, res in g_residuals(alg, conv, max_len=max_len,
-                              max_weight=max_weight):
+    for w in _g_words(alg, max_len, max_weight):
         checked += 1
+        res = g_residual(alg, w, conv)
         if res:
             failures[w] = res
     return GVerification(ok=not failures, words_checked=checked,
@@ -238,9 +235,6 @@ class CircleWordAlgebra:
         raise ValueError("letter %r does not wind around the circle"
                          % (letter,))
 
-    def concat(self, w1, w2):
-        return self._reduce(w1 + w2)
-
     def mu1(self, word) -> dict:
         out = {}
         for i, letter in enumerate(word):
@@ -265,27 +259,19 @@ class CircleWordAlgebra:
         return [w for w in words if w and self._reduce(w) == w]
 
 
-def _letter_winding(alg, letter) -> int:
-    w = getattr(alg, "winding", None)
-    if w is not None:
-        return w(letter)
-    if alg.letters() == [letter]:
-        return 1  # a lone loop letter: the collapsed circle
-    raise ValueError("letter %r does not wind around the circle" % (letter,))
-
-
 def basepoint_degree(alg, chain) -> int:
     """Winding number of the basepoint path, summed over the chain.
 
     Only the first slot of a wedge moves the basepoint; inclusion cells
     keep it fixed.  An empty first slot is the constant path, winding
-    zero.  Letters that are not circle loops have no winding and raise.
+    zero.  The winding of a letter is ``alg.winding``'s, which raises on
+    a letter that is not a circle loop.
     """
     total = 0
     for gen, c in chain.items():
         if gen[0] != "wedge":
             continue
-        total += c * sum(_letter_winding(alg, l) for l in gen[1])
+        total += c * sum(alg.winding(l) for l in gen[1])
     return total
 
 

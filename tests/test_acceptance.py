@@ -178,7 +178,7 @@ def test_criterion_6_cubical_certificates():
     for _ in range(50):
         dim = rng.randint(1, 3)
         cube = random_cube(rng, dim)
-        assert box_slash(cube, random_level(rng, dim - 1, constant=True)).ok
+        assert box_slash(cube, random_level(rng, dim - 1)).ok
 
     rng = random.Random(8)
     dots = 0

@@ -490,6 +490,26 @@ def test_split_at_the_ends():
     assert pl_equal(lower, cube).equal
 
 
+def test_split_refuses_the_levels_concat_refuses():
+    # split read the first coordinate of a level of any dimension or
+    # ambient dimension; it now parses the level as concat_f does
+    square = PLCube.from_function(((0, F(1, 2), 1), (0, F(1, 2), 1)),
+                                  lambda p: (p[0], p[1]))
+    lower, upper = split(square, F(1, 2))
+    for level in (PLCube.constant(3, (F(1, 2),)), PLCube.constant(0, (F(1, 2),)),
+                  PLCube.constant(1, (F(1, 2), 7))):
+        for call in (lambda: split(square, level),
+                     lambda: concat_f(lower, upper, level)):
+            with pytest.raises(GeometryError, match="level must be a 1-cube "
+                                                    "into the unit interval"):
+                call()
+    for level in (F(3, 2), PLCube.constant(1, (F(-1, 2),))):
+        for call in (lambda: split(square, level),
+                     lambda: concat_f(lower, upper, level)):
+            with pytest.raises(GeometryError, match=r"lie in \[0, 1\]"):
+                call()
+
+
 # -- collapse certificates ----------------------------------------------------
 
 def test_box_slash_on_the_circle_arc():
@@ -504,7 +524,7 @@ def test_box_slash_constant_levels_pass_in_dims_two_and_three():
     rng = random.Random(41)
     for dim in (2, 3):
         cube = random_cube(rng, dim)
-        level = random_level(rng, dim - 1, constant=True)
+        level = random_level(rng, dim - 1)
         cert = box_slash(cube, level)
         assert cert.ok, cert.failures
 
@@ -577,7 +597,7 @@ def test_a_passing_certificate_evaluates_no_cube(monkeypatch):
     for dim in (1, 2, 3):
         for _ in range(5):
             cube = random_cube(rng, dim)
-            level = random_level(rng, dim - 1, constant=True)
+            level = random_level(rng, dim - 1)
             assert box_slash(cube, level).ok
             for k in range(1, dim):
                 assert box_dot(cube, k).ok
@@ -685,9 +705,11 @@ def oracle_cases():
              (cube3, PLCube.constant(2, (F(1, 2),)))]
     for dim in (1, 2, 2, 3):
         cube = random_cube(rng, dim)
-        cases.append((cube, random_level(rng, dim - 1, constant=True)))
-        if dim >= 2:
-            cases.append((cube, random_level(rng, dim - 1)))
+        cases.append((cube, random_level(rng, dim - 1)))
+        if dim >= 2:  # a varying level, one draw per corner
+            cases.append((cube, PLCube(((0, 1),) * (dim - 1), {
+                idx: (F(rng.randint(0, 8), 8),)
+                for idx in product((0, 1), repeat=dim - 1)})))
     centers = (F(1, 2), F(1, 3), F(0), F(1), F(2, 3), F(3, 2), F(-1, 2))
     thresholds = (F(1), F(3, 4), F(7, 5), F(0), F(1, 3), F(2), F(5, 2), F(-1))
     out = []

@@ -654,15 +654,15 @@ BOUNDARY_CONVENTIONS = (DEFAULT, *(DEFAULT.flip(name) for name in (
 @pytest.fixture(scope="module")
 def letter_pool():
     """The four collapsed fixtures, one letter pool and its boundary-free
-    part.  The pool holds their tau letters, the unit letter, every
-    letter of their comparison-map images (wrap paths and pi2 letters
-    among them) and the alternating path (a, b, a, b) of each edge
-    (a, b).  The fixtures share vertex labels, so many letters have a
-    different boundary in each.  The second list holds the edge letters,
-    the unit and the alternating paths: an alternating path has no
-    boundary terms under cyclic degeneracy and has some under linear."""
+    part.  The pool holds their tau letters, every letter of their
+    comparison-map images (wrap paths and pi2 letters among them) and
+    the alternating path (a, b, a, b) of each edge (a, b).  The fixtures
+    share vertex labels, so many letters have a different boundary in
+    each.  The second list holds the edge letters and the alternating
+    paths: an alternating path has no boundary terms under cyclic
+    degeneracy and has some under linear."""
     complexes = [_load(f"{name}.json") for name in FIXTURE_NAMES]
-    letters = {UNIT_LETTER}
+    letters = set()
     for cc in complexes:
         alphabet = Alphabet(cc)
         letters.update(alphabet.letters)
@@ -674,8 +674,7 @@ def letter_pool():
     edges = {l for l in letters if l[0] == "tau" and len(l[1]) == 2}
     alternating = {("tau", l[1] * 2) for l in edges}
     letters |= alternating
-    return complexes, sorted(letters), sorted(edges | alternating
-                                              | {UNIT_LETTER})
+    return complexes, sorted(letters), sorted(edges | alternating)
 
 
 @settings(deadline=None, max_examples=60)
@@ -727,18 +726,23 @@ def test_word_boundary_matches_the_leibniz_reference_on_every_word(name):
                 leibniz_word_boundary(cc, decode(word), conv), (conv, word)
 
 
-def test_word_boundary_drops_the_unit_wherever_it_sits(sphere2):
-    # the unit at the start, in the middle, at the end and twice, beside
-    # boundary-bearing letters; each output word is unit-free and the
-    # terms agree with the Leibniz reference, which normalizes each one
+def test_word_boundary_refuses_the_unit_letter_wherever_it_sits(sphere2):
+    # a code word holds no unit letter: at the start, in the middle, at
+    # the end and twice, beside boundary-bearing letters, it is refused
+    # by name in either entry point, and it gets no table entry
+    alphabet = Alphabet(sphere2)
     for conv in BOUNDARY_CONVENTIONS:
         for word in ((UNIT_LETTER, T123), (T123, UNIT_LETTER, T12),
                      (T12, T123, UNIT_LETTER),
                      (UNIT_LETTER, T123, UNIT_LETTER, T123)):
-            got = _decoded(sphere2, word_boundary(
-                sphere2, _encoded(sphere2, word), conv))
-            assert got and got == leibniz_word_boundary(sphere2, word, conv)
-            assert all(UNIT_LETTER not in w for w in got)
+            coded = alphabet.encode(word)
+            with pytest.raises(ValueError, match="no unit letter"):
+                word_boundary(alphabet, coded, conv)
+            with pytest.raises(ValueError, match="no unit letter"):
+                dga_differential(alphabet, {(T12,): 1, coded: 1}, conv)
+            table = alphabet._table_for(conv)
+            assert UNIT_LETTER not in table.entries
+            assert UNIT_LETTER not in table.free
 
 
 def test_word_boundary_caches_no_failure_and_hands_out_fresh_dicts(sphere2):
@@ -756,9 +760,9 @@ def test_word_boundary_caches_no_failure_and_hands_out_fresh_dicts(sphere2):
         got.clear()
         got[code((T12,))] = 5
         assert _decoded(sphere2, word_boundary(sphere2, code(word))) == want
-    # a word of edge letters and units has no boundary, and each call
-    # hands out its own empty dict
-    edges = code((T12, T23, UNIT_LETTER, T13, T12))
+    # a word of edge letters has no boundary, and each call hands out
+    # its own empty dict
+    edges = code((T12, T23, T13, T12))
     got = word_boundary(sphere2, edges)
     assert got == {}
     got[code((T12,))] = 5
@@ -784,18 +788,12 @@ def _leibniz_vector(cc, vector, conv):
 def test_dga_differential_keeps_no_zero_coefficient(sphere2):
     # the Leibniz loop adds every word's terms into one dict, and the
     # first letter to add terms fills it without lookups: a zero
-    # coefficient, terms that cancel across words and units dropped only
-    # at the end must still leave no zero entry
-    U = UNIT_LETTER
+    # coefficient and terms that cancel across words must still leave no
+    # zero entry
     vectors = [
         {(T123,): 0},
         {(T123,): 0, (T12, T123): 2},
         {(T12, T123): 2, (T123, T123): 0, (T123,): -1},
-        # two words with opposite boundaries, the second through a unit
-        {(T123,): 1, (U, T123): -1},
-        {(T12, T123): 3, (T12, U, T123): -3, (T123,): 1},
-        # units in several entries, beside each other's terms
-        {(U, T123): 1, (T123, U): 2, (T12, U, T123, U): -1, (T123, T12): 1},
     ]
     square = _encoded(sphere2, (T123, T123))
     for conv in BOUNDARY_CONVENTIONS:
@@ -806,9 +804,6 @@ def test_dga_differential_keeps_no_zero_coefficient(sphere2):
             assert _decoded(sphere2, got) == \
                 _leibniz_vector(sphere2, vector, conv)
             assert 0 not in got.values()
-            assert all(U not in w for w in got)
-    assert dga_differential(sphere2, _coded(
-        sphere2, {(T123,): 1, (U, T123): -1})) == {}
     boundary = word_boundary(sphere2, square)
     assert len(boundary) > 1 and dga_differential(sphere2, boundary) == {}
     # a corner letter in the middle of a vector raises, whatever its
@@ -855,11 +850,6 @@ def test_dga_differential_matches_the_leibniz_reference_twice(sphere2, conv):
             _leibniz_vector(sphere2, _decoded(sphere2, once), conv)
         dd_terms += len(twice)
     assert (dd_terms == 0) == (conv == DEFAULT)
-    # a single word passes as a tuple, the unit word among them
-    for word in ((), (T12,), (T12, T123), (P, P), words[-1]):
-        assert _decoded(sphere2, dga_differential(
-            sphere2, _encoded(sphere2, word), conv)) == \
-            leibniz_word_boundary(sphere2, word, conv)
 
 
 # -- the comparison map --------------------------------------------------------
