@@ -306,7 +306,8 @@ def letter_boundary(cc, letter, conv: Conventions = DEFAULT) -> dict:
     if kind == "pi2":
         return pi2_boundary(cc, letter[1], letter[2], conv)
     if kind == "unit":
-        return {}
+        raise ValueError(f"a code word holds no unit letter {letter!r}: "
+                         f"drop it (see normalize_word)")
     if kind == "pi3":
         raise BoundaryUndefinedError(
             "corner (pi3) letters have no boundary here: they only occur "
@@ -325,8 +326,8 @@ class _Boundaries:
     (0 or 1) the letter adds to the Leibniz prefix exponent.  ``entry``
     makes a letter's entry on first use, and ``free`` collects the
     letters met whose boundary has no terms (edge letters): a word made
-    of these alone has no boundary.  A letter whose boundary raises, and
-    the unit letter, which no code word holds, get no entry.
+    of these alone has no boundary.  A letter whose boundary raises gets
+    no entry: the unit letter, which no code word holds, is one.
     """
 
     def __init__(self, alphabet: Alphabet, conv: Conventions):
@@ -343,9 +344,6 @@ class _Boundaries:
             if not 0 <= x < len(letters):
                 raise ValueError(f"no letter has the code {x}")
             letter, degree = letters[x], self.degrees[x]
-        elif x == UNIT_LETTER:
-            raise ValueError(f"a code word holds no unit letter {x!r}: "
-                             f"drop it (see normalize_word)")
         else:
             letter, degree = x, letter_degree(x)
         code = self.codes.get  # encode, inline: this runs per table

@@ -77,6 +77,7 @@ def loop_boundary(alg, chain, conv: Conventions = DEFAULT) -> dict:
     axes multiply one group each, so any flipped axis is detectable.
     """
     in_g = conv.iota_twist == "in_g"
+    concat = getattr(alg, "concat", tuple.__add__)
     axes = [1 if axis == "plus" else -1
             for axis in (conv.wedge_sign_left, conv.wedge_sign_right,
                          conv.wedge_sign_cat, conv.wedge_sign_swap)]
@@ -96,8 +97,8 @@ def loop_boundary(alg, chain, conv: Conventions = DEFAULT) -> dict:
             _add(raw, ("wedge", w, w2), cw * left)
         for w, cw in alg.mu1(w2).items():
             _add(raw, ("wedge", w1, w), cw * right)
-        _add(raw, ("iota", w1 + w2), cat)
-        _add(raw, ("iota", w2 + w1), swap)
+        _add(raw, ("iota", concat(w1, w2)), cat)
+        _add(raw, ("iota", concat(w2, w1)), swap)
         _axpy(out, normalize(alg, raw, conv), c)
     return out
 
@@ -234,6 +235,9 @@ class CircleWordAlgebra:
             return letter[1]
         raise ValueError("letter %r does not wind around the circle"
                          % (letter,))
+
+    def concat(self, w1, w2):
+        return self._reduce(w1 + w2)
 
     def mu1(self, word) -> dict:
         out = {}

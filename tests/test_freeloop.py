@@ -390,7 +390,19 @@ def test_circle_basis_matches_the_sorted_oracle(strict):
 
 def test_strict_wrap_terms_cancel_to_the_unit_word():
     alg = CircleWordAlgebra(strict=True)
+    assert alg.concat((GAMMA, GAMMA_INV), (GAMMA,)) == (GAMMA,)
     assert hochschild_b(alg, ((GAMMA_INV,), (GAMMA,))) == {}
+
+
+def test_strict_wrap_faces_are_reduced_so_G_is_a_chain_map():
+    # loop_boundary closes a wedge's faces through the algebra's concat,
+    # which reduces gamma gamma^-1 in the group-ring picture: plain tuple
+    # concatenation would leave unreduced iota cells in dG
+    alg = CircleWordAlgebra(strict=True)
+    assert loop_boundary(alg, {("wedge", (GAMMA,), (GAMMA_INV,)): 1}) \
+        == {}
+    v = verify_G_chain_map(alg, max_len=2, max_weight=2)
+    assert v.ok and v.words_checked > 1, v.failures
 
 
 # -- winding ---------------------------------------------------------------------
