@@ -133,6 +133,17 @@ def _affinely_independent(pts) -> bool:
     return len(_row_reduce(rows, len(pts[0]))) == len(rows)
 
 
+def _ambient(points, what) -> int:
+    """The one dimension that all ``points`` share, at least 1."""
+    lens = {len(p) for p in points}
+    if len(lens) != 1:
+        raise GeometryError(f"{what} must share one ambient dimension")
+    ambient = lens.pop()
+    if ambient == 0:
+        raise GeometryError("ambient dimension must be at least 1")
+    return ambient
+
+
 class Realization:
     """A simplicial complex realized with exact rational vertex coordinates.
 
@@ -146,18 +157,16 @@ class Realization:
         coords = {}
         for v in complex.vertices:
             if v not in coordinates:
-                raise GeometryError(f"vertex {v} has no coordinates")
+                raise GeometryError(f"missing vertex {v}")
             point = coordinates[v]
             if not isinstance(point, (list, tuple)):
                 raise GeometryError(
                     f"vertex {v} must be a list of rationals, got {point!r}")
             coords[v] = tuple(_frac(x) for x in point)
-        lens = {len(p) for p in coords.values()}
-        if len(lens) != 1:
-            raise GeometryError("vertex coordinates must share one ambient dimension")
-        self.ambient = lens.pop()
-        if self.ambient == 0:
-            raise GeometryError("ambient dimension must be at least 1")
+        for v in coordinates:
+            if v not in coords:
+                raise GeometryError(f"unknown vertex {v!r}")
+        self.ambient = _ambient(coords.values(), "vertex coordinates")
         self.coordinates = coords
         for f in complex.facets:
             if not _affinely_independent([coords[v] for v in f]):
@@ -259,6 +268,8 @@ class PLCube:
             idx = tuple(idx)
             for x in idx:
                 _require_int(f"index entry of lattice point {idx}", x)
+            if idx in vals:
+                raise GeometryError(f"repeated value at lattice point {idx}")
             vals[idx] = tuple(_frac(x) for x in p)
         expected = set(product(*(range(len(ax)) for ax in bps)))
         if set(vals) != expected:
@@ -267,13 +278,7 @@ class PLCube:
                 raise GeometryError(f"missing value at lattice point {missing[0]}")
             raise GeometryError(
                 f"unexpected lattice point {sorted(set(vals) - expected)[0]}")
-        lens = {len(p) for p in vals.values()}
-        if len(lens) != 1:
-            raise GeometryError("values must share one ambient dimension")
-        ambient = lens.pop()
-        if ambient == 0:
-            raise GeometryError("ambient dimension must be at least 1")
-        self._fill(tuple(bps), vals, ambient, target)
+        self._fill(tuple(bps), vals, _ambient(vals.values(), "values"), target)
         if target is not None:
             self._check_target(target)
 
@@ -1075,11 +1080,10 @@ def parse_cube_family(document) -> CubeFamily:
     coords = data.get("coordinates")
     if not isinstance(coords, dict):
         raise ParseError("coordinates: missing section")
-    for v in cx.vertices:
-        if str(v) not in coords:
-            raise ParseError(f"coordinates: missing vertex {v}")
+    vertex = {str(v): v for v in cx.vertices}
     try:
-        realization = Realization(cx, {v: coords[str(v)] for v in cx.vertices})
+        realization = Realization(
+            cx, {vertex.get(key, key): p for key, p in coords.items()})
     except GeometryError as e:
         raise ParseError(f"coordinates: {e}") from None
     entries = data.get("cubes")

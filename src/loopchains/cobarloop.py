@@ -518,8 +518,8 @@ def loop_words(cc, max_weight: int, conv: Conventions = DEFAULT):
     sorted.  The words read no conventions entry."""
     _check_cap(max_weight)
     alphabet = _alphabet(cc)
-    return list(bounded_words(range(len(alphabet.letters)),
-                              alphabet.weights.__getitem__, max_weight))
+    return bounded_words(range(len(alphabet.letters)),
+                         alphabet.weights.__getitem__, max_weight)
 
 
 def based_loop_complex(cc, max_weight: int,

@@ -147,8 +147,8 @@ def _g_residual(alg, word, boundary, conv) -> dict:
 
 
 def _g_words(alg, max_len=3, max_weight=3):
-    """Yield every cyclic word of at most max_len slots and weight at
-    most max_weight, lazily: the words verify_G_chain_map checks.
+    """Every cyclic word of at most max_len slots and weight at most
+    max_weight, as a list: the words verify_G_chain_map checks.
 
     The slots hold basis elements.  The unit is checked only as the
     one-letter word ``(unit,)``: it may sit in the special slot alone,
@@ -163,11 +163,11 @@ def _g_words(alg, max_len=3, max_weight=3):
         raise ValueError(f"max_len must be an int of at least 1, "
                          f"not {max_len!r}")
     _check_cap(max_weight)
-    slots = alg.basis(max_weight)
-    unit_word = (alg.unit(),)
-    # the empty word stands for the one-letter unit word
-    for word in bounded_words(slots, alg.weight, max_weight, max_len):
-        yield word or unit_word
+    words = bounded_words(alg.basis(max_weight), alg.weight, max_weight,
+                          max_len)
+    # the first word is the empty one, which stands for the unit word
+    words[0] = (alg.unit(),)
+    return words
 
 
 def verify_G_chain_map(alg, conv: Conventions = DEFAULT, *, max_len=3,

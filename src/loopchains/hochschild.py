@@ -345,97 +345,72 @@ class TruncatedHomology(NamedTuple):
     stabilized: bool
 
 
-def _room_tables(letters, weight, max_weight: int):
-    """The room tables that bounded_words and _graded_words walk.
+def bounded_words(letters, weight, max_weight: int,
+                  max_len: int | None = None) -> list:
+    """Every tuple of ``letters`` whose weights sum to at most
+    ``max_weight``, of length at most ``max_len`` (uncapped when None),
+    as a list.
 
-    fits[room] lists, for every room left under the cap, the letters
-    that fit as ((x,), room left after x), last letter first, so that a
-    stack pops the first letter next; leaves[room] lists the same
-    one-letter tuples first letter first.  A node whose room is below
-    the returned ``leafy`` has only leaves for children.  Each letter's
-    weight is looked up once, and every weight must be >= 1.
+    The words come in depth-first preorder over the letters in the order
+    given: the empty tuple first, each word before its extensions, and
+    the extensions by an earlier letter before those by a later one.  So
+    the last shorter word listed is each word's prefix, which lets a
+    caller carry a sum over a word's letters from its prefix.  Given
+    sorted letters, the words come out sorted.  This is _graded_words
+    with every grade zero.  Every weight must be >= 1, which keeps the
+    set finite; a negative cap gives no words.
+    """
+    return _graded_words(letters, weight, lambda x: 0, max_weight,
+                         max_len).get(0, [])
+
+
+def _graded_words(letters, weight, grade, max_weight: int,
+                  max_len: int | None = None) -> dict:
+    """The words of bounded_words(letters, weight, max_weight, max_len),
+    filed by the sum of ``grade`` over their letters: {grade sum: [words]}.
+
+    Each list is the order-preserving restriction of bounded_words'
+    preorder, and the grade sums come as keys in the order that preorder
+    first meets them.  Each letter's weight and grade is looked up once,
+    into a table that lists, for every room left under the cap, the
+    letters that fit.  A node whose children are all leaves (its length
+    is one short of ``max_len``, or its room is below twice the lightest
+    weight) files them at once, split by grade before the walk and filed
+    by one extend per grade.  Every weight must be >= 1; a negative cap
+    gives no words.  It is the one walker of capped words: cyclic_words'
+    tails, each alphabet's basis, the based loop complex, loop_words and
+    G's words all come from it.
     """
     weighted = [(x, weight(x)) for x in letters]
     if any(w < 1 for _, w in weighted):
         raise ValueError("non-unit basis elements must have weight >= 1")
-    fits = [[((x,), room - w) for x, w in reversed(weighted) if w <= room]
-            for room in range(max_weight + 1)]
-    leaves = [[x for x, _ in reversed(children)] for children in fits]
-    # below this room, no child of a node has room for a letter
-    leafy = 2 * min((w for _, w in weighted), default=max_weight + 1)
-    return fits, leaves, leafy
-
-
-def bounded_words(letters, weight, max_weight: int,
-                  max_len: int | None = None):
-    """Every tuple of ``letters`` whose weights sum to at most
-    ``max_weight``, of length at most ``max_len`` (uncapped when None).
-
-    Words are yielded lazily in depth-first preorder over the letters in
-    the order given: the empty tuple first, each word before its
-    extensions, and the extensions by an earlier letter before those by
-    a later one.  So the last shorter word yielded is each word's
-    prefix, which lets a caller carry a sum over a word's letters from
-    its prefix.  Given sorted letters, the words come out sorted.  Each
-    letter's weight is looked up once, into a table that lists, for
-    every room left under the cap, the letters that fit.  A node whose
-    children are all leaves (its length is one short of ``max_len``, or
-    its room is below twice the lightest weight) yields them at once as
-    a batch, in the same order, instead of pushing each on the stack.
-    Every weight must be >= 1, which keeps the set finite; a negative
-    cap yields nothing.
-    """
-    fits, leaves, leafy = _room_tables(letters, weight, max_weight)
-    if max_weight < 0:
-        return
-    if max_len is None:
-        max_len = max_weight  # no word of weight <= max_weight is longer
-    stack = [((), max_weight)]
-    while stack:
-        word, room = stack.pop()
-        yield word
-        if len(word) + 1 < max_len and room >= leafy:
-            stack.extend([(word + x, left) for x, left in fits[room]])
-        elif len(word) < max_len:
-            yield from map(word.__add__, leaves[room])
-
-
-def _graded_words(letters, weight, grade, max_weight: int) -> dict:
-    """The words of bounded_words(letters, weight, max_weight), filed by
-    the sum of ``grade`` over their letters: {grade sum: [words]}.
-
-    Each list is the order-preserving restriction of bounded_words'
-    preorder, so it is sorted when the letters are, and the grade sums
-    come as keys in the order that preorder first meets them.  The walk
-    is bounded_words' own, over the same room tables, with each stack
-    node carrying its grade sum.  A leaf batch is split by the grade of
-    its letters once per room, before the walk, and each part is filed
-    by one extend, so no leaf word is handled one at a time in Python.
-    Every weight must be >= 1; a negative cap gives no words.  It is the
-    walker of every graded loop word list: each alphabet's basis (see
-    cobarloop.Alphabet.basis) and the based loop complex.
-    """
-    fits, leaves, leafy = _room_tables(letters, weight, max_weight)
     if max_weight < 0:
         return {}
-    grade_of = {x: grade(x) for x in letters}
-    graded = [[(x, left, grade_of[x[0]]) for x, left in children]
-              for children in fits]
+    if max_len is None:
+        max_len = max_weight  # no word of weight <= max_weight is longer
+    graded = [(x, w, grade(x)) for x, w in weighted]
+    # fits[room]: the letters that fit as ((x,), room left after x, grade),
+    # last letter first, so that the stack pops the first letter next
+    fits = [[((x,), room - w, g) for x, w, g in reversed(graded) if w <= room]
+            for room in range(max_weight + 1)]
     classes = []  # per room: (grade, leaves of that grade), first met first
-    for batch in leaves:
+    for children in fits:
         split = defaultdict(list)
-        for x in batch:
-            split[grade_of[x[0]]].append(x)
+        for x, _, g in reversed(children):
+            split[g].append(x)
         classes.append(list(split.items()))
+    # below this room, no child of a node has room for a letter
+    leafy = 2 * min((w for _, w in weighted), default=max_weight + 1)
     out = defaultdict(list)
     stack = [((), max_weight, 0)]
     while stack:
         word, room, total = stack.pop()
         out[total].append(word)
-        if room >= leafy:
+        n = len(word) + 1  # the children's length
+        if n < max_len and room >= leafy:
             stack.extend([(word + x, left, total + g)
-                          for x, left, g in graded[room]])
-        else:
+                          for x, left, g in fits[room]])
+        elif n <= max_len:
             for g, batch in classes[room]:
                 out[total + g].extend(map(word.__add__, batch))
     return dict(out)

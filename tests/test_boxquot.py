@@ -978,6 +978,27 @@ def test_cube_family_parse_errors_name_locations():
         parse_cube_family(json.dumps(broken))
 
 
+def test_a_lattice_point_listed_twice_is_refused():
+    # were the later value kept, arc-a would be a constant map
+    doc = json.loads((FIXTURES / "circle_cubes.json").read_text())
+    doc["cubes"][2]["values"].append([[0], ["1", "0"]])
+    with pytest.raises(ParseError) as caught:
+        parse_cube_family(json.dumps(doc))
+    assert str(caught.value) == ("cubes[2] (arc-a): repeated value at "
+                                 "lattice point (0,)")
+    with pytest.raises(GeometryError, match=r"lattice point \(1,\)"):
+        PLCube(((0, 1),), [((0,), (0,)), ((1,), (1,)), ((1,), (0,))])
+
+
+def test_a_coordinate_for_no_vertex_is_refused():
+    # dropped, it would break parse . serialize = identity
+    doc = json.loads((FIXTURES / "circle_cubes.json").read_text())
+    doc["coordinates"]["99"] = ["1", "1"]
+    with pytest.raises(ParseError) as caught:
+        parse_cube_family(json.dumps(doc))
+    assert str(caught.value) == "coordinates: unknown vertex '99'"
+
+
 def test_cube_family_text_is_decoded_once(monkeypatch):
     text = (FIXTURES / "point_cubes.json").read_text()
     calls, loads = [], json.loads

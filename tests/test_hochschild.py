@@ -1,6 +1,6 @@
 from functools import partial
 from hashlib import sha256
-from itertools import islice, product as iproduct
+from itertools import product as iproduct
 from random import Random
 
 import pytest
@@ -408,52 +408,31 @@ GRADED_LETTERS = WEIGHTED_LETTERS.flatmap(
 
 
 @settings(deadline=None, max_examples=150)
-@given(GRADED_LETTERS, st.integers(-1, 6))
+@given(GRADED_LETTERS, st.integers(-1, 6),
+       st.one_of(st.none(), st.integers(0, 4)))
 # room-leafy batches, as in the prefix test; then batches of three
-# letters in two grade classes, one split by a letter of the other
-@example((({"a": 1, "b": 2}, ["b", "a"]), {"a": 1, "b": -1}), 6)
+# letters in two grade classes, one split by a letter of the other;
+# then leaf batches forced by max_len at a node with room to spare
+@example((({"a": 1, "b": 2}, ["b", "a"]), {"a": 1, "b": -1}), 6, None)
 @example((({"a": 2, "b": 3, "c": 2}, ["c", "a", "b"]),
-          {"a": -1, "b": 1, "c": 1}), 6)
+          {"a": -1, "b": 1, "c": 1}), 6, None)
 @example((({"a": 1, "b": 1, "c": 3}, ["c", "a", "b"]),
-          {"a": 0, "b": 0, "c": -2}), 6)
-def test_graded_words_file_bounded_words_by_grade(drawn, max_weight):
+          {"a": 0, "b": 0, "c": -2}), 6, None)
+@example((({"a": 1, "b": 1, "c": 3}, ["c", "a", "b"]),
+          {"a": 1, "b": -1, "c": 0}), 6, 3)
+def test_graded_words_file_bounded_words_by_grade(drawn, max_weight,
+                                                  max_len):
     # each bucket is bounded_words' preorder restricted to one grade sum,
     # and the grade sums come in the order that preorder first meets them
     (weights, letters), grades = drawn
-    words = list(bounded_words(letters, weights.get, max_weight))
+    words = bounded_words(letters, weights.get, max_weight, max_len)
     sums = [sum(grades[x] for x in w) for w in words]
     got = hochschild._graded_words(letters, weights.get, grades.get,
-                                   max_weight)
+                                   max_weight, max_len)
     assert list(got) == list(dict.fromkeys(sums))
     for g, bucket in got.items():
         assert bucket == [w for w, s in zip(words, sums) if s == g], g
     assert sum(map(len, got.values())) == len(words)
-
-
-def test_bounded_words_is_lazy():
-    # an iterator, checked before anything is drawn: an eager
-    # bounded_words fails here instead of building 2^41 words
-    words = bounded_words(["a", "b"], lambda x: 1, 40)
-    assert iter(words) is words
-    assert next(words) == ()
-    assert len(next(words)) == 1
-
-
-def test_bounded_words_is_lazy_at_leafy_nodes():
-    # every child of the root is a leaf under max_len 1
-    words = bounded_words(["a", "b"], lambda x: 1, 40, max_len=1)
-    assert iter(words) is words
-    assert next(words) == ()
-    assert list(words) == [("a",), ("b",)]
-    # a^39 is the first node with room for one letter only; the words
-    # after its batch still come one at a time out of 2^41 - 1
-    words = bounded_words(["a", "b"], lambda x: 1, 40)
-    assert iter(words) is words
-    head = list(islice(words, 45))
-    a, b = ("a",), ("b",)
-    assert head[:41] == [a * n for n in range(41)]
-    assert head[41:] == [a * 39 + b, a * 38 + b, a * 38 + b + a,
-                         a * 38 + b + b]
 
 
 def test_weight_zero_letter_is_rejected():
